@@ -149,8 +149,8 @@ def _protocol(cfg: ExperimentConfig, auction: bool) -> str:
     return "auction_skip" if cfg.skip else "auction"
 
 
-def _seed_for(cfg: ExperimentConfig, label: str):
-    digest = hashlib.sha256(f"{cfg.seed}:{label}".encode()).digest()
+def _hash_seed(seed: int, label: str) -> int:
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -169,7 +169,7 @@ def _cri_pmf(cfg: ExperimentConfig, auction: bool) -> ResultTable:
         cut = series.truncation_index(0.999)
         analytic = {k: float(series.coeffs[k]) for k in range(cut + 1) if series.coeffs[k] > 0}
         episode = EpisodeConfig(protocol=protocol, n=n, region=region, q=cfg.q, p=cfg.p)
-        _, summary = run_episode_batch(episode, cfg.replications, _seed_for(cfg, f"pmf:{n}"))
+        _, summary = run_episode_batch(episode, cfg.replications, _hash_seed(cfg.seed, f"pmf:{n}"))
         tv = total_variation(analytic, summary.pmf)
         diagnostics[f"tv_n{n}"] = tv
         if tv > cfg.tv_threshold:
@@ -199,7 +199,7 @@ def _ks_statistic(sorted_samples: np.ndarray, cdf_values: np.ndarray) -> float:
 def _dist_pdf(cfg: ExperimentConfig, region, label: str) -> ResultTable:
     n_points = cfg.n_values[-1]
     ranks = cfg.ranks or tuple(range(1, n_points + 1))
-    rng = np.random.default_rng(_seed_for(cfg, f"dist:{label}"))
+    rng = np.random.default_rng(_hash_seed(cfg.seed, f"dist:{label}"))
     sorted_d = sample_sorted_separations(region, n_points, cfg.replications, rng)
     grid = np.linspace(0.0, region.radius, 201)
     rows = []
@@ -250,7 +250,7 @@ def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     ]
     per_round = max(cfg.replications // max(len(regions), 1), 1000)
     for label, t, region in regions:
-        rng = np.random.default_rng(_seed_for(cfg, f"iter:{label}:{t}"))
+        rng = np.random.default_rng(_hash_seed(cfg.seed, f"iter:{label}:{t}"))
         sorted_d = sample_sorted_separations(region, n_points, per_round, rng)
         samples = np.sort(sorted_d[:, rank - 1])
         cdf_at = np.array([1.0 - nth_neighbor_ccdf(region, rank, n_points, d) for d in samples])
@@ -293,7 +293,7 @@ def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
         for n in cfg.n_values:
             rank = 1 if nearest else n
             analytic = expected_nth_distance(region, rank, n)
-            rng = np.random.default_rng(_seed_for(cfg, f"expdist:{label}:{n}"))
+            rng = np.random.default_rng(_hash_seed(cfg.seed, f"expdist:{label}:{n}"))
             d = sample_sorted_separations(region, n, per_cell, rng)[:, rank - 1]
             emp = float(d.mean())
             se = float(d.std(ddof=1) / math.sqrt(len(d)))
@@ -335,8 +335,8 @@ def _progress_vs_cri(cfg: ExperimentConfig, auction: bool) -> ResultTable:
         series = build_pgf(protocol, SplitModel(n=n, q=cfg.q, p=cfg.p))
         cri_mean = moments(series).mean
         episode = EpisodeConfig(protocol=protocol, n=n, region=region, q=cfg.q, p=cfg.p)
-        _, summary = run_episode_batch(episode, per_cell, _seed_for(cfg, f"prog:{n}"))
-        rng = np.random.default_rng(_seed_for(cfg, f"prog-dist:{n}"))
+        _, summary = run_episode_batch(episode, per_cell, _hash_seed(cfg.seed, f"prog:{n}"))
+        rng = np.random.default_rng(_hash_seed(cfg.seed, f"prog-dist:{n}"))
         sorted_d = sample_sorted_separations(region, n, per_cell, rng)
         ranks = {"nearest": 1, "second_furthest": max(n - 1, 1), "furthest": n}
         for label, rank in ranks.items():
@@ -422,7 +422,6 @@ def validate_agreement(
     rows = []
     diagnostics = {}
     failures = []
-    master = np.random.SeedSequence(seed)
     for protocol in protocols:
         region = sector if protocol == "sta" else lens
         for n in n_values:
@@ -468,8 +467,3 @@ def validate_agreement(
         diagnostics=diagnostics,
         failures=failures,
     )
-
-
-def _hash_seed(seed: int, label: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")

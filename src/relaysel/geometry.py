@@ -212,8 +212,12 @@ class LensRegion:
         return circle_intersection_area(r_source, s_anchor, self.radius)
 
     @cached_property
+    def _inner_overlap(self) -> float:
+        return self._overlap(self.radius, self.inner_rho)
+
+    @cached_property
     def _area(self) -> float:
-        return self._overlap(self.radius, self.rho) - self._overlap(self.radius, self.inner_rho)
+        return self._overlap(self.radius, self.rho) - self._inner_overlap
 
     def area(self) -> float:
         return self._area
@@ -227,7 +231,7 @@ class LensRegion:
     def anchor_radial_mass(self, s: float) -> float:
         """Mass of the slice within anchor distance ``s``; drives partitioning."""
         s = min(max(s, self.inner_rho), self.rho)
-        return (self._overlap(self.radius, s) - self._overlap(self.radius, self.inner_rho)) / self.area()
+        return (self._overlap(self.radius, s) - self._inner_overlap) / self._area
 
     def contains(self, p: Point2) -> bool:
         dxs, dys = p[0] - self.source.x, p[1] - self.source.y

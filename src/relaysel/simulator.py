@@ -17,18 +17,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError
-from .geometry import (
-    LensRegion,
-    Region,
-    Topology,
-    as_generator,
-    partition_region,
-    sample_topology,
-)
+from .errors import DomainError, ResourceLimitError
+from .geometry import LensRegion, Region, Topology, as_generator, sample_topology
 from .pgf import SplitModel
 
 PROGRESS_METRICS = ("separation", "projection")
@@ -123,15 +117,28 @@ _SINGLE = SlotFeedback.SINGLE
 _COLLISION = SlotFeedback.COLLISION
 
 
+# An episode that spends this many slots per contender (plus one) is
+# abandoned.  A fair election of n contenders takes ~2.89 n slots on average
+# and its length has a geometric tail; the cap is at least 20,000 slots, past
+# build_pgf's longest series (16,384 slots), so it stops only coins too close
+# to degenerate for the analytic side to resolve either.
+_SLOT_CAP_PER_CONTENDER = 10_000
+
+
 class _EpisodeLog:
-    __slots__ = ("trace", "transmitters", "initial")
+    __slots__ = ("trace", "transmitters", "initial", "cap")
 
     def __init__(self, initial_set):
         self.trace: list[SlotFeedback] = []
         self.transmitters: list[tuple[int, ...]] = []
         self.initial = frozenset(initial_set)
+        self.cap = _SLOT_CAP_PER_CONTENDER * (len(self.initial) + 1)
 
     def slot(self, who) -> SlotFeedback:
+        if len(self.trace) >= self.cap:
+            raise ResourceLimitError(
+                f"episode unresolved after {self.cap} slots; is a group probability near 0 or 1?"
+            )
         if type(who) is not tuple:
             who = tuple(who)
         # gated access: nobody outside the initial colliding set may appear
@@ -229,16 +236,23 @@ def run_auction(
     seed=None,
     progress: str = "separation",
     include_request_slot: bool = False,
+    p: tuple[float, ...] | None = None,
 ) -> CriRecord:
     """Simulate one priority-band auction election.
 
-    After the gating reply slot the contenders' region is split into ``q``
-    equal-mass priority bands and bands answer in priority order.  A single
-    reply wins immediately; a collision drops every lower-priority band for
-    the rest of the episode and re-partitions the colliding band; an idle
-    slot hands over to the rest of the field, either by re-partitioning it
-    at once (``skip``: the idle doubles as the regather slot) or by letting
-    it regather and collide in an extra slot first.
+    Every eligible relay replies in the gating slot: an idle slot backs off
+    and a single reply wins at once.  After a collision each relay's place
+    in the lens is its anchor mass ``u``, the lens mass within its anchor
+    distance, which is Uniform(0, 1) for a uniform relay.  The contenders'
+    interval of ``u`` is cut into ``q`` priority bands of masses ``p`` (the
+    fair default is ``1/q`` each), nearest the anchor first, and bands answer
+    in priority order.  A single reply wins immediately; a collision drops
+    every lower-priority band for the rest of the episode and cuts the
+    colliding band the same way; an idle slot hands over to the rest of the
+    field, either by cutting it at once (``skip``: the idle doubles as the
+    regather slot) or by letting it regather and collide in an extra slot
+    first.  ``p`` is taken as checked, as :class:`EpisodeConfig` does once
+    per batch.
 
     The ``progress`` argument is accepted for interface symmetry; the
     auction's winner is always the first solo replier.
@@ -253,78 +267,38 @@ def run_auction(
     n = len(eligible)
     log = _EpisodeLog(eligible)
 
-    if n == 0:
-        log.slot(())
-        return _finish(protocol, topology, n, log, None, include_request_slot, backoff=True)
-
-    if n == 1:
-        # a clean solo reply needs no band descent: gating slot plus the bid
-        rid = eligible[0]
-        log.slot((rid,))
-        log.slot((rid,))
-        return _finish(protocol, topology, n, log, rid, include_request_slot)
+    fb = log.slot(eligible)  # the gating slot that fixes the contender set
+    if fb is not _COLLISION:
+        winner = eligible[0] if fb is _SINGLE else None
+        return _finish(
+            protocol, topology, n, log, winner, include_request_slot, backoff=winner is None
+        )
 
     ax, ay = region.anchor
-    anchor_dist = {
-        rid: math.hypot(topology.relays[rid][0].x - ax, topology.relays[rid][0].y - ay)
-        for rid in eligible
-    }
-
-    log.slot(eligible)  # gating collision that conditions the episode
-    active = list(eligible)
-    current: LensRegion = region
-    bands = _split_bands(current, q)
-    idx = 0
-    winner = None
-    while winner is None:
-        members = _band_members(bands[idx], active, anchor_dist)
+    mass, relays = region.anchor_radial_mass, topology.relays
+    u = {}
+    for rid in eligible:
+        x, y = relays[rid][0]
+        u[rid] = mass(math.hypot(x - ax, y - ay))
+    # lower band edges as fractions of the contenders' interval (lo, hi]
+    cuts = [j / q for j in range(q)] if p is None else list(accumulate(p[:-1], initial=0.0))
+    active = eligible
+    lo, hi, j = 0.0, 1.0, 0
+    while True:
+        width = hi - lo
+        top = hi if j == q - 1 else lo + cuts[j + 1] * width
+        # no active u lies at or below band j's lower edge, so u <= top is band j
+        members = [rid for rid in active if u[rid] <= top]
         fb = log.slot(members)
         if fb is _SINGLE:
-            winner = members[0]
-        elif fb is _COLLISION:
+            return _finish(protocol, topology, n, log, members[0], include_request_slot)
+        if fb is _COLLISION:
             # tree pruning: every lower-priority band drops out for good
-            active = members
-            current = bands[idx]
-            bands = _split_bands(current, q)
-            idx = 0
+            active, lo, hi, j = members, lo + cuts[j] * width, top, 0
+        elif skip:
+            lo = top
         else:
-            if skip:
-                current = _remainder(current, bands[idx])
-                bands = _split_bands(current, q)
-                idx = 0
-            else:
-                idx += 1
-                assert idx < q, "active contenders must occupy some band"
-    return _finish(protocol, topology, n, log, winner, include_request_slot)
-
-
-_BAND_CACHE: dict[tuple, list[LensRegion]] = {}
-
-
-def _split_bands(region: LensRegion, q: int) -> list[LensRegion]:
-    key = (region.source, region.radius, region.axis, region.inner_rho, region.rho, q)
-    bands = _BAND_CACHE.get(key)
-    if bands is None:
-        bands = partition_region(region, q)
-        _BAND_CACHE[key] = bands
-    return bands
-
-
-def _band_members(band: LensRegion, active, anchor_dist) -> list[int]:
-    lo, hi = band.inner_rho, band.rho
-    return [
-        rid for rid in active if (anchor_dist[rid] > lo or lo == 0.0) and anchor_dist[rid] <= hi
-    ]
-
-
-def _remainder(region: LensRegion, consumed: LensRegion) -> LensRegion:
-    return LensRegion(
-        source=region.source,
-        radius=region.radius,
-        rho=region.rho,
-        axis=region.axis,
-        inner_rho=consumed.rho,
-    )
+            j += 1
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +322,15 @@ class EpisodeConfig:
     awake_prob: float = 1.0
     progress: str = "separation"
     include_request_slot: bool = False
+
+    def __post_init__(self):
+        # check q and p once per batch rather than once per episode, and turn
+        # away the coins under which no election can ever end
+        model = SplitModel(n=self.n, q=self.q, p=self.p)
+        if max(model.p) == 1.0:
+            raise DomainError("a coin with some p_j = 1 never splits a collision")
+        if self.protocol == "auction_skip" and model.p[0] == 0.0:
+            raise DomainError("auction_skip re-probes an empty top band forever when p_0 = 0")
 
 
 @dataclass
@@ -384,6 +367,7 @@ def run_single_episode(config: EpisodeConfig, seed) -> CriRecord:
             seed=rng,
             progress=config.progress,
             include_request_slot=config.include_request_slot,
+            p=config.p,
         )
     raise DomainError(f"unknown protocol {config.protocol!r}")
 
@@ -402,11 +386,6 @@ def run_episode_batch(
     records = [run_single_episode(config, s) for s in episode_seeds(seed, replications)]
 
     slots = np.array([r.slots for r in records], dtype=float)
-    counts: dict[int, int] = {}
-    for r in records:
-        counts[r.slots] = counts.get(r.slots, 0) + 1
-    pmf = {k: counts[k] / replications for k in sorted(counts)}
-
     dist_sum = 0.0
     dist_n = 0
     rank_sums: dict[int, float] = {}
@@ -423,7 +402,7 @@ def run_episode_batch(
         protocol=config.protocol,
         n=config.n,
         replications=replications,
-        pmf=pmf,
+        pmf=empirical_pmf(records),
         mean_slots=float(slots.mean()),
         var_slots=float(slots.var()),
         backoff_rate=sum(1 for r in records if r.backoff) / replications,

@@ -13,9 +13,12 @@ from fractions import Fraction
 from scipy.integrate import quad
 
 
-def _fair_split(m: int):
-    """(i, P[i of m contenders toss heads]) for a fair coin, as exact rationals."""
-    return [(i, Fraction(math.comb(m, i), 2**m)) for i in range(m + 1)]
+HALF = Fraction(1, 2)
+
+
+def _split(m: int, p0: Fraction = HALF):
+    """(i, P[i of m contenders join the first group]) as exact rationals."""
+    return [(i, math.comb(m, i) * p0**i * (1 - p0) ** (m - i)) for i in range(m + 1)]
 
 
 def sta_slot_mass(n: int, k: int) -> Fraction:
@@ -40,25 +43,27 @@ def sta_slot_mass(n: int, k: int) -> Fraction:
                 else:
                     done += weight
                 continue
-            for heads, prob in _fair_split(group):
+            for heads, prob in _split(group):
                 nxt[tuple(sorted(rest + (heads, group - heads)))] += weight * prob
         states = nxt
     return done
 
 
-def auction_slot_mass(n: int, k: int) -> Fraction:
-    """P(the binary priority-band auction over ``n`` contenders takes exactly ``k`` slots).
+def auction_slot_pmf(n: int, k_max: int, p0: Fraction = HALF, skip: bool = False) -> list:
+    """P(the binary priority-band auction over ``n`` contenders takes exactly k slots), k <= k_max.
 
     A gather slot has every active contender reply: zero or one reply ends
     the election, a collision moves on to probing.  A probe slot has the
-    higher-priority half-mass band reply, holding each active contender
-    with probability 1/2: a solo reply wins, a collision keeps only that
-    band's contenders, and an idle slot sends the whole active set back to
-    a gather slot.
+    higher-priority band reply, which holds a share ``p0`` of the active
+    contenders' mass and so each of them with probability ``p0``: a solo
+    reply wins, a collision keeps only that band's contenders, and an idle
+    slot sends the whole active set back to a gather slot, or, with
+    ``skip``, straight to the next probe.
     """
     states = {("gather", n): Fraction(1)}
-    done = Fraction(0)
-    for _ in range(k):
+    pmf = [Fraction(0)]
+    idle_phase = "probe" if skip else "gather"
+    for _ in range(k_max):
         nxt = defaultdict(Fraction)
         done = Fraction(0)
         for (phase, m), weight in states.items():
@@ -68,15 +73,21 @@ def auction_slot_mass(n: int, k: int) -> Fraction:
                 else:
                     nxt[("probe", m)] += weight
                 continue
-            for heads, prob in _fair_split(m):
+            for heads, prob in _split(m, p0):
                 if heads == 1:
                     done += weight * prob
                 elif heads == 0:
-                    nxt[("gather", m)] += weight * prob
+                    nxt[(idle_phase, m)] += weight * prob
                 else:
                     nxt[("probe", heads)] += weight * prob
         states = nxt
-    return done
+        pmf.append(done)
+    return pmf
+
+
+def auction_slot_mass(n: int, k: int, p0: Fraction = HALF, skip: bool = False) -> Fraction:
+    """P(the binary priority-band auction over ``n`` contenders takes exactly ``k`` slots)."""
+    return auction_slot_pmf(n, k, p0, skip)[k]
 
 
 def lens_mass_by_quadrature(lens, d: float) -> float:

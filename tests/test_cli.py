@@ -129,6 +129,42 @@ def test_resource_limit_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "protocol,n,coin",
+    [
+        ("sta", 3, ["--p", "1.0"]),
+        ("auction", 1, ["--p", "1.0"]),
+        ("auction-skip", 1, ["--p", "1.0"]),
+        ("auction-skip", 1, ["--q", "3", "--p", "0,0.5,0.5"]),
+    ],
+)
+def test_coin_that_never_resolves_is_usage_error(capsys, protocol, n, coin):
+    code, _, err = run_cli(
+        capsys, "simulate", "--protocol", protocol, "--n", str(n), "--reps", "1", *coin
+    )
+    assert code == EXIT_USAGE
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("protocol", ["sta", "auction", "auction-skip"])
+def test_nearly_degenerate_coin_is_resource_exit(capsys, protocol):
+    code, _, err = run_cli(
+        capsys, "simulate", "--protocol", protocol, "--n", "3", "--p", "0.9999999", "--reps", "1"
+    )
+    assert code == EXIT_RESOURCE
+    assert "slots" in err
+
+
+@pytest.mark.parametrize("protocol", ["auction", "auction-skip"])
+def test_nearly_degenerate_coin_spares_a_lone_relay(capsys, protocol):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--protocol", protocol, "--n", "1", "--p", "0.9999999",
+        "--reps", "20",
+    )
+    assert code == EXIT_OK
+    assert "\n1,1.0\n" in out
+
+
 def test_env_var_overrides_default_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RELAYSEL_SEED", "999")
     path_env = tmp_path / "env.csv"

@@ -1,6 +1,7 @@
 """Series construction, inversion and moments of the election slot counts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from relaysel.pgf import (
     sta_pgf_qary,
 )
 from relaysel.simulator import EpisodeConfig, run_episode_batch
+
+from oracles import auction_slot_pmf
 
 PROTOCOL_BUILDERS = {
     "sta": sta_pgf_binary,
@@ -204,6 +207,17 @@ def test_auction_skip_two_contenders_moments():
     est = moments(build_pgf("auction_skip", SplitModel(2)))
     assert est.mean == pytest.approx(3.0, abs=1e-6)
     assert est.variance == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("protocol", ["auction", "auction_skip"])
+def test_biased_auction_series_match_exact_propagation(protocol):
+    # p_0 = 3/10: every coefficient against the Fraction state propagation
+    for n in range(0, 7):
+        series = build_pgf(protocol, SplitModel(n, p=(0.3, 0.7)))
+        exact = auction_slot_pmf(n, series.k_max, Fraction(3, 10), skip=protocol == "auction_skip")
+        worst = max(abs(float(mass) - c) for mass, c in zip(exact, series.coeffs))
+        assert worst <= 1e-12, f"n={n}: {worst:.3e}"
+        assert abs(series.tail_mass - float(1 - sum(exact))) <= 1e-12
 
 
 def test_auction_minimum_support_is_two_slots():

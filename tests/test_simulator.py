@@ -1,6 +1,7 @@
 """Episode semantics, protocol invariants and batch machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from relaysel.simulator import (
     run_sta,
     total_variation,
 )
+
+from oracles import auction_slot_pmf
 
 LENS = LensRegion(radius=1.0)
 SECTOR = SectorRegion(radius=1.0)
@@ -149,11 +152,13 @@ def test_auction_empty_field_backs_off():
 
 
 @pytest.mark.parametrize("skip", [False, True])
-def test_auction_lone_relay_costs_two_slots(skip):
+def test_auction_lone_relay_wins_in_one_slot(skip):
+    # the gating slot's single reply is already a win, as in the splitting
+    # tree and the auction's slot-count law
     topo = sample_topology(LENS, 1, 3)
     rec = run_auction(topo, skip=skip, seed=4)
-    assert rec.slots == 2
-    assert rec.feedback_trace == (SlotFeedback.SINGLE, SlotFeedback.SINGLE)
+    assert rec.slots == 1
+    assert rec.feedback_trace == (SlotFeedback.SINGLE,)
     assert rec.winner == 0
 
 
@@ -236,6 +241,17 @@ def test_auction_pmf_matches_series(protocol, n):
     assert total_variation(analytic, summary.pmf) <= 0.01
 
 
+@pytest.mark.parametrize("protocol", ["auction", "auction_skip"])
+def test_biased_auction_pmf_matches_exact_law(protocol):
+    # the top band holds p_0 = 3/10 of every interval's anchor mass
+    cfg = EpisodeConfig(protocol=protocol, n=4, region=LENS, p=(0.3, 0.7))
+    _, summary = run_episode_batch(cfg, 100_000, 4242)
+    exact = [float(m) for m in auction_slot_pmf(4, 200, Fraction(3, 10), protocol == "auction_skip")]
+    cut = int(np.searchsorted(np.cumsum(exact), 0.999))
+    analytic = {k: mass for k, mass in enumerate(exact[: cut + 1]) if mass > 0}
+    assert total_variation(analytic, summary.pmf) <= 0.01
+
+
 def test_auction_three_band_descent():
     # q = 3: idle high band, then the middle band's lone bidder wins without
     # any regather slot in between
@@ -269,6 +285,14 @@ def test_single_replication_equals_direct_call():
     batch_record = run_episode_batch(cfg, 1, 555)[0][0]
     direct = run_single_episode(cfg, episode_seeds(555, 1)[0])
     assert batch_record == direct
+
+
+def test_plain_auction_steps_over_an_empty_top_band():
+    # p_0 = 0 only costs the plain auction an idle probe per round
+    cfg = EpisodeConfig(protocol="auction", n=3, region=LENS, q=3, p=(0.0, 0.5, 0.5))
+    records, _ = run_episode_batch(cfg, 200, 8)
+    assert all(r.trace_symbols()[1] == "I" for r in records)
+    assert all(r.winner is not None for r in records)
 
 
 def test_batch_rejects_zero_replications():
