@@ -42,10 +42,7 @@ from .geometry import (
     nth_neighbor_ccdf,
     nth_neighbor_pdf,
     partition_region,
-    radial_mass,
-    region_area,
     region_from_spec,
-    region_to_spec,
     sample_topology,
 )
 from .simulator import (

@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import DomainError, InfeasibleRegionError, ResourceLimitError, TruncationError
 from .experiments import (
@@ -147,11 +149,9 @@ def _cmd_distance(args) -> int:
         rows = [(rank, n, median_nth_distance(region, rank, n))]
         cols = ["rank", "n", "median_distance"]
     else:
-        grid = [args.d] if args.d is not None else [
-            region.radius * i / 200 for i in range(201)
-        ]
+        grid = np.array([args.d]) if args.d is not None else region.radius * np.arange(201) / 200
         fn = nth_neighbor_ccdf if args.stat == "ccdf" else nth_neighbor_pdf
-        rows = [(rank, n, d, fn(region, rank, n, d)) for d in grid]
+        rows = [(rank, n, d, v) for d, v in zip(grid.tolist(), fn(region, rank, n, grid).tolist())]
         cols = ["rank", "n", "d", args.stat]
     _emit(_simple_table(cols, rows), args.out)
     return EXIT_OK

@@ -189,8 +189,11 @@ def _cri_pmf(cfg: ExperimentConfig, auction: bool) -> ResultTable:
 # distance-law families
 
 
-def _ks_statistic(sorted_samples: np.ndarray, cdf_values: np.ndarray) -> float:
-    n = len(sorted_samples)
+def _ks_distance(region, rank: int, n_points: int, distances: np.ndarray) -> float:
+    """KS statistic of sampled rank-th neighbour distances against their law."""
+    samples = np.sort(distances)
+    cdf_values = 1.0 - nth_neighbor_ccdf(region, rank, n_points, samples)
+    n = len(samples)
     steps_hi = np.arange(1, n + 1) / n
     steps_lo = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(steps_hi - cdf_values), np.abs(steps_lo - cdf_values))))
@@ -206,27 +209,17 @@ def _dist_pdf(cfg: ExperimentConfig, region, label: str) -> ResultTable:
     diagnostics = {}
     failures = []
     for rank in ranks:
-        samples = np.sort(sorted_d[:, rank - 1])
-        cdf_at_samples = np.array(
-            [1.0 - nth_neighbor_ccdf(region, rank, n_points, d) for d in samples]
-        )
-        ks = _ks_statistic(samples, cdf_at_samples)
+        ks = _ks_distance(region, rank, n_points, sorted_d[:, rank - 1])
         diagnostics[f"ks_rank{rank}"] = ks
         if ks > cfg.ks_threshold:
             failures.append(f"ks_rank{rank} {ks:.5f} > {cfg.ks_threshold}")
         hist, edges = np.histogram(sorted_d[:, rank - 1], bins=50, range=(0.0, region.radius), density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
         emp_pdf = np.interp(grid, centers, hist, left=0.0, right=0.0)
-        for d, ep in zip(grid, emp_pdf):
-            rows.append(
-                (
-                    rank,
-                    float(d),
-                    nth_neighbor_pdf(region, rank, n_points, float(d)),
-                    float(ep),
-                    nth_neighbor_ccdf(region, rank, n_points, float(d)),
-                )
-            )
+        pdf = nth_neighbor_pdf(region, rank, n_points, grid)
+        ccdf = nth_neighbor_ccdf(region, rank, n_points, grid)
+        for d, an, ep, cc in zip(grid.tolist(), pdf.tolist(), emp_pdf.tolist(), ccdf.tolist()):
+            rows.append((rank, d, an, ep, cc))
     return ResultTable(
         columns=["rank", "d", "analytic_pdf", "empirical_pdf", "analytic_ccdf"],
         rows=rows,
@@ -251,18 +244,17 @@ def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     per_round = max(cfg.replications // max(len(regions), 1), 1000)
     for label, t, region in regions:
         rng = np.random.default_rng(_hash_seed(cfg.seed, f"iter:{label}:{t}"))
-        sorted_d = sample_sorted_separations(region, n_points, per_round, rng)
-        samples = np.sort(sorted_d[:, rank - 1])
-        cdf_at = np.array([1.0 - nth_neighbor_ccdf(region, rank, n_points, d) for d in samples])
-        ks = _ks_statistic(samples, cdf_at)
+        distances = sample_sorted_separations(region, n_points, per_round, rng)[:, rank - 1]
+        ks = _ks_distance(region, rank, n_points, distances)
         diagnostics[f"ks_{label}_round{t}"] = ks
         if ks > cfg.ks_threshold * 2.0:  # fewer draws per round than a full batch
             failures.append(f"ks_{label}_round{t} {ks:.5f}")
-        hist, edges = np.histogram(samples, bins=50, range=(0.0, lens.radius), density=True)
+        hist, edges = np.histogram(distances, bins=50, range=(0.0, lens.radius), density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
         emp_pdf = np.interp(grid, centers, hist, left=0.0, right=0.0)
-        for d, ep in zip(grid, emp_pdf):
-            rows.append((label, t, float(d), nth_neighbor_pdf(region, rank, n_points, float(d)), float(ep)))
+        pdf = nth_neighbor_pdf(region, rank, n_points, grid)
+        for d, an, ep in zip(grid.tolist(), pdf.tolist(), emp_pdf.tolist()):
+            rows.append((label, t, d, an, ep))
     means = [
         expected_nth_distance(iterated_priority_region(lens, t, cfg.q), rank, n_points)
         for t in range(1, cfg.rounds + 1)
@@ -440,11 +432,7 @@ def validate_agreement(
         rng = np.random.default_rng(_hash_seed(seed, f"ks:{label}"))
         sorted_d = sample_sorted_separations(region, distance_n, replications, rng)
         for rank in range(1, distance_n + 1):
-            samples = np.sort(sorted_d[:, rank - 1])
-            cdf_at = np.array(
-                [1.0 - nth_neighbor_ccdf(region, rank, distance_n, d) for d in samples]
-            )
-            ks = _ks_statistic(samples, cdf_at)
+            ks = _ks_distance(region, rank, distance_n, sorted_d[:, rank - 1])
             key = f"ks:{label}:rank{rank}"
             rows.append((key, ks, ks_threshold, int(ks <= ks_threshold)))
             diagnostics[key] = ks

@@ -30,6 +30,10 @@ from scipy.optimize import brentq
 from .errors import DomainError, InfeasibleRegionError
 
 _TWO_PI = 2.0 * math.pi
+# Array arguments are told apart by ``type(x) is _NDARRAY``: on the scalar
+# paths, which the auction, quad and brentq call per point, it costs a
+# fraction of ``isinstance(x, np.ndarray)``.
+_NDARRAY = np.ndarray
 _MASS_BISECT_TOL = 1e-10
 _MIN_SAMPLING_EFFICIENCY = 1e-3
 
@@ -41,13 +45,17 @@ class Point2(NamedTuple):
     y: float
 
 
-def circle_intersection_area(r1: float, r2: float, d: float) -> float:
+def circle_intersection_area(r1, r2, d):
     """Area of the intersection of two discs with radii ``r1``, ``r2`` and
     centre separation ``d``.
 
     Handles the disjoint and contained configurations; the general case is
-    the sum of the two circular segments cut off by the common chord.
+    the sum of the two circular segments cut off by the common chord.  Any
+    argument may be an ndarray, and then the areas come back as one, by the
+    same expressions.
     """
+    if type(r1) is _NDARRAY or type(r2) is _NDARRAY or type(d) is _NDARRAY:
+        return _intersection_areas(r1, r2, d)
     if r1 <= 0.0 or r2 <= 0.0:
         return 0.0
     if d >= r1 + r2:
@@ -62,6 +70,44 @@ def circle_intersection_area(r1: float, r2: float, d: float) -> float:
     seg1 = r1 * r1 * math.acos(c1) - x1 * math.sqrt(max(r1 * r1 - x1 * x1, 0.0))
     seg2 = r2 * r2 * math.acos(c2) - x2 * math.sqrt(max(r2 * r2 - x2 * x2, 0.0))
     return seg1 + seg2
+
+
+def _intersection_areas(r1, r2, d) -> np.ndarray:
+    r1, r2, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (r1, r2, d)))
+    out = np.zeros(r1.shape)
+    meet = (r1 > 0.0) & (r2 > 0.0) & (d < r1 + r2)
+    inside = meet & (d <= np.abs(r1 - r2))
+    r = np.minimum(r1, r2)[inside]
+    out[inside] = math.pi * r * r
+    cut = meet & ~inside
+    r1, r2, d = r1[cut], r2[cut], d[cut]
+    x1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    x2 = d - x1
+    c1 = np.clip(x1 / r1, -1.0, 1.0)
+    c2 = np.clip(x2 / r2, -1.0, 1.0)
+    seg1 = r1 * r1 * _acos(c1) - x1 * np.sqrt(np.maximum(r1 * r1 - x1 * x1, 0.0))
+    seg2 = r2 * r2 * _acos(c2) - x2 * np.sqrt(np.maximum(r2 * r2 - x2 * x2, 0.0))
+    out[cut] = seg1 + seg2
+    return out
+
+
+def _acos(c: np.ndarray) -> np.ndarray:
+    # libm's acos, as on the scalar path: numpy's SIMD arccos differs from it
+    # in the last place on ~9% of arguments, and the segment differences and
+    # the binomial sum amplify that past 1e-15 in the CCDF near d = R.
+    return np.fromiter(map(math.acos, c.tolist()), float, c.size)
+
+
+def _check_distance(d, radius: float) -> None:
+    """Raise unless every distance in ``d`` (a float or an ndarray) lies in
+    [0, radius], with a relative slack of 1e-12 at the top; NaN is outside."""
+    top = radius * (1.0 + 1e-12)
+    if type(d) is _NDARRAY:
+        bad = ~((d >= 0.0) & (d <= top))
+        if bad.any():
+            raise DomainError(f"distance {d[bad].flat[0]} outside [0, {radius}]")
+    elif not 0.0 <= d <= top:
+        raise DomainError(f"distance {d} outside [0, {radius}]")
 
 
 def _unit(v: tuple[float, float]) -> tuple[float, float]:
@@ -104,17 +150,15 @@ class SectorRegion:
     def area(self) -> float:
         return 0.5 * self.aperture * (self.radius**2 - self.inner_radius**2)
 
-    def source_radial_mass(self, d: float) -> float:
-        if not 0.0 <= d <= self.radius * (1.0 + 1e-12):
-            raise DomainError(f"distance {d} outside [0, {self.radius}]")
-        if d <= self.inner_radius:
-            return 0.0
-        return (d * d - self.inner_radius**2) / (self.radius**2 - self.inner_radius**2)
+    def source_radial_mass(self, d):
+        """Mass within source distance ``d`` (a float or an ndarray)."""
+        _check_distance(d, self.radius)
+        mass = (d * d - self.inner_radius**2) / (self.radius**2 - self.inner_radius**2)
+        return np.maximum(mass, 0.0) if type(mass) is _NDARRAY else max(0.0, mass)
 
-    def source_radial_mass_derivative(self, d: float) -> float:
-        if d < self.inner_radius or d > self.radius:
-            return 0.0
-        return 2.0 * d / (self.radius**2 - self.inner_radius**2)
+    def source_radial_mass_derivative(self, d):
+        inside = (d >= self.inner_radius) & (d <= self.radius)
+        return 2.0 * d / (self.radius**2 - self.inner_radius**2) * inside
 
     def contains(self, p: Point2) -> bool:
         dx, dy = p[0] - self.center.x, p[1] - self.center.y
@@ -222,11 +266,11 @@ class LensRegion:
     def area(self) -> float:
         return self._area
 
-    def source_radial_mass(self, d: float) -> float:
-        if not 0.0 <= d <= self.radius * (1.0 + 1e-12):
-            raise DomainError(f"distance {d} outside [0, {self.radius}]")
-        num = self._overlap(d, self.rho) - self._overlap(d, self.inner_rho)
-        return min(1.0, max(0.0, num / self.area()))
+    def source_radial_mass(self, d):
+        """Mass within source distance ``d`` (a float or an ndarray)."""
+        _check_distance(d, self.radius)
+        mass = (self._overlap(d, self.rho) - self._overlap(d, self.inner_rho)) / self.area()
+        return np.clip(mass, 0.0, 1.0) if type(mass) is _NDARRAY else min(1.0, max(0.0, mass))
 
     def anchor_radial_mass(self, s: float) -> float:
         """Mass of the slice within anchor distance ``s``; drives partitioning."""
@@ -354,27 +398,15 @@ def region_from_spec(spec: dict) -> Region:
     raise DomainError(f"unknown region kind {kind!r}")
 
 
-def region_to_spec(region: Region) -> dict:
-    return region.to_spec()
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 
 
-def region_area(region: Region) -> float:
-    return region.area()
-
-
-def radial_mass(region: Region, d: float) -> float:
-    return region.source_radial_mass(d)
-
-
-def nth_neighbor_ccdf(region: Region, rank: int, n_points: int, d: float) -> float:
+def nth_neighbor_ccdf(region: Region, rank: int, n_points: int, d):
     """P(the rank-th nearest of ``n_points`` uniform points lies beyond ``d``).
 
     Equivalently the probability that fewer than ``rank`` points fall within
-    distance ``d`` of the source.
+    distance ``d`` of the source.  ``d`` may be an ndarray of distances.
     """
     if not 1 <= rank <= n_points:
         raise DomainError(f"rank {rank} outside [1, {n_points}]")
@@ -382,15 +414,16 @@ def nth_neighbor_ccdf(region: Region, rank: int, n_points: int, d: float) -> flo
     total = 0.0
     for k in range(rank):
         total += math.comb(n_points, k) * p**k * (1.0 - p) ** (n_points - k)
-    return min(1.0, max(0.0, total))
+    return np.clip(total, 0.0, 1.0) if type(total) is _NDARRAY else min(1.0, max(0.0, total))
 
 
-def nth_neighbor_pdf(region: Region, rank: int, n_points: int, d: float) -> float:
+def nth_neighbor_pdf(region: Region, rank: int, n_points: int, d):
     """Density of the rank-th nearest distance.
 
     Closed form where the region exposes the radial-mass derivative (the
     sector family); otherwise a central difference of the CCDF with step
-    1e-5 * radius.
+    1e-5 * radius, clamped to [0, radius].  ``d`` may be an ndarray of
+    distances.
     """
     if not 1 <= rank <= n_points:
         raise DomainError(f"rank {rank} outside [1, {n_points}]")
@@ -404,17 +437,18 @@ def nth_neighbor_pdf(region: Region, rank: int, n_points: int, d: float) -> floa
             * (1.0 - p) ** (n_points - rank)
             * deriv(d)
         )
-        return max(0.0, dens)
+        return np.maximum(dens, 0.0) if type(dens) is _NDARRAY else max(0.0, dens)
+    _check_distance(d, region.radius)
     h = 1e-5 * region.radius
-    lo = max(0.0, d - h)
-    hi = min(region.radius, d + h)
-    if hi <= lo:
-        return 0.0
+    if type(d) is _NDARRAY:
+        lo, hi = np.maximum(d - h, 0.0), np.minimum(d + h, region.radius)
+    else:
+        lo, hi = max(0.0, d - h), min(region.radius, d + h)
     slope = (
         nth_neighbor_ccdf(region, rank, n_points, lo)
         - nth_neighbor_ccdf(region, rank, n_points, hi)
     ) / (hi - lo)
-    return max(0.0, slope)
+    return np.maximum(slope, 0.0) if type(slope) is _NDARRAY else max(0.0, slope)
 
 
 def expected_nth_distance(region: Region, rank: int, n_points: int) -> float:

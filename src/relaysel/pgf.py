@@ -380,11 +380,23 @@ def invert_fourier(
 class MomentEstimate(NamedTuple):
     mean: float
     variance: float
-    mean_error: float  # bound from the geometric decay of the trailing coefficients
+    mean_error: float  # truncation bound from the trailing blocks' decay, plus rounding
+
+
+# Block length of the tail-decay estimate: a multiple of the support's period
+# (the binary tree only takes odd slot counts, the ternary one k = 1 mod 3).
+_TAIL_BLOCK = 12
 
 
 def moments(series: TruncatedSeries) -> MomentEstimate:
-    """Mean and variance of the truncated PMF with a tail-bound error estimate."""
+    """Mean and variance of the truncated PMF with an upper bound on the mean's error.
+
+    The mass beyond ``k_max`` is taken to decay geometrically from block to
+    block at the ratio R of the last two blocks of ``_TAIL_BLOCK``
+    coefficients.  Block i beyond ``k_max`` then lies at k <= k_max + i*w,
+    so the missing part of the mean is at most tail * (k_max + w / (1 - R)).
+    The rounding of the coefficients and of the sum adds len * eps * mean.
+    """
     if series.tail_mass >= 1e-6:
         raise TruncationError(
             f"tail mass {series.tail_mass:.3e} >= 1e-6; rebuild the series with a larger k_max"
@@ -393,12 +405,13 @@ def moments(series: TruncatedSeries) -> MomentEstimate:
     k = np.arange(len(c), dtype=float)
     mean = float(k @ c)
     variance = float((k * k) @ c - mean * mean)
-    window = c[-10:]
-    s1, s2 = float(window[:-1].sum()), float(window[1:].sum())
-    ratio = min(s2 / s1, 1.0 - 1e-9) if s1 > 0.0 else 0.0
-    geom_tail = float(c[-1]) * ratio / (1.0 - ratio) if ratio > 0.0 else 0.0
+    w = _TAIL_BLOCK
+    before, last = float(c[-2 * w : -w].sum()), float(c[-w:].sum())
+    ratio = min(last / before, 1.0 - 1e-9) if before > 0.0 else 0.0
+    geom_tail = last * ratio / (1.0 - ratio)
     tail = max(series.tail_mass, geom_tail)
-    mean_error = tail * (series.k_max + 1.0 / (1.0 - ratio))
+    rounding = len(c) * np.finfo(float).eps * mean
+    mean_error = tail * (series.k_max + w / (1.0 - ratio)) + rounding
     return MomentEstimate(mean=mean, variance=variance, mean_error=mean_error)
 
 

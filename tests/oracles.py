@@ -90,6 +90,41 @@ def auction_slot_mass(n: int, k: int, p0: Fraction = HALF, skip: bool = False) -
     return auction_slot_pmf(n, k, p0, skip)[k]
 
 
+def sta_mean(n: int, p0: Fraction = HALF) -> Fraction:
+    """Exact E[slots] of the binary splitting tree over ``n`` contenders.
+
+    A group of m >= 2 costs its collision slot plus both halves' costs, the
+    first half holding Binomial(m, p0) contenders:
+    L_m = 1 + sum_c P(Bin(m, p0) = c) (L_c + L_{m-c}), with L_0 = L_1 = 1.
+    The c = 0 and c = m terms hold L_m itself and move to the left-hand side.
+    """
+    costs = [Fraction(1), Fraction(1)]
+    for m in range(2, n + 1):
+        split = _split(m, p0)
+        stay = split[0][1] + split[m][1]
+        rhs = 1 + stay + sum(prob * (costs[c] + costs[m - c]) for c, prob in split[1:m])
+        costs.append(rhs / (1 - stay))
+    return costs[n]
+
+
+def auction_mean(n: int, p0: Fraction = HALF, skip: bool = False) -> Fraction:
+    """Exact E[slots] of the binary priority-band auction over ``n`` contenders.
+
+    From a probe over m active contenders with i ~ Binomial(m, p0) in the
+    priority band: i = 1 ends it, i >= 2 probes those i again, and i = 0
+    costs a gather slot and a probe of all m (only the probe with ``skip``).
+    An election over n >= 2 is its gather collision plus one probe phase.
+    """
+    if n <= 1:
+        return Fraction(1)
+    probe = {}
+    for m in range(2, n + 1):
+        row = [prob for _, prob in _split(m, p0)]
+        rhs = 1 + (0 if skip else row[0]) + sum(row[i] * probe[i] for i in range(2, m))
+        probe[m] = rhs / (1 - row[0] - row[m])
+    return 1 + probe[n]
+
+
 def lens_mass_by_quadrature(lens, d: float) -> float:
     """Independent radial-mass oracle: polar integration about the source.
 

@@ -127,7 +127,7 @@ def test_ac5_distance_law_agreement():
         sorted_d = sample_sorted_separations(region, 5, reps, rng)
         for rank in range(1, 6):
             samples = np.sort(sorted_d[:, rank - 1])
-            cdf = np.array([1.0 - nth_neighbor_ccdf(region, rank, 5, float(d)) for d in samples])
+            cdf = 1.0 - nth_neighbor_ccdf(region, rank, 5, samples)
             hi = np.arange(1, reps + 1) / reps
             lo = np.arange(0, reps) / reps
             ks = float(max(np.max(np.abs(hi - cdf)), np.max(np.abs(lo - cdf))))
@@ -155,7 +155,7 @@ def test_ac6_calibration_identity():
     oracle_gap = 0.0
     for rank in range(1, 6):
         program = {
-            label: np.array([nth_neighbor_ccdf(region, rank, 5, float(d)) for d in grid])
+            label: nth_neighbor_ccdf(region, rank, 5, grid)
             for label, region in (("sdr", sector), ("cdr", lens))
         }
         # fewer than `rank` of the 5 points fall within d

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from relaysel.errors import DomainError, InfeasibleRegionError
@@ -20,10 +22,7 @@ from relaysel.geometry import (
     nth_neighbor_ccdf,
     nth_neighbor_pdf,
     partition_region,
-    radial_mass,
-    region_area,
     region_from_spec,
-    region_to_spec,
     sample_sorted_separations,
     sample_topology,
 )
@@ -56,18 +55,18 @@ def test_equal_circles_at_unit_separation():
 
 
 def test_sector_area():
-    assert region_area(SectorRegion(radius=1.0, aperture=math.pi)) == pytest.approx(
+    assert SectorRegion(radius=1.0, aperture=math.pi).area() == pytest.approx(
         math.pi / 2.0, rel=1e-14
     )
 
 
 def test_lens_area_closed_form():
-    assert region_area(LensRegion(radius=1.0)) == pytest.approx(LENS_AREA_RHO_EQ_R, rel=1e-14)
+    assert LensRegion(radius=1.0).area() == pytest.approx(LENS_AREA_RHO_EQ_R, rel=1e-14)
 
 
 def test_full_reach_lens_covers_the_range_disk():
     lens = LensRegion(radius=1.0, rho=2.0)
-    assert region_area(lens) == pytest.approx(math.pi, rel=1e-14)
+    assert lens.area() == pytest.approx(math.pi, rel=1e-14)
 
 
 def test_lens_area_against_hit_or_miss():
@@ -89,21 +88,21 @@ def test_lens_area_against_hit_or_miss():
 
 def test_sector_radial_mass_is_squared_distance():
     sector = SectorRegion(radius=1.0, aperture=math.pi)
-    assert radial_mass(sector, 1.0) == 1.0
-    assert radial_mass(sector, 0.5) == pytest.approx(0.25, abs=1e-15)
+    assert sector.source_radial_mass(1.0) == 1.0
+    assert sector.source_radial_mass(0.5) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_radial_mass_rejects_out_of_range():
     with pytest.raises(DomainError):
-        radial_mass(SectorRegion(radius=1.0), 1.5)
+        SectorRegion(radius=1.0).source_radial_mass(1.5)
     with pytest.raises(DomainError):
-        radial_mass(LensRegion(radius=1.0), -0.1)
+        LensRegion(radius=1.0).source_radial_mass(-0.1)
 
 
 def test_lens_radial_mass_against_quadrature_oracle():
     lens = LensRegion(radius=1.0)
     for d in (0.2, 0.5, 0.8, 0.95):
-        assert radial_mass(lens, d) == pytest.approx(
+        assert lens.source_radial_mass(d) == pytest.approx(
             lens_mass_by_quadrature(lens, d), abs=1e-9
         )
 
@@ -116,7 +115,7 @@ def test_lens_radial_mass_against_monte_carlo():
     d = np.hypot(pts[:, 0], pts[:, 1])
     p_hat = float((d <= 0.8).mean())
     se = math.sqrt(p_hat * (1.0 - p_hat) / total)
-    assert abs(p_hat - radial_mass(lens, 0.8)) <= 3.0 * se
+    assert abs(p_hat - lens.source_radial_mass(0.8)) <= 3.0 * se
 
 
 @pytest.mark.parametrize(
@@ -131,7 +130,7 @@ def test_lens_radial_mass_against_monte_carlo():
 )
 def test_radial_mass_monotone_on_grid(region):
     grid = np.linspace(0.0, region.radius, 1000)
-    values = [radial_mass(region, float(d)) for d in grid]
+    values = [region.source_radial_mass(float(d)) for d in grid]
     assert values[-1] == pytest.approx(1.0, abs=1e-12)
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -185,11 +184,100 @@ def test_lens_pdf_against_sampled_distances():
     sorted_d = sample_sorted_separations(lens, 5, draws, rng)
     for rank in (1, 3, 5):
         samples = np.sort(sorted_d[:, rank - 1])
-        cdf = np.array([1.0 - nth_neighbor_ccdf(lens, rank, 5, float(d)) for d in samples])
+        cdf = 1.0 - nth_neighbor_ccdf(lens, rank, 5, samples)
         hi = np.arange(1, draws + 1) / draws
         lo = np.arange(0, draws) / draws
         ks = max(np.max(np.abs(hi - cdf)), np.max(np.abs(lo - cdf)))
         assert ks <= 0.01
+
+
+# ---------------------------------------------------------------------------
+# array-valued laws: each element equals the scalar call
+
+
+@st.composite
+def regions(draw):
+    """A sector, a lens with rho in (0, 2R], or a priority slice of either."""
+    radius = draw(st.floats(0.5, 4.0))
+    if draw(st.booleans()):
+        aperture = draw(st.floats(0.05, 2.0 * math.pi))
+        inner = draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.95))])) * radius
+        return SectorRegion(radius=radius, aperture=aperture, inner_radius=inner)
+    rho = draw(st.floats(0.05, 2.0)) * radius
+    inner_rho = draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.95))])) * rho
+    return LensRegion(radius=radius, rho=rho, inner_rho=inner_rho)
+
+
+def _edges(region) -> list[float]:
+    """0, R and the source distances where the slice's inner edge begins."""
+    big_r = region.radius
+    if isinstance(region, SectorRegion):
+        return [0.0, region.inner_radius, big_r]
+    return [0.0, max(big_r - region.rho, 0.0), max(big_r - region.inner_rho, 0.0), big_r]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    region=regions(),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=40),
+    n_points=st.integers(1, 12),
+    data=st.data(),
+)
+def test_array_laws_equal_scalar_calls(region, fractions, n_points, data):
+    rank = data.draw(st.integers(1, n_points))
+    d = np.array(_edges(region) + [f * region.radius for f in fractions])
+    masses = region.source_radial_mass(d)
+    ccdf = nth_neighbor_ccdf(region, rank, n_points, d)
+    pdf = nth_neighbor_pdf(region, rank, n_points, d)
+    # the lens density is a central difference of step 1e-5 R
+    pdf_tol = 1e-15 if isinstance(region, SectorRegion) else 1e-9
+    for j, x in enumerate(d.tolist()):
+        assert abs(masses[j] - region.source_radial_mass(x)) <= 1e-15
+        assert abs(ccdf[j] - nth_neighbor_ccdf(region, rank, n_points, x)) <= 1e-15
+        scalar_pdf = nth_neighbor_pdf(region, rank, n_points, x)
+        assert abs(pdf[j] - scalar_pdf) <= pdf_tol * max(1.0, abs(scalar_pdf))
+    if isinstance(region, SectorRegion):
+        deriv = region.source_radial_mass_derivative(d)
+        assert deriv.tolist() == [region.source_radial_mass_derivative(x) for x in d.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r1=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=20),
+    r2=st.floats(0.0, 3.0),
+    sep=st.floats(0.0, 6.0),
+)
+def test_array_intersection_areas_equal_scalar_calls(r1, r2, sep):
+    areas = circle_intersection_area(np.array(r1), r2, sep)
+    assert areas.tolist() == [circle_intersection_area(x, r2, sep) for x in r1]
+
+
+@pytest.mark.parametrize(
+    "region", [SectorRegion(radius=2.0), LensRegion(radius=2.0, rho=1.5, inner_rho=0.5)]
+)
+@pytest.mark.parametrize("bad", [-1e-9, 2.0 * (1.0 + 1e-11), math.nan, math.inf])
+def test_array_laws_reject_any_distance_outside_the_range(region, bad):
+    d = np.array([0.0, 1.0, bad, 2.0])
+    for law in (
+        region.source_radial_mass,
+        lambda x: nth_neighbor_ccdf(region, 2, 3, x),
+        lambda x: nth_neighbor_pdf(region, 2, 3, x),
+    ):
+        with pytest.raises(DomainError):
+            law(d)
+        with pytest.raises(DomainError):
+            law(bad)
+
+
+@pytest.mark.parametrize("region", [SectorRegion(radius=1.0), LensRegion(radius=1.0, inner_rho=0.3)])
+def test_array_laws_of_no_distances_are_empty(region):
+    empty = np.empty(0)
+    for values in (
+        region.source_radial_mass(empty),
+        nth_neighbor_ccdf(region, 1, 4, empty),
+        nth_neighbor_pdf(region, 1, 4, empty),
+    ):
+        assert isinstance(values, np.ndarray) and values.shape == (0,)
 
 
 def test_expected_nearest_distance_single_point():
@@ -360,7 +448,7 @@ def test_region_spec_round_trip():
         LensRegion(radius=2.0, rho=1.4),
         partition_region(LensRegion(radius=1.0), 2)[1],
     ):
-        clone = region_from_spec(region_to_spec(region))
+        clone = region_from_spec(region.to_spec())
         assert type(clone) is type(region)
         assert clone.area() == pytest.approx(region.area(), rel=1e-12)
     with pytest.raises(DomainError):

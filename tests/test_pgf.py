@@ -24,7 +24,7 @@ from relaysel.pgf import (
 )
 from relaysel.simulator import EpisodeConfig, run_episode_batch
 
-from oracles import auction_slot_pmf
+from oracles import auction_mean, auction_slot_pmf, sta_mean
 
 PROTOCOL_BUILDERS = {
     "sta": sta_pgf_binary,
@@ -331,6 +331,21 @@ def test_moment_error_bound_brackets_truth():
     # E4 = 221/24 + E4/8, so E4 = 221/21
     exact = 221.0 / 21.0
     assert abs(est.mean - exact) <= max(est.mean_error, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "protocol, exact",
+    [
+        ("sta", sta_mean),
+        ("auction", auction_mean),
+        ("auction_skip", lambda n: auction_mean(n, skip=True)),
+    ],
+)
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_mean_error_bounds_the_exact_mean(protocol, exact, n):
+    # the tree's odd-only support once hid part of its truncation error
+    est = moments(build_pgf(protocol, SplitModel(n)))
+    assert est.mean_error >= abs(Fraction(est.mean) - exact(n))
 
 
 # ---------------------------------------------------------------------------

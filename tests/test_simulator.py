@@ -308,7 +308,7 @@ def test_winner_distance_follows_the_furthest_neighbor_law():
     cfg = EpisodeConfig(protocol="sta", n=n, region=SECTOR)
     records, _ = run_episode_batch(cfg, reps, 20240101)
     samples = np.sort(np.array([r.winner_distance for r in records]))
-    cdf = np.array([1.0 - nth_neighbor_ccdf(SECTOR, n, n, float(d)) for d in samples])
+    cdf = 1.0 - nth_neighbor_ccdf(SECTOR, n, n, samples)
     hi = np.arange(1, reps + 1) / reps
     lo = np.arange(0, reps) / reps
     ks = max(np.max(np.abs(hi - cdf)), np.max(np.abs(lo - cdf)))
