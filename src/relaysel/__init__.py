@@ -49,6 +49,7 @@ from .simulator import (
     BatchSummary,
     CriRecord,
     EpisodeConfig,
+    RecordBatch,
     SlotFeedback,
     empirical_pmf,
     run_auction,

@@ -1,0 +1,8 @@
+"""``python -m relaysel``: the ``relaysel`` command without an installed script."""
+
+import sys
+
+from .cli import cli_main
+
+if __name__ == "__main__":
+    sys.exit(cli_main())

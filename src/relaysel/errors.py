@@ -14,4 +14,4 @@ class TruncationError(RuntimeError):
 
 
 class InfeasibleRegionError(ValueError):
-    """A geometric region is empty or too thin to sample from."""
+    """A geometric region has no area."""

@@ -35,7 +35,10 @@ _TWO_PI = 2.0 * math.pi
 # fraction of ``isinstance(x, np.ndarray)``.
 _NDARRAY = np.ndarray
 _MASS_BISECT_TOL = 1e-10
-_MIN_SAMPLING_EFFICIENCY = 1e-3
+# lens placement: a start interpolated in a table of this many anchor
+# distances, then Newton steps to rounding
+_PLACEMENT_TABLE_POINTS = 4097
+_PLACEMENT_NEWTON_STEPS = 3
 
 
 class Point2(NamedTuple):
@@ -171,27 +174,23 @@ class SectorRegion:
                              self.axis[0] * dx + self.axis[1] * dy))
         return ang <= 0.5 * self.aperture + 1e-12
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        # exact inverse-transform draw: uniform angle, area-uniform radius
+    def place(self, u, v) -> np.ndarray:
+        """Points at area-uniform radius fraction ``u`` and angle fraction ``v``.
+
+        ``u`` and ``v`` are arrays of uniforms in [0, 1) of one shape; the
+        points come back with a trailing axis of (x, y).  Uniform ``u`` and
+        ``v`` give points uniform over the sector.
+        """
         base = math.atan2(self.axis[1], self.axis[0])
         lo2 = self.inner_radius**2
-        span = self.radius**2 - lo2
-        if n <= 16:
-            # scalar path: cheaper than array machinery for a handful of points
-            out = np.empty((n, 2))
-            for i in range(n):
-                r = math.sqrt(lo2 + rng.random() * span)
-                theta = base + (rng.random() - 0.5) * self.aperture
-                out[i, 0] = self.center.x + r * math.cos(theta)
-                out[i, 1] = self.center.y + r * math.sin(theta)
-            return out
-        u = rng.random(n)
-        v = rng.random(n)
-        r = np.sqrt(lo2 + u * span)
+        r = np.sqrt(lo2 + u * (self.radius**2 - lo2))
         theta = base + (v - 0.5) * self.aperture
-        return np.column_stack(
-            (self.center.x + r * np.cos(theta), self.center.y + r * np.sin(theta))
+        return np.stack(
+            (self.center.x + r * np.cos(theta), self.center.y + r * np.sin(theta)), axis=-1
         )
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.place(rng.random(n), rng.random(n))
 
     def partition(self, q: int) -> list["SectorRegion"]:
         """Equal-mass annular bands by source distance, outermost first."""
@@ -287,54 +286,60 @@ class LensRegion:
             return False
         return da > self.inner_rho or self.inner_rho == 0.0
 
+    def _disk_overlap(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Area of the range disk within anchor distance ``s``, and its
+        derivative in ``s``, by numpy's ufuncs.
+
+        With the centres ``R`` apart and ``t = s / 2R`` the two-circle area
+        reduces to ``R^2 (2 asin t + 4 t^2 acos t - 2 t sqrt(1 - t^2))``, and
+        its derivative is the arc length ``2 s acos t``.  Placement only: the
+        laws use :func:`circle_intersection_area`, with libm's ``acos``.
+        """
+        t = np.minimum(s / (2.0 * self.radius), 1.0)
+        half_arc = np.arccos(t)
+        area = self.radius**2 * (
+            2.0 * np.arcsin(t) + 4.0 * t * t * half_arc - 2.0 * t * np.sqrt(1.0 - t * t)
+        )
+        return area, 2.0 * s * half_arc
+
     @cached_property
-    def _sampling_efficiency(self) -> float:
-        annulus = math.pi * (self.rho**2 - self.inner_rho**2)
-        return self.area() / annulus
+    def _placement_table(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        # Chebyshev-spaced anchor distances crowd both ends, where the mass
+        # goes flat (as s^2 at s = 0, as 1 - (2R - s)^1.5 at s = 2R) and a
+        # linear start would cost Newton its quadratic convergence.
+        k = np.arange(_PLACEMENT_TABLE_POINTS)
+        frac = 0.5 * (1.0 - np.cos(np.pi * k / (_PLACEMENT_TABLE_POINTS - 1)))
+        s = self.inner_rho + (self.rho - self.inner_rho) * frac
+        overlap, _ = self._disk_overlap(s)
+        lo, span = float(overlap[0]), float(overlap[-1] - overlap[0])
+        return s, (overlap - lo) / span, lo, span
+
+    def place(self, u, v) -> np.ndarray:
+        """Points whose anchor mass is ``u``, at arc fraction ``v``.
+
+        The anchor distance ``s`` solves ``anchor_radial_mass(s) = u``: a start
+        interpolated in a table of the slice's mass, then Newton steps.  The
+        angle is uniform on the arc ``|phi| <= acos(s / 2R)`` of the anchor
+        circle inside the range disk, measured from the anchor-to-source
+        direction; the arc is the same for every slice.  ``u`` and ``v`` are
+        arrays of uniforms in [0, 1) of one shape, and uniform ``u`` and ``v``
+        give points uniform over the slice, with ``u`` their anchor mass.
+        """
+        table_s, table_mass, lo, span = self._placement_table
+        target = lo + u * span
+        s = np.interp(u, table_mass, table_s)
+        for _ in range(_PLACEMENT_NEWTON_STEPS):
+            area, slope = self._disk_overlap(s)
+            step = np.divide(area - target, slope, out=np.zeros_like(s), where=slope > 0.0)
+            s = np.clip(s - step, self.inner_rho, self.rho)
+        half_arc = np.arccos(np.minimum(s / (2.0 * self.radius), 1.0))
+        phi = math.atan2(-self.axis[1], -self.axis[0]) + (2.0 * v - 1.0) * half_arc
+        a = self.anchor
+        return np.stack((a.x + s * np.cos(phi), a.y + s * np.sin(phi)), axis=-1)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform draw by rejection from the anchor-centred annulus."""
-        eff = self._sampling_efficiency
-        if eff < _MIN_SAMPLING_EFFICIENCY:
-            raise InfeasibleRegionError(
-                f"rejection efficiency {eff:.2e} below {_MIN_SAMPLING_EFFICIENCY}"
-            )
-        a = self.anchor
-        out = np.empty((n, 2))
-        r2 = self.radius**2
-        lo2 = self.inner_rho**2
-        span = self.rho**2 - lo2
-        if n <= 16:
-            # scalar rejection: cheaper than array machinery for a few points
-            rand = rng.random
-            sx, sy = self.source.x, self.source.y
-            got = 0
-            while got < n:
-                s = min(math.sqrt(lo2 + rand() * span), self.rho)
-                theta = _TWO_PI * rand()
-                px = a.x + s * math.cos(theta)
-                py = a.y + s * math.sin(theta)
-                if (px - sx) ** 2 + (py - sy) ** 2 <= r2:
-                    out[got, 0] = px
-                    out[got, 1] = py
-                    got += 1
-            return out
-        got = 0
-        while got < n:
-            chunk = int((n - got) / eff * 1.4) + 8
-            u = rng.random(chunk)
-            v = rng.random(chunk)
-            s = np.sqrt(lo2 + u * span)
-            np.minimum(s, self.rho, out=s)
-            theta = _TWO_PI * v
-            px = a.x + s * np.cos(theta)
-            py = a.y + s * np.sin(theta)
-            keep = (px - self.source.x) ** 2 + (py - self.source.y) ** 2 <= r2
-            take = min(int(keep.sum()), n - got)
-            out[got : got + take, 0] = px[keep][:take]
-            out[got : got + take, 1] = py[keep][:take]
-            got += take
-        return out
+        """``n`` points uniform over the slice, by inverse transform."""
+        return self.place(rng.random(n), rng.random(n))
 
     def partition(self, q: int) -> list["LensRegion"]:
         """Equal-mass anchor-centred slices, the slice nearest the anchor first.

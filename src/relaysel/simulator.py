@@ -7,25 +7,46 @@ during an election.
 
 Episode accounting starts at that first reply slot; the source's request
 slot is excluded by default and can be re-added with ``include_request_slot``.
-Every episode is an isolated state machine driven by an explicit seed, so
-batches can derive independent per-episode seeds from one master seed and
-aggregate in any order.
+
+Randomness is addressed by counter, in the manner of Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3" (SC 2011): every uniform is a
+pure function of (master seed, episode, stream, index), a SplitMix64 mix in
+64-bit integers.  A relay's placement is drawn at (relay, 0) and (relay, 1),
+its awake flag at (relay) and a splitting-tree coin at (contender, depth), a
+contender being in exactly one group per depth.  An episode's draws thus do
+not depend on which episodes run beside it, in what order or in what block,
+and two engines run the same episodes:
+
+* the columnar engine behind :func:`run_episode_batch` runs blocks of
+  episodes as arrays (the tree as a frontier of groups split depth by depth,
+  the auction as an interval descent on the relays' anchor masses) and
+  yields each episode's slots, winner, winner rank and distance, and backoff;
+* the scalar replay walks one episode slot by slot, the tree depth first,
+  and builds its :class:`CriRecord` with the feedback trace and the
+  transmitters.  A :class:`RecordBatch` replays an episode only when it is
+  read.
+
+Both give the same values for every episode, exactly.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .geometry import LensRegion, Region, Topology, as_generator, sample_topology
+from .geometry import LensRegion, Region, Topology, as_generator
 from .pgf import SplitModel
 
 PROGRESS_METRICS = ("separation", "projection")
+PROTOCOLS = ("sta", "auction", "auction_skip")
 
 
 class SlotFeedback(enum.Enum):
@@ -83,38 +104,90 @@ class CriRecord:
         )
 
 
-class _CoinStream:
-    """Chunked group-index draws, one numpy call per refill instead of per slot."""
+# ---------------------------------------------------------------------------
+# counter-addressed uniforms
 
-    __slots__ = ("rng", "q", "probs", "fair", "buf", "pos")
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a Weyl sequence with step
+# 2^64 / golden ratio, each state passed through this output mix.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
+_U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
+_UNIT = 2.0**-53
 
-    def __init__(self, rng, model: SplitModel, chunk: int = 64):
-        self.rng = rng
-        self.q = model.q
-        self.probs = np.array(model.p)
-        self.fair = all(abs(x - 1.0 / model.q) < 1e-15 for x in model.p)
-        self.buf = ()
-        self.pos = 0
-
-    def _refill(self, at_least: int):
-        size = max(64, at_least)
-        if self.fair:
-            self.buf = self.rng.integers(0, self.q, size=size).tolist()
-        else:
-            self.buf = self.rng.choice(self.q, size=size, p=self.probs).tolist()
-        self.pos = 0
-
-    def take(self, m: int) -> list[int]:
-        if self.pos + m > len(self.buf):
-            self._refill(m)
-        out = self.buf[self.pos : self.pos + m]
-        self.pos += m
-        return out
+# an episode's streams; the tree's coins at depth d are stream _COIN + d
+_PLACE_U, _PLACE_V, _AWAKE, _COIN = 0, 1, 2, 3
 
 
-_IDLE = SlotFeedback.IDLE
-_SINGLE = SlotFeedback.SINGLE
-_COLLISION = SlotFeedback.COLLISION
+def _mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    # uint64 arrays wrap modulo 2^64, as _mix masks
+    z = (z ^ (z >> 30)) * _U_MIX1
+    z = (z ^ (z >> 27)) * _U_MIX2
+    return z ^ (z >> 31)
+
+
+def _master_seed(seed):
+    """``seed`` itself, or a 64-bit seed drawn from a Generator (from fresh
+    entropy for None)."""
+    if seed is None or isinstance(seed, np.random.Generator):
+        return int(as_generator(seed).integers(0, _MASK, dtype=np.uint64, endpoint=True))
+    return seed
+
+
+def _seed_key(seed) -> int:
+    """64-bit key of a master seed, a non-negative int of any size folded a
+    word at a time."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    key = 0
+    while True:
+        key = _mix(((key ^ (seed & _MASK)) + _GAMMA) & _MASK)
+        seed >>= 64
+        if not seed:
+            return key
+
+
+# _stream_key and _uniform draw one at a time, for the scalar replay, what
+# _uniforms draws for a block; modulo 2^64 the two agree bit for bit.
+def _stream_key(key: int, stream: int) -> int:
+    return _mix((key + (stream + 1) * _GAMMA) & _MASK)
+
+
+def _uniform(stream_key: int, index: int) -> float:
+    return (_mix((stream_key + (index + 1) * _GAMMA) & _MASK) >> 11) * _UNIT
+
+
+def _uniforms(keys: np.ndarray, stream: int, index: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) at (key, stream, index), broadcast over keys and index."""
+    stream_keys = _mix_array(keys + np.uint64(((stream + 1) * _GAMMA) & _MASK))
+    z = _mix_array(stream_keys + (index + np.uint64(1)) * _U_GAMMA)
+    return (z >> np.uint64(11)).astype(np.float64) * _UNIT
+
+
+def episode_seeds(master_seed, replications: int, start: int = 0) -> np.ndarray:
+    """Keys of episodes ``start .. start + replications - 1`` under the master
+    seed: the seed key's SplitMix64 sequence, one output per episode."""
+    key = np.uint64(_seed_key(_master_seed(master_seed)))
+    episodes = np.arange(start, start + replications, dtype=np.uint64)
+    return _mix_array(key + (episodes + np.uint64(1)) * _U_GAMMA)
+
+
+# ---------------------------------------------------------------------------
+# the scalar replay
+
+# feedback of a slot by the number of its transmitters: 0, 1, 2 or more
+_FEEDBACK = (SlotFeedback.IDLE, SlotFeedback.SINGLE, SlotFeedback.COLLISION)
 
 
 # An episode that spends this many slots per contender (plus one) is
@@ -125,56 +198,104 @@ _COLLISION = SlotFeedback.COLLISION
 _SLOT_CAP_PER_CONTENDER = 10_000
 
 
-class _EpisodeLog:
-    __slots__ = ("trace", "transmitters", "initial", "cap")
-
-    def __init__(self, initial_set):
-        self.trace: list[SlotFeedback] = []
-        self.transmitters: list[tuple[int, ...]] = []
-        self.initial = frozenset(initial_set)
-        self.cap = _SLOT_CAP_PER_CONTENDER * (len(self.initial) + 1)
-
-    def slot(self, who) -> SlotFeedback:
-        if len(self.trace) >= self.cap:
-            raise ResourceLimitError(
-                f"episode unresolved after {self.cap} slots; is a group probability near 0 or 1?"
-            )
-        if type(who) is not tuple:
-            who = tuple(who)
-        # gated access: nobody outside the initial colliding set may appear
-        assert self.initial.issuperset(who), "blocked-access violation"
-        size = len(who)
-        fb = _IDLE if size == 0 else (_SINGLE if size == 1 else _COLLISION)
-        self.trace.append(fb)
-        self.transmitters.append(who)
-        return fb
+def _unresolved(cap: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"episode unresolved after {cap} slots; is a group probability near 0 or 1?"
+    )
 
 
-def _finish(protocol, topology, n, log, winner, include_request_slot, backoff=False):
+def _cuts(q: int, p) -> list[float]:
+    """Lower edges of the q groups (or bands) as fractions of [0, 1)."""
+    return [j / q for j in range(q)] if p is None else list(accumulate(p[:-1], initial=0.0))
+
+
+def _walk_tree(eligible: tuple[int, ...], key: int, q: int, cuts) -> list[tuple[int, ...]]:
+    """Each slot's transmitters in the splitting tree, depth first.
+
+    All eligible relays reply in the gating slot; every collision splits the
+    colliding group by each member's coin at the group's depth, and the
+    sub-groups reply in order, each one's subtree before the next.
+    """
+    cap = _SLOT_CAP_PER_CONTENDER * (len(eligible) + 1)
+    sent = [eligible]
+    inner = cuts[1:]
+    stack = [(eligible, 0)] if len(eligible) > 1 else []
+    while stack:
+        group, depth = stack.pop()
+        if depth:  # the root's slot is the gating one
+            if len(sent) >= cap:
+                raise _unresolved(cap)
+            sent.append(group)
+            if len(group) < 2:
+                continue
+        coins = _stream_key(key, _COIN + depth)
+        buckets = [[] for _ in range(q)]
+        for rid in group:
+            buckets[bisect_right(inner, _uniform(coins, rid))].append(rid)
+        for bucket in reversed(buckets):
+            stack.append((tuple(bucket), depth + 1))
+    return sent
+
+
+def _walk_auction(eligible: tuple[int, ...], u, q: int, cuts, skip: bool):
+    """(each slot's transmitters, winner or None) of the priority-band
+    auction on anchor masses ``u``."""
+    sent = [eligible]  # the gating slot that fixes the contender set
+    if len(eligible) < 2:
+        return sent, (eligible[0] if eligible else None)
+    cap = _SLOT_CAP_PER_CONTENDER * (len(eligible) + 1)
+    active = eligible
+    lo, hi, j = 0.0, 1.0, 0
+    while True:
+        if len(sent) >= cap:
+            raise _unresolved(cap)
+        width = hi - lo
+        top = hi if j == q - 1 else lo + cuts[j + 1] * width
+        # no active u lies at or below band j's lower edge, so u <= top is band j
+        members = tuple(rid for rid in active if u[rid] <= top)
+        sent.append(members)
+        if len(members) == 1:
+            return sent, members[0]
+        if members:
+            # tree pruning: every lower-priority band drops out for good
+            active, lo, hi, j = members, lo + cuts[j] * width, top, 0
+        elif skip:
+            lo = top
+        else:
+            j += 1
+
+
+def _record(protocol, sent, eligible, winner, separations, projections, include_request_slot):
     if winner is None:
         dist = prog = float("nan")
         rank = None
     else:
-        separations = topology.separations()
-        dist = float(separations[winner])
-        prog = topology.projection_of(winner)
+        dist = separations[winner]
+        prog = projections[winner]
         rank = 1 + sum(
             1
-            for rid in topology._eligible
+            for rid in eligible
             if separations[rid] < dist or (separations[rid] == dist and rid < winner)
         )
     return CriRecord(
         protocol=protocol,
-        n=n,
-        slots=len(log.trace) + (1 if include_request_slot else 0),
+        n=len(eligible),
+        slots=len(sent) + (1 if include_request_slot else 0),
         winner=winner,
         winner_distance=dist,
         winner_progress=prog,
         winner_rank=rank,
-        feedback_trace=tuple(log.trace),
-        transmitters=tuple(log.transmitters),
-        backoff=backoff,
+        feedback_trace=tuple(_FEEDBACK[min(len(who), 2)] for who in sent),
+        transmitters=tuple(sent),
+        backoff=winner is None,
     )
+
+
+def _sta_winner(eligible, separations, projections, progress: str):
+    if not eligible:
+        return None
+    metric = separations if progress == "separation" else projections
+    return max(eligible, key=lambda rid: (metric[rid], -rid))
 
 
 def run_sta(
@@ -190,43 +311,20 @@ def run_sta(
     colliding group by an i.i.d. coin with the model's group probabilities,
     and the sub-groups reply depth-first.  The election ends when every relay
     has transmitted alone, after which the source picks the relay with the
-    largest progress metric (lowest id on ties).
+    largest progress metric (lowest id on ties).  The coins are those of
+    episode 0 under ``seed``.
     """
     if progress not in PROGRESS_METRICS:
         raise DomainError(f"progress must be one of {PROGRESS_METRICS}")
     eligible = topology._eligible
-    n = len(eligible)
-    if n != model.n:
-        raise DomainError(f"topology has {n} eligible relays, model says {model.n}")
-    rng = as_generator(seed)
-    log = _EpisodeLog(eligible)
-
-    if n == 0:
-        log.slot(())
-        return _finish("sta", topology, n, log, None, include_request_slot, backoff=True)
-
-    log.slot(eligible)
-    if n >= 2:
-        coins = _CoinStream(rng, model)
-        q = model.q
-        stack = [eligible]
-        first = True
-        while stack:
-            group = stack.pop()
-            if not first:
-                fb = log.slot(group)
-                if fb is not _COLLISION:
-                    continue
-            first = False
-            buckets = [[] for _ in range(q)]
-            for rid, g in zip(group, coins.take(len(group))):
-                buckets[g].append(rid)
-            for b in reversed(buckets):
-                stack.append(tuple(b))
-
-    metric = topology.separations() if progress == "separation" else topology.projections()
-    winner = max(eligible, key=lambda rid: (metric[rid], -rid))
-    return _finish("sta", topology, n, log, winner, include_request_slot)
+    if len(eligible) != model.n:
+        raise DomainError(f"topology has {len(eligible)} eligible relays, model says {model.n}")
+    key = int(episode_seeds(seed, 1)[0])
+    sent = _walk_tree(eligible, key, model.q, _cuts(model.q, model.p))
+    separations = topology.separations().tolist()
+    projections = topology.projections().tolist()
+    winner = _sta_winner(eligible, separations, projections, progress)
+    return _record("sta", sent, eligible, winner, separations, projections, include_request_slot)
 
 
 def run_auction(
@@ -252,53 +350,33 @@ def run_auction(
     field, either by cutting it at once (``skip``: the idle doubles as the
     regather slot) or by letting it regather and collide in an extra slot
     first.  ``p`` is taken as checked, as :class:`EpisodeConfig` does once
-    per batch.
+    per batch.  The auction draws no random numbers, so ``seed`` is unused.
 
     The ``progress`` argument is accepted for interface symmetry; the
     auction's winner is always the first solo replier.
     """
-    protocol = "auction_skip" if skip else "auction"
     if progress not in PROGRESS_METRICS:
         raise DomainError(f"progress must be one of {PROGRESS_METRICS}")
     region = topology.region
     if not isinstance(region, LensRegion):
         raise DomainError("the auction needs a lens decision region to form bands")
     eligible = topology._eligible
-    n = len(eligible)
-    log = _EpisodeLog(eligible)
-
-    fb = log.slot(eligible)  # the gating slot that fixes the contender set
-    if fb is not _COLLISION:
-        winner = eligible[0] if fb is _SINGLE else None
-        return _finish(
-            protocol, topology, n, log, winner, include_request_slot, backoff=winner is None
-        )
-
     ax, ay = region.anchor
-    mass, relays = region.anchor_radial_mass, topology.relays
-    u = {}
-    for rid in eligible:
-        x, y = relays[rid][0]
-        u[rid] = mass(math.hypot(x - ax, y - ay))
-    # lower band edges as fractions of the contenders' interval (lo, hi]
-    cuts = [j / q for j in range(q)] if p is None else list(accumulate(p[:-1], initial=0.0))
-    active = eligible
-    lo, hi, j = 0.0, 1.0, 0
-    while True:
-        width = hi - lo
-        top = hi if j == q - 1 else lo + cuts[j + 1] * width
-        # no active u lies at or below band j's lower edge, so u <= top is band j
-        members = [rid for rid in active if u[rid] <= top]
-        fb = log.slot(members)
-        if fb is _SINGLE:
-            return _finish(protocol, topology, n, log, members[0], include_request_slot)
-        if fb is _COLLISION:
-            # tree pruning: every lower-priority band drops out for good
-            active, lo, hi, j = members, lo + cuts[j] * width, top, 0
-        elif skip:
-            lo = top
-        else:
-            j += 1
+    u = {
+        rid: region.anchor_radial_mass(math.hypot(pos.x - ax, pos.y - ay))
+        for rid, (pos, _) in enumerate(topology.relays)
+    }
+    sent, winner = _walk_auction(eligible, u, q, _cuts(q, p), skip)
+    protocol = "auction_skip" if skip else "auction"
+    return _record(
+        protocol,
+        sent,
+        eligible,
+        winner,
+        topology.separations().tolist(),
+        topology.projections().tolist(),
+        include_request_slot,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +404,12 @@ class EpisodeConfig:
     def __post_init__(self):
         # check q and p once per batch rather than once per episode, and turn
         # away the coins under which no election can ever end
+        if self.protocol not in PROTOCOLS:
+            raise DomainError(f"unknown protocol {self.protocol!r}")
+        if self.progress not in PROGRESS_METRICS:
+            raise DomainError(f"progress must be one of {PROGRESS_METRICS}")
+        if self.protocol != "sta" and not isinstance(self.region, LensRegion):
+            raise DomainError("the auction needs a lens decision region to form bands")
         model = SplitModel(n=self.n, q=self.q, p=self.p)
         if max(model.p) == 1.0:
             raise DomainError("a coin with some p_j = 1 never splits a collision")
@@ -346,69 +430,248 @@ class BatchSummary:
     mean_winner_distance_by_rank: dict[int, float]
 
 
-def run_single_episode(config: EpisodeConfig, seed) -> CriRecord:
-    """One episode: sample the deployment, then run the protocol on it."""
-    rng = as_generator(seed)
-    topo = sample_topology(config.region, config.n, rng, awake_prob=config.awake_prob)
+# Episodes run in blocks of about this many relays, so a block's arrays stay
+# a few megabytes whatever the batch size.
+_BLOCK_RELAYS = 1 << 16
+
+
+def _block_size(n: int) -> int:
+    return max(1, _BLOCK_RELAYS // max(n, 1))
+
+
+def _block_keys(seed, replications: int, n: int):
+    """The keys of episodes 0 .. replications - 1, a block at a time."""
+    size = _block_size(n)
+    for start in range(0, replications, size):
+        yield episode_seeds(seed, min(size, replications - start), start)
+
+
+class _Deployment:
+    """A block of episodes' relays: (episodes, n) arrays from the placement
+    and awake draws."""
+
+    def __init__(self, config: EpisodeConfig, keys: np.ndarray):
+        region = config.region
+        relay = np.arange(config.n, dtype=np.uint64)
+        column = keys[:, None]
+        # the placement's first uniform is the lens relay's anchor mass
+        self.u = _uniforms(column, _PLACE_U, relay)
+        pts = region.place(self.u, _uniforms(column, _PLACE_V, relay))
+        sx, sy = region.source
+        dx, dy = pts[..., 0] - sx, pts[..., 1] - sy
+        self.separations = np.hypot(dx, dy)
+        # progress along the axis towards a destination three ranges out
+        ux = (sx + 3.0 * region.radius * region.axis[0]) - sx
+        uy = (sy + 3.0 * region.radius * region.axis[1]) - sy
+        self.projections = (dx * ux + dy * uy) / math.hypot(ux, uy)
+        if config.awake_prob >= 1.0:
+            self.awake = np.ones(self.u.shape, dtype=bool)
+        else:
+            self.awake = _uniforms(column, _AWAKE, relay) < config.awake_prob
+        self.contenders = self.awake.sum(axis=1)
+        self.caps = _SLOT_CAP_PER_CONTENDER * (self.contenders + 1)
+
+
+def _tree_slots(keys, dep: _Deployment, q: int, cuts) -> np.ndarray:
+    """Slots of the splitting tree: 1 + q per collision, the collisions
+    counted over a frontier of crowded groups split one depth at a time."""
+    inner = np.array(cuts[1:])
+    crowded = dep.contenders >= 2
+    collisions = crowded.astype(np.int64)
+    ep, rid = np.nonzero(dep.awake & crowded[:, None])
+    relay = rid.astype(np.uint64)
+    group = np.cumsum(crowded)[ep] - 1  # one root group per crowded episode
+    group_ep = np.flatnonzero(crowded)
+    depth = 0
+    while ep.size:
+        coin = np.searchsorted(inner, _uniforms(keys[ep], _COIN + depth, relay), side="right")
+        child = group * q + coin
+        crowd = np.bincount(child, minlength=group_ep.size * q) >= 2
+        kids = np.flatnonzero(crowd)
+        group_ep = group_ep[kids // q]
+        collisions += np.bincount(group_ep, minlength=collisions.size)
+        over = 1 + q * collisions > dep.caps
+        if over.any():
+            raise _unresolved(int(dep.caps[over][0]))
+        keep = crowd[child]
+        group = (np.cumsum(crowd) - 1)[child[keep]]
+        ep, relay = ep[keep], relay[keep]
+        depth += 1
+    return 1 + q * collisions
+
+
+def _auction_descent(dep: _Deployment, q: int, cuts, skip: bool):
+    """(slots, winner or -1) of the auction, every crowded episode descending
+    its interval of anchor mass one slot per step."""
+    slots = np.ones(dep.contenders.size, dtype=np.int64)
+    winner = np.where(dep.contenders == 1, dep.awake.argmax(axis=1), -1)
+    rows = np.flatnonzero(dep.contenders >= 2)
+    active, u = dep.awake[rows], dep.u[rows]
+    lo, hi = np.zeros(rows.size), np.ones(rows.size)
+    j = np.zeros(rows.size, dtype=np.int64)
+    edge = np.array(list(cuts) + [1.0])  # the last entry stands in for hi
+    while rows.size:
+        over = slots[rows] >= dep.caps[rows]
+        if over.any():
+            raise _unresolved(int(dep.caps[rows][over][0]))
+        width = hi - lo
+        top = np.where(j == q - 1, hi, lo + edge[j + 1] * width)
+        members = active & (u <= top[:, None])
+        count = members.sum(axis=1)
+        slots[rows] += 1
+        won = count == 1
+        winner[rows[won]] = members[won].argmax(axis=1)
+        crowd = count >= 2
+        idle = count == 0
+        lo = np.where(crowd, lo + edge[j] * width, lo)
+        if skip:
+            lo = np.where(idle, top, lo)
+        else:
+            j = j + idle
+        hi = np.where(crowd, top, hi)
+        j = np.where(crowd, 0, j)
+        active = np.where(crowd[:, None], members, active)
+        go = ~won
+        rows, active, u, lo, hi, j = rows[go], active[go], u[go], lo[go], hi[go], j[go]
+    return slots, winner
+
+
+def _columns(config: EpisodeConfig, keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(slots, winner, winner_rank, winner_distance) of a block of episodes;
+    no winner is -1, rank 0 and distance NaN."""
+    if config.n == 0:  # nobody replies in the gating slot: the source backs off
+        size = keys.size
+        slots = np.full(size, 1 + config.include_request_slot)
+        return slots, np.full(size, -1), np.zeros(size, dtype=np.int64), np.full(size, np.nan)
+    dep = _Deployment(config, keys)
+    cuts = _cuts(config.q, config.p)
     if config.protocol == "sta":
-        model = SplitModel(n=len(topo.eligible_ids()), q=config.q, p=config.p)
-        return run_sta(
-            topo,
-            model,
-            rng,
-            progress=config.progress,
-            include_request_slot=config.include_request_slot,
-        )
-    if config.protocol in ("auction", "auction_skip"):
-        return run_auction(
-            topo,
-            q=config.q,
-            skip=config.protocol == "auction_skip",
-            seed=rng,
-            progress=config.progress,
-            include_request_slot=config.include_request_slot,
-            p=config.p,
-        )
-    raise DomainError(f"unknown protocol {config.protocol!r}")
+        slots = _tree_slots(keys, dep, config.q, cuts)
+        metric = dep.separations if config.progress == "separation" else dep.projections
+        # the largest metric wins, the lowest id on ties, as argmax picks
+        winner = np.where(dep.contenders > 0, np.where(dep.awake, metric, -np.inf).argmax(axis=1), -1)
+    else:
+        slots, winner = _auction_descent(dep, config.q, cuts, config.protocol == "auction_skip")
+    has = winner >= 0
+    w = np.where(has, winner, 0)
+    dist = dep.separations[np.arange(w.size), w]
+    ids = np.arange(config.n)
+    ahead = dep.awake & (
+        (dep.separations < dist[:, None])
+        | ((dep.separations == dist[:, None]) & (ids < w[:, None]))
+    )
+    rank = np.where(has, 1 + ahead.sum(axis=1), 0)
+    if config.include_request_slot:
+        slots = slots + 1
+    return slots, winner, rank, np.where(has, dist, np.nan)
 
 
-def episode_seeds(master_seed, replications: int) -> list[np.random.SeedSequence]:
-    """Counter-split per-episode seeds, reproducible from the master seed."""
-    return np.random.SeedSequence(master_seed).spawn(replications)
+def _replay(config: EpisodeConfig, keys: np.ndarray):
+    """The block's episodes walked slot by slot, yielded as records."""
+    dep = _Deployment(config, keys)
+    cuts = _cuts(config.q, config.p)
+    q, protocol = config.q, config.protocol
+    ids = range(config.n)
+    for key, awake, u, seps, projs in zip(
+        keys.tolist(),
+        dep.awake.tolist(),
+        dep.u.tolist(),
+        dep.separations.tolist(),
+        dep.projections.tolist(),
+    ):
+        eligible = tuple(rid for rid in ids if awake[rid])
+        if protocol == "sta":
+            sent = _walk_tree(eligible, key, q, cuts)
+            winner = _sta_winner(eligible, seps, projs, config.progress)
+        else:
+            sent, winner = _walk_auction(eligible, u, q, cuts, protocol == "auction_skip")
+        yield _record(protocol, sent, eligible, winner, seps, projs, config.include_request_slot)
+
+
+def run_single_episode(config: EpisodeConfig, seed, episode: int = 0) -> CriRecord:
+    """Episode ``episode`` under the master seed, replayed on its own: the
+    same record as that episode of any batch run with the seed."""
+    return next(_replay(config, episode_seeds(seed, 1, episode)))
+
+
+class RecordBatch(Sequence):
+    """A batch's episodes as columns.
+
+    ``slots``, ``winner`` (-1 for none), ``winner_rank`` (0 for none),
+    ``winner_distance`` (NaN for none) and ``backoff`` are arrays over the
+    episodes.  Reading an item replays that episode into a
+    :class:`CriRecord`; iterating replays the batch block by block.
+    """
+
+    def __init__(self, config: EpisodeConfig, seed, slots, winner, winner_rank, winner_distance):
+        self.config = config
+        self.seed = seed
+        self.slots = slots
+        self.winner = winner
+        self.winner_rank = winner_rank
+        self.winner_distance = winner_distance
+        self.backoff = winner < 0
+
+    def __len__(self) -> int:
+        return self.slots.size
+
+    def __getitem__(self, i: int) -> CriRecord:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("episode index out of range")
+        return run_single_episode(self.config, self.seed, i)
+
+    def __iter__(self):
+        for keys in _block_keys(self.seed, len(self), self.config.n):
+            yield from _replay(self.config, keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecordBatch):
+            return NotImplemented
+        return (
+            self.config == other.config
+            and self.seed == other.seed
+            and all(
+                np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+                for a, b in zip(self._arrays(), other._arrays())
+            )
+        )
+
+    def _arrays(self):
+        return (self.slots, self.winner, self.winner_rank, self.winner_distance)
 
 
 def run_episode_batch(
     config: EpisodeConfig, replications: int, seed
-) -> tuple[list[CriRecord], BatchSummary]:
-    """Independent episodes with per-episode seeds split off the master seed."""
+) -> tuple[RecordBatch, BatchSummary]:
+    """Episodes 0 .. replications - 1 under the master seed, run as columns."""
     if replications < 1:
         raise DomainError("need at least one replication")
-    records = [run_single_episode(config, s) for s in episode_seeds(seed, replications)]
+    seed = _master_seed(seed)
+    blocks = [_columns(config, keys) for keys in _block_keys(seed, replications, config.n)]
+    records = RecordBatch(config, seed, *(np.concatenate(col) for col in zip(*blocks)))
 
-    slots = np.array([r.slots for r in records], dtype=float)
-    dist_sum = 0.0
-    dist_n = 0
-    rank_sums: dict[int, float] = {}
-    rank_counts: dict[int, int] = {}
-    for r in records:
-        if r.winner is None:
-            continue
-        dist_sum += r.winner_distance
-        dist_n += 1
-        rank_sums[r.winner_rank] = rank_sums.get(r.winner_rank, 0.0) + r.winner_distance
-        rank_counts[r.winner_rank] = rank_counts.get(r.winner_rank, 0) + 1
-
+    values, counts = np.unique(records.slots, return_counts=True)
+    won = ~records.backoff
+    dist = records.winner_distance[won]
+    ranks = records.winner_rank[won]
+    rank_sums = np.bincount(ranks, weights=dist)
+    rank_counts = np.bincount(ranks)
+    slots = records.slots.astype(float)
     summary = BatchSummary(
         protocol=config.protocol,
         n=config.n,
         replications=replications,
-        pmf=empirical_pmf(records),
+        pmf={k: c / replications for k, c in zip(values.tolist(), counts.tolist())},
         mean_slots=float(slots.mean()),
         var_slots=float(slots.var()),
-        backoff_rate=sum(1 for r in records if r.backoff) / replications,
-        mean_winner_distance=dist_sum / dist_n if dist_n else float("nan"),
+        backoff_rate=int(records.backoff.sum()) / replications,
+        mean_winner_distance=float(dist.mean()) if dist.size else float("nan"),
         mean_winner_distance_by_rank={
-            rank: rank_sums[rank] / rank_counts[rank] for rank in sorted(rank_sums)
+            rank: float(rank_sums[rank] / rank_counts[rank])
+            for rank in np.flatnonzero(rank_counts).tolist()
         },
     )
     return records, summary

@@ -3,7 +3,8 @@
 Nothing here calls the package's series builders or radial-mass code, so a
 check against these helpers is a second derivation, not a rerun of the
 program: the slot-count masses come from exact ``Fraction`` propagation over
-each protocol's states, the lens radial mass from polar quadrature.
+each protocol's states, the lens radial and anchor masses from polar
+quadrature.
 """
 
 import math
@@ -148,4 +149,21 @@ def lens_mass_by_quadrature(lens, d: float) -> float:
 
     num, _ = quad(ring, 0.0, d, limit=300)
     den, _ = quad(ring, 0.0, big_r, limit=300)
+    return num / den
+
+
+def anchor_mass_by_quadrature(lens, s: float) -> float:
+    """Independent anchor-mass oracle: polar integration about the anchor.
+
+    The circle of radius x about the anchor lies inside the range disk on
+    the arc |phi| <= acos(x / 2R) about the anchor-to-source direction, since
+    the source sits R away from the anchor.
+    """
+    two_r = 2.0 * lens.radius
+
+    def ring(x: float) -> float:
+        return 2.0 * x * math.acos(min(x / two_r, 1.0))
+
+    num, _ = quad(ring, lens.inner_rho, s, epsabs=0.0, epsrel=2e-14, limit=300)
+    den, _ = quad(ring, lens.inner_rho, lens.rho, epsabs=0.0, epsrel=2e-14, limit=300)
     return num / den

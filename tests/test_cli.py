@@ -1,7 +1,13 @@
 """Command-line surface: golden outputs, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import relaysel
 from relaysel.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VALIDATION, cli_main
 
 
@@ -259,3 +265,21 @@ def test_experiment_without_id_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "experiment")
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    src = str(Path(relaysel.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["simulate", "--protocol", "sta", "--n", "3", "--reps", "20", "--seed", "5"]
+    done = subprocess.run(
+        [sys.executable, "-m", "relaysel", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == EXIT_OK
+    assert done.stdout == run_cli(capsys, *argv)[1]
+    bad = subprocess.run(
+        [sys.executable, "-m", "relaysel", "pmf", "--protocol", "sta", "--n", "3", "--p", "1.5"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert bad.returncode == EXIT_USAGE
+    assert "error:" in bad.stderr

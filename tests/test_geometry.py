@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from relaysel.errors import DomainError, InfeasibleRegionError
+from relaysel.errors import DomainError
 from relaysel.geometry import (
     LensRegion,
     Point2,
@@ -27,7 +27,7 @@ from relaysel.geometry import (
     sample_topology,
 )
 
-from oracles import lens_mass_by_quadrature
+from oracles import anchor_mass_by_quadrature, lens_mass_by_quadrature
 
 LENS_AREA_RHO_EQ_R = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0
 
@@ -425,10 +425,32 @@ def test_awake_probability_filters_eligibility():
     assert all(topo.relays[i][1] for i in topo.eligible_ids())
 
 
-def test_thin_far_band_is_infeasible_to_sample():
+def test_thin_far_band_samples_inside_the_band():
+    # 5e-4 of its anchor annulus lies in range, too little to sample by
+    # rejection; inverse transform places every point exactly
     band = LensRegion(radius=1.0, rho=2.0, inner_rho=1.99999)
-    with pytest.raises(InfeasibleRegionError):
-        band.sample(10, np.random.default_rng(0))
+    pts = band.sample(1000, np.random.default_rng(0))
+    assert all(band.contains(Point2(x, y)) for x, y in pts.tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    region=regions(),
+    # u from 1e-9: a smaller u puts a slice's point within rounding of its
+    # inner edge, which the region's open inner bound leaves out
+    uv=st.lists(
+        st.tuples(st.floats(1e-9, 1.0, exclude_max=True), st.floats(0.0, 1.0)), min_size=1, max_size=20
+    ),
+)
+def test_placed_points_lie_in_the_region_at_their_anchor_mass(region, uv):
+    u, v = np.array(uv).T
+    pts = region.place(u, v)
+    assert pts.shape == (len(uv), 2)
+    for (x, y), mass in zip(pts.tolist(), u.tolist()):
+        assert region.contains(Point2(x, y))
+        if isinstance(region, LensRegion):
+            s = math.hypot(x - region.anchor.x, y - region.anchor.y)
+            assert abs(anchor_mass_by_quadrature(region, s) - mass) <= 1e-12
 
 
 def test_topology_rejects_out_of_range_relay():

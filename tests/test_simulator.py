@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaysel.errors import DomainError
 from relaysel.geometry import (
@@ -21,6 +23,8 @@ from relaysel.simulator import (
     CriRecord,
     EpisodeConfig,
     SlotFeedback,
+    _block_size,
+    _columns,
     empirical_pmf,
     episode_seeds,
     run_auction,
@@ -280,11 +284,90 @@ def test_batch_is_deterministic():
     assert first[1] == second[1]
 
 
+def _outcome(record):
+    """(slots, winner, rank, distance, backoff) in the batch's column coding."""
+    if record.winner is None:
+        return (record.slots, -1, 0, None, record.backoff)
+    return (record.slots, record.winner, record.winner_rank, record.winner_distance, record.backoff)
+
+
+def _column_outcomes(records):
+    return [
+        (slots, winner, rank, None if math.isnan(dist) else dist, backoff)
+        for slots, winner, rank, dist, backoff in zip(
+            records.slots.tolist(),
+            records.winner.tolist(),
+            records.winner_rank.tolist(),
+            records.winner_distance.tolist(),
+            records.backoff.tolist(),
+        )
+    ]
+
+
 def test_single_replication_equals_direct_call():
+    # episode i of a batch is the direct run at (seed, i), wherever the
+    # batch's blocks fall: first, last and middle episodes of a three-block batch
     cfg = EpisodeConfig(protocol="sta", n=3, region=SECTOR)
-    batch_record = run_episode_batch(cfg, 1, 555)[0][0]
-    direct = run_single_episode(cfg, episode_seeds(555, 1)[0])
-    assert batch_record == direct
+    block = _block_size(cfg.n)
+    reps = 2 * block + 7
+    records, _ = run_episode_batch(cfg, reps, 555)
+    columns = _column_outcomes(records)
+    for i in (0, 1, block - 1, block, block + 1, reps // 2, reps - 1):
+        direct = run_single_episode(cfg, 555, i)
+        assert _outcome(direct) == columns[i]
+        assert records[i] == direct
+    assert records[-1] == records[reps - 1]
+
+
+BIASED = {2: (0.3, 0.7), 3: (0.3, 0.35, 0.35)}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+@pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
+def test_replay_equals_the_columnar_engine_exactly(protocol, n, q):
+    region = SECTOR if protocol == "sta" else LENS
+    for p in (None, BIASED[q]):
+        for awake_prob in (1.0, 0.6):
+            for progress in ("separation", "projection"):
+                cfg = EpisodeConfig(
+                    protocol=protocol, n=n, region=region, q=q, p=p,
+                    awake_prob=awake_prob, progress=progress,
+                )
+                records, _ = run_episode_batch(cfg, 150, 97)
+                assert [_outcome(r) for r in records] == _column_outcomes(records)
+
+
+@pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
+def test_replayed_transmitters_stay_within_the_gating_set(protocol):
+    # gated access: nobody outside the first slot's repliers ever transmits
+    cfg = EpisodeConfig(
+        protocol=protocol, n=6, region=SECTOR if protocol == "sta" else LENS, q=3, awake_prob=0.7
+    )
+    records, _ = run_episode_batch(cfg, 400, 23)
+    for rec in records:
+        gating = set(rec.transmitters[0])
+        assert len(gating) == rec.n
+        assert all(set(who) <= gating for who in rec.transmitters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from(["sta", "auction", "auction_skip"]),
+    n=st.integers(0, 8),
+    awake_prob=st.sampled_from([1.0, 0.6]),
+    seed=st.integers(0, 2**70),
+    cuts=st.lists(st.integers(1, 59), max_size=6),
+)
+def test_episode_outcomes_do_not_depend_on_the_block(protocol, n, awake_prob, seed, cuts):
+    cfg = EpisodeConfig(protocol=protocol, n=n, region=SECTOR if protocol == "sta" else LENS,
+                        awake_prob=awake_prob)
+    keys = episode_seeds(seed, 60)
+    whole = _columns(cfg, keys)
+    edges = [0, *sorted(set(cuts)), 60]
+    parts = [_columns(cfg, keys[a:b]) for a, b in zip(edges, edges[1:])]
+    for column, pieces in zip(whole, zip(*parts)):
+        assert np.array_equal(column, np.concatenate(pieces), equal_nan=column.dtype.kind == "f")
 
 
 def test_plain_auction_steps_over_an_empty_top_band():
