@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DomainError, ResourceLimitError, TruncationError
 
@@ -135,7 +134,7 @@ class TruncatedSeries:
         idx = np.searchsorted(cdf, level)
         return int(min(idx, self.k_max))
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
         return evaluate(self, z)
 
 
@@ -193,13 +192,23 @@ def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _divide(rhs: np.ndarray, lag_weights: dict[int, float]) -> np.ndarray:
-    """Solve a_k = rhs_k + sum_j w_j * a_{k-j} coefficient by coefficient."""
-    max_lag = max(lag_weights)
-    den = np.zeros(max_lag + 1)
-    den[0] = 1.0
-    for lag, w in lag_weights.items():
-        den[lag] -= w
-    return lfilter([1.0], den, rhs)
+    """Solve a_k = rhs_k + sum_j w_j * a_{k-j} coefficient by coefficient.
+
+    Takes one lag, or lags 1 and 2.  The sums run in the order of a
+    direct-form-II-transposed filter, so the result matches
+    ``scipy.signal.lfilter([1], den, rhs)`` bit for bit.
+    """
+    if len(lag_weights) == 1:
+        ((lag, c),) = lag_weights.items()
+        a = [0.0] * lag + rhs.tolist()
+        for k in range(lag, len(a)):
+            a[k] = c * a[k - lag] + a[k]
+        return np.array(a[lag:])
+    w1, w2 = lag_weights[1], lag_weights[2]
+    a = [0.0, 0.0] + rhs.tolist()
+    for k in range(2, len(a)):
+        a[k] = (w2 * a[k - 2] + w1 * a[k - 1]) + a[k]
+    return np.array(a[2:])
 
 
 def _check_k_max(k_max: int) -> None:
@@ -338,11 +347,18 @@ def auction_skip_pgf(model: SplitModel, k_max: int) -> TruncatedSeries:
 # evaluation, inversion, moments
 
 
-def evaluate(series: TruncatedSeries, z: complex) -> complex:
-    """Horner evaluation of the series at ``z`` with ``|z| <= 1``."""
-    if abs(z) > 1.0 + 1e-9:
-        raise DomainError(f"|z| must be <= 1, got {abs(z)}")
-    return complex(np.polyval(series.coeffs[::-1], z))
+def evaluate(series: TruncatedSeries, z: complex | np.ndarray) -> complex | np.ndarray:
+    """Horner evaluation of the series at ``z``, one point or an ndarray of points.
+
+    Every point must satisfy ``|z| <= 1``.  A scalar gives a ``complex``; an
+    array gives an array of values of the same shape.
+    """
+    zs = np.asarray(z)
+    peak = float(np.abs(zs).max(initial=0.0))
+    if peak > 1.0 + 1e-9:
+        raise DomainError(f"|z| must be <= 1, got {peak}")
+    values = np.polyval(series.coeffs[::-1], zs)
+    return complex(values) if values.ndim == 0 else values
 
 
 class InversionResult(NamedTuple):
@@ -351,15 +367,17 @@ class InversionResult(NamedTuple):
 
 
 def invert_fourier(
-    pgf_eval: Callable[[complex], complex],
+    pgf_eval: Callable[[np.ndarray], np.ndarray],
     k: int,
     params: InversionParams | None = None,
 ) -> InversionResult:
     """Recover the mass at ``k`` from PGF evaluations on a circle of radius r < 1.
 
     Averages (-1)^j Re G(r e^{i pi j / k}) over j = 1..2k and rescales by
-    1 / (2 k r^k).  Undefined at k = 0; read the mass at zero directly off the
-    series coefficients instead.
+    1 / (2 k r^k).  ``pgf_eval`` is called once, with all 2k contour points
+    as one complex ndarray, and returns an array of their values.  Undefined
+    at k = 0; read the mass at zero directly off the series coefficients
+    instead.
     """
     if k == 0:
         raise DomainError("inversion is undefined at k = 0; use the direct coefficient")
@@ -367,11 +385,13 @@ def invert_fourier(
         raise DomainError("k must be positive")
     params = params or InversionParams()
     r = params.radius_for(k)
+    # cmath.exp, not np.exp: the two differ in the last bit on some points
+    zs = np.array([r * cmath.exp(1j * math.pi * j / k) for j in range(1, 2 * k + 1)])
     total = 0.0
     sign = -1.0
-    for j in range(1, 2 * k + 1):
-        zj = r * cmath.exp(1j * math.pi * j / k)
-        total += sign * complex(pgf_eval(zj)).real
+    # summed in order, point by point: a vector sum would round differently
+    for value in np.asarray(pgf_eval(zs)).real.tolist():
+        total += sign * value
         sign = -sign
     raw = total / (2.0 * k * r**k)
     return InversionResult(prob=min(max(raw, 0.0), 1.0), raw=raw)
@@ -438,8 +458,14 @@ def build_pgf(
     k_start: int = 128,
     k_cap: int = 16384,
 ) -> TruncatedSeries:
-    """Build a protocol PGF, doubling k_max until the tail mass clears ``tail_tol``."""
+    """Build a protocol PGF, doubling k_max until the tail mass clears ``tail_tol``.
+
+    A coin with some p_j = 1 never splits a collision of two or more, so no
+    series exists there; a lone contender still takes its one slot.
+    """
     builder = _builder_for(protocol, model)
+    if model.n >= 2 and max(model.p) == 1.0:
+        raise DomainError("a coin with some p_j = 1 never splits a collision")
     k = k_start
     while True:
         series = builder(model, k)

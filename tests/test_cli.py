@@ -152,6 +152,14 @@ def test_coin_that_never_resolves_is_usage_error(capsys, protocol, n, coin):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [["pmf"], ["invert", "--k", "3"]])
+@pytest.mark.parametrize("protocol", ["sta", "auction", "auction-skip"])
+def test_coin_that_never_splits_has_no_law(capsys, command, protocol):
+    code, _, err = run_cli(capsys, *command, "--protocol", protocol, "--n", "3", "--p", "1.0")
+    assert code == EXIT_USAGE
+    assert "never splits" in err
+
+
 @pytest.mark.parametrize("protocol", ["sta", "auction", "auction-skip"])
 def test_nearly_degenerate_coin_is_resource_exit(capsys, protocol):
     code, _, err = run_cli(
@@ -267,10 +275,15 @@ def test_experiment_without_id_is_usage_error(capsys):
     assert "error:" in err
 
 
-def test_module_entry_point_runs_the_cli(capsys):
+def _subprocess_env():
+    # a child interpreter imports this same relaysel source tree
     src = str(Path(relaysel.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    env = _subprocess_env()
     argv = ["simulate", "--protocol", "sta", "--n", "3", "--reps", "20", "--seed", "5"]
     done = subprocess.run(
         [sys.executable, "-m", "relaysel", *argv], capture_output=True, text=True, env=env, timeout=120
@@ -283,3 +296,16 @@ def test_module_entry_point_runs_the_cli(capsys):
     )
     assert bad.returncode == EXIT_USAGE
     assert "error:" in bad.stderr
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # each costs a large share of every run's start-up and the CLI needs neither
+    probe = (
+        "import relaysel.cli, sys; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,17 +1,23 @@
 """Series construction, inversion and moments of the election slot counts."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from relaysel.errors import DomainError, ResourceLimitError, TruncationError
 from relaysel.geometry import SectorRegion
 from relaysel.pgf import (
+    PROTOCOLS,
     InversionParams,
     SplitModel,
     TruncatedSeries,
+    _divide,
     auction_pgf,
     auction_skip_pgf,
     build_pgf,
@@ -104,6 +110,27 @@ def test_series_is_immutable():
     series = sta_pgf_binary(SplitModel(2), 64)
     with pytest.raises(ValueError):
         series.coeffs[3] = 0.9
+
+
+# ---------------------------------------------------------------------------
+# recurrence division
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lags=st.sampled_from([(1,), (2,), (3,), (1, 2)]),
+    weights=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
+    rhs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+)
+def test_divide_matches_lfilter_bit_for_bit(lags, weights, rhs):
+    # the builders' lag sets: binary tree {2}, ternary {3}, auction {1, 2}, skip {1}
+    lag_weights = dict(zip(lags, weights))
+    den = np.zeros(max(lags) + 1)
+    den[0] = 1.0
+    for lag, w in lag_weights.items():
+        den[lag] -= w
+    rhs = np.array(rhs)
+    assert _divide(rhs, lag_weights).tobytes() == lfilter([1.0], den, rhs).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +284,37 @@ def test_evaluate_rejects_outside_unit_disk():
         evaluate(series, 1.5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    protocol=st.sampled_from(PROTOCOLS),
+    n=st.integers(0, 8),
+    radii=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    angles=st.lists(st.floats(-math.pi, math.pi), min_size=40, max_size=40),
+)
+def test_evaluate_on_an_array_equals_the_scalar_calls(protocol, n, radii, angles):
+    series = PROTOCOL_BUILDERS[protocol](SplitModel(n), 256)
+    zs = np.array([cmath.rect(r, a) for r, a in zip(radii, angles)])
+    values = evaluate(series, zs)
+    assert isinstance(values, np.ndarray) and values.shape == zs.shape
+    assert values.tolist() == [evaluate(series, z) for z in zs.tolist()]
+    assert type(evaluate(series, complex(zs[0]))) is complex
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    inside=st.lists(st.floats(0.0, 1.0), max_size=20),
+    outside=st.floats(1.0 + 1e-6, 1e6),
+    angle=st.floats(-math.pi, math.pi),
+    at=st.integers(0, 20),
+)
+def test_evaluate_rejects_an_array_with_one_point_outside(inside, outside, angle, at):
+    series = sta_pgf_binary(SplitModel(3), 64)
+    points = [complex(r) for r in inside]
+    points.insert(min(at, len(points)), cmath.rect(outside, angle))
+    with pytest.raises(DomainError):
+        evaluate(series, np.array(points))
+
+
 # ---------------------------------------------------------------------------
 # contour inversion
 
@@ -294,6 +352,38 @@ def test_inversion_with_explicit_radius():
     series = build_pgf("auction_skip", SplitModel(3))
     result = invert_fourier(series, 4, InversionParams(r=0.3))
     assert result.prob == pytest.approx(series.coefficient(4), abs=1e-4)
+
+
+def _invert_point_by_point(series, k):
+    # one scalar evaluation per contour point, summed in order
+    r = InversionParams().radius_for(k)
+    total = 0.0
+    sign = -1.0
+    for j in range(1, 2 * k + 1):
+        zj = r * cmath.exp(1j * math.pi * j / k)
+        total += sign * complex(np.polyval(series.coeffs[::-1], zj)).real
+        sign = -sign
+    return total / (2.0 * k * r**k)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_inversion_equals_the_point_by_point_loop(protocol):
+    for n in range(0, 9):
+        series = build_pgf(protocol, SplitModel(n))
+        for k in range(1, 31):
+            assert invert_fourier(series, k).raw == _invert_point_by_point(series, k), (n, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    protocol=st.sampled_from(PROTOCOLS),
+    n=st.integers(0, 8),
+    p0=st.one_of(st.just(0.5), st.floats(0.1, 0.9)),
+    k=st.integers(1, 30),
+)
+def test_inversion_recovers_the_coefficient(protocol, n, p0, k):
+    series = build_pgf(protocol, SplitModel(n, p=(p0, 1.0 - p0)))
+    assert abs(invert_fourier(series, k).prob - series.coefficient(k)) <= 1e-6
 
 
 def test_inversion_consistency_subset():
@@ -379,5 +469,20 @@ def test_mean_ordering_across_protocols():
 
 def test_truncation_cap_raises():
     with pytest.raises(TruncationError):
-        # a coin that never separates the pair cannot converge
-        build_pgf("sta", SplitModel(2, p=(1.0, 0.0)), k_cap=512)
+        # a coin that almost never separates the pair needs far more than 512 slots
+        build_pgf("sta", SplitModel(2, p=(1.0 - 1e-9, 1e-9)), k_cap=512)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_coin_that_never_splits_has_no_series(protocol):
+    coins = [(1.0, 0.0), (0.0, 1.0)]
+    for coin in coins:
+        for n in (2, 3, 8):
+            with pytest.raises(DomainError):
+                build_pgf(protocol, SplitModel(n, p=coin))
+        # a lone contender never collides, so it keeps its one-slot law
+        for n in (0, 1):
+            series = build_pgf(protocol, SplitModel(n, p=coin))
+            assert series.coefficient(1) == 1.0 and series.tail_mass == 0.0
+    with pytest.raises(DomainError):
+        build_pgf("sta", SplitModel(3, q=3, p=(0.0, 1.0, 0.0)))
