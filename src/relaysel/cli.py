@@ -172,8 +172,7 @@ def _cmd_simulate(args) -> int:
         buf = io.StringIO()
         buf.write(f"# toolkit_version = {__version__}\n")
         buf.write(f"# seed = {args.seed}\n")
-        for rec in records:
-            buf.write(rec.to_line() + "\n")
+        buf.writelines(f"{line}\n" for line in records.lines())
         _emit(buf.getvalue(), args.out)
     else:
         rows = [(k, v) for k, v in summary.pmf.items()]

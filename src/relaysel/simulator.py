@@ -20,13 +20,16 @@ and two engines run the same episodes:
 * the columnar engine behind :func:`run_episode_batch` runs blocks of
   episodes as arrays (the tree as a frontier of groups split depth by depth,
   the auction as an interval descent on the relays' anchor masses) and
-  yields each episode's slots, winner, winner rank and distance, and backoff;
+  yields each episode's slots, winner, winner rank and distance, and backoff.
+  The frontier notes every sub-group's size and the descent every step's
+  reply count, from which :meth:`RecordBatch.lines` places each slot's
+  feedback symbol in the episode's trace and writes the record lines;
 * the scalar replay walks one episode slot by slot, the tree depth first,
   and builds its :class:`CriRecord` with the feedback trace and the
   transmitters.  A :class:`RecordBatch` replays an episode only when it is
   read.
 
-Both give the same values for every episode, exactly.
+Both give the same values and record lines for every episode, exactly.
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ class CriRecord:
         return "".join(f.value for f in self.feedback_trace)
 
     def to_line(self) -> str:
-        dist = repr(self.winner_distance) if self.winner is not None else "nan"
+        # the distance is NaN when nobody won, so a parsed record, whose
+        # winner is unknown, writes its line unchanged
+        dist = repr(self.winner_distance)
         return f"{self.protocol} {self.n} {self.slots} {dist} {self.trace_symbols()}"
 
     @classmethod
@@ -188,6 +193,7 @@ def episode_seeds(master_seed, replications: int, start: int = 0) -> np.ndarray:
 
 # feedback of a slot by the number of its transmitters: 0, 1, 2 or more
 _FEEDBACK = (SlotFeedback.IDLE, SlotFeedback.SINGLE, SlotFeedback.COLLISION)
+_SYMBOLS = np.frombuffer(b"ISC", dtype=np.uint8)
 
 
 # An episode that spends this many slots per contender (plus one) is
@@ -472,9 +478,12 @@ class _Deployment:
         self.caps = _SLOT_CAP_PER_CONTENDER * (self.contenders + 1)
 
 
-def _tree_slots(keys, dep: _Deployment, q: int, cuts) -> np.ndarray:
-    """Slots of the splitting tree: 1 + q per collision, the collisions
-    counted over a frontier of crowded groups split one depth at a time."""
+def _tree_slots(keys, dep: _Deployment, q: int, cuts):
+    """(slots, sizes) of the splitting tree: 1 + q slots per collision, the
+    collisions counted over a frontier of crowded groups split one depth at
+    a time.  ``sizes[d]`` holds the sizes of the q sub-groups of each crowded
+    group at depth d, in frontier order; the crowded ones, in that order,
+    are the groups at depth d + 1."""
     inner = np.array(cuts[1:])
     crowded = dep.contenders >= 2
     collisions = crowded.astype(np.int64)
@@ -482,11 +491,13 @@ def _tree_slots(keys, dep: _Deployment, q: int, cuts) -> np.ndarray:
     relay = rid.astype(np.uint64)
     group = np.cumsum(crowded)[ep] - 1  # one root group per crowded episode
     group_ep = np.flatnonzero(crowded)
+    sizes = []
     depth = 0
     while ep.size:
         coin = np.searchsorted(inner, _uniforms(keys[ep], _COIN + depth, relay), side="right")
         child = group * q + coin
-        crowd = np.bincount(child, minlength=group_ep.size * q) >= 2
+        sizes.append(np.bincount(child, minlength=group_ep.size * q))
+        crowd = sizes[-1] >= 2
         kids = np.flatnonzero(crowd)
         group_ep = group_ep[kids // q]
         collisions += np.bincount(group_ep, minlength=collisions.size)
@@ -497,12 +508,31 @@ def _tree_slots(keys, dep: _Deployment, q: int, cuts) -> np.ndarray:
         group = (np.cumsum(crowd) - 1)[child[keep]]
         ep, relay = ep[keep], relay[keep]
         depth += 1
-    return 1 + q * collisions
+    return 1 + q * collisions, sizes
+
+
+def _tree_marks(sizes, q: int, roots: np.ndarray):
+    """(positions, sizes) of the sub-groups' slots depth by depth, the crowded
+    roots' slots being at ``roots`` and each subtree replying before the next."""
+    # bottom up: a sub-group spans its own slot, plus its sub-groups' spans if crowded
+    spans = [np.zeros(0, dtype=np.int64)]
+    for size in reversed(sizes):
+        span = np.ones(size.size, dtype=np.int64)
+        span[size >= 2] += spans[-1].reshape(-1, q).sum(axis=1)
+        spans.append(span)
+    # top down: a sub-group follows its parent's slot and its elder siblings' spans
+    at = roots
+    for size, span in zip(sizes, reversed(spans)):
+        span = span.reshape(-1, q)
+        at = (at[:, None] + 1 + np.cumsum(span, axis=1) - span).ravel()
+        yield at, size
+        at = at[size >= 2]
 
 
 def _auction_descent(dep: _Deployment, q: int, cuts, skip: bool):
-    """(slots, winner or -1) of the auction, every crowded episode descending
-    its interval of anchor mass one slot per step."""
+    """(slots, winner or -1, steps) of the auction, every crowded episode
+    descending its interval of anchor mass one slot per step; a step is noted
+    as (its rows, their slots' positions, their reply counts)."""
     slots = np.ones(dep.contenders.size, dtype=np.int64)
     winner = np.where(dep.contenders == 1, dep.awake.argmax(axis=1), -1)
     rows = np.flatnonzero(dep.contenders >= 2)
@@ -510,6 +540,7 @@ def _auction_descent(dep: _Deployment, q: int, cuts, skip: bool):
     lo, hi = np.zeros(rows.size), np.ones(rows.size)
     j = np.zeros(rows.size, dtype=np.int64)
     edge = np.array(list(cuts) + [1.0])  # the last entry stands in for hi
+    steps = []
     while rows.size:
         over = slots[rows] >= dep.caps[rows]
         if over.any():
@@ -518,6 +549,7 @@ def _auction_descent(dep: _Deployment, q: int, cuts, skip: bool):
         top = np.where(j == q - 1, hi, lo + edge[j + 1] * width)
         members = active & (u <= top[:, None])
         count = members.sum(axis=1)
+        steps.append((rows, slots[rows], count))
         slots[rows] += 1
         won = count == 1
         winner[rows[won]] = members[won].argmax(axis=1)
@@ -533,7 +565,32 @@ def _auction_descent(dep: _Deployment, q: int, cuts, skip: bool):
         active = np.where(crowd[:, None], members, active)
         go = ~won
         rows, active, u, lo, hi, j = rows[go], active[go], u[go], lo[go], hi[go], j[go]
-    return slots, winner
+    return slots, winner, steps
+
+
+def _elect(config: EpisodeConfig, keys: np.ndarray):
+    """(deployment, slots, winner or -1, marks) of a block of elections of
+    at least one relay, the request slot left out; ``marks(at)`` yields the
+    (positions, sizes) of every slot after the gating one, the episodes'
+    gating slots being at positions ``at``."""
+    dep = _Deployment(config, keys)
+    cuts = _cuts(config.q, config.p)
+    if config.protocol == "sta":
+        slots, sizes = _tree_slots(keys, dep, config.q, cuts)
+        metric = dep.separations if config.progress == "separation" else dep.projections
+        # the largest metric wins, the lowest id on ties, as argmax picks
+        winner = np.where(dep.contenders > 0, np.where(dep.awake, metric, -np.inf).argmax(axis=1), -1)
+
+        def marks(at):
+            return _tree_marks(sizes, config.q, at[dep.contenders >= 2])
+
+    else:
+        slots, winner, steps = _auction_descent(dep, config.q, cuts, config.protocol == "auction_skip")
+
+        def marks(at):
+            return ((at[rows] + pos, count) for rows, pos, count in steps)
+
+    return dep, slots, winner, marks
 
 
 def _columns(config: EpisodeConfig, keys: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -543,15 +600,7 @@ def _columns(config: EpisodeConfig, keys: np.ndarray) -> tuple[np.ndarray, ...]:
         size = keys.size
         slots = np.full(size, 1 + config.include_request_slot)
         return slots, np.full(size, -1), np.zeros(size, dtype=np.int64), np.full(size, np.nan)
-    dep = _Deployment(config, keys)
-    cuts = _cuts(config.q, config.p)
-    if config.protocol == "sta":
-        slots = _tree_slots(keys, dep, config.q, cuts)
-        metric = dep.separations if config.progress == "separation" else dep.projections
-        # the largest metric wins, the lowest id on ties, as argmax picks
-        winner = np.where(dep.contenders > 0, np.where(dep.awake, metric, -np.inf).argmax(axis=1), -1)
-    else:
-        slots, winner = _auction_descent(dep, config.q, cuts, config.protocol == "auction_skip")
+    dep, slots, winner, _ = _elect(config, keys)
     has = winner >= 0
     w = np.where(has, winner, 0)
     dist = dep.separations[np.arange(w.size), w]
@@ -564,6 +613,30 @@ def _columns(config: EpisodeConfig, keys: np.ndarray) -> tuple[np.ndarray, ...]:
     if config.include_request_slot:
         slots = slots + 1
     return slots, winner, rank, np.where(has, dist, np.nan)
+
+
+def _lines(config: EpisodeConfig, keys: np.ndarray, slots, distance) -> list[str]:
+    """Each episode's record line, given the block's slots and winner
+    distances: its elections are run again for the contender counts and the
+    marks, whose symbols are scattered into one byte buffer of traces."""
+    length = slots - config.include_request_slot
+    at = np.cumsum(length) - length
+    if config.n == 0:
+        contenders, marks = np.zeros(keys.size, dtype=np.int64), ()
+    else:
+        dep, _, _, marks = _elect(config, keys)
+        contenders, marks = dep.contenders, marks(at)
+    trace = np.empty(int(length.sum()), dtype=np.uint8)
+    trace[at] = _SYMBOLS[np.minimum(contenders, 2)]
+    for pos, size in marks:
+        trace[pos] = _SYMBOLS[np.minimum(size, 2)]
+    text = trace.tobytes().decode("ascii")
+    return [
+        f"{config.protocol} {n} {k} {d!r} {text[a:a + m]}"
+        for n, k, d, a, m in zip(
+            contenders.tolist(), slots.tolist(), distance.tolist(), at.tolist(), length.tolist()
+        )
+    ]
 
 
 def _replay(config: EpisodeConfig, keys: np.ndarray):
@@ -599,8 +672,9 @@ class RecordBatch(Sequence):
 
     ``slots``, ``winner`` (-1 for none), ``winner_rank`` (0 for none),
     ``winner_distance`` (NaN for none) and ``backoff`` are arrays over the
-    episodes.  Reading an item replays that episode into a
-    :class:`CriRecord`; iterating replays the batch block by block.
+    episodes.  :meth:`lines` writes the record lines without a replay.
+    Reading an item replays that episode into a :class:`CriRecord`, the one
+    source of its transmitters; iterating replays the batch block by block.
     """
 
     def __init__(self, config: EpisodeConfig, seed, slots, winner, winner_rank, winner_distance):
@@ -626,6 +700,15 @@ class RecordBatch(Sequence):
     def __iter__(self):
         for keys in _block_keys(self.seed, len(self), self.config.n):
             yield from _replay(self.config, keys)
+
+    def lines(self):
+        """Each episode's ``to_line()``, from the columns and the traces of
+        the blocks' elections: no episode is replayed."""
+        start = 0
+        for keys in _block_keys(self.seed, len(self), self.config.n):
+            end = start + keys.size
+            yield from _lines(self.config, keys, self.slots[start:end], self.winner_distance[start:end])
+            start = end
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecordBatch):
@@ -653,7 +736,6 @@ def run_episode_batch(
     blocks = [_columns(config, keys) for keys in _block_keys(seed, replications, config.n)]
     records = RecordBatch(config, seed, *(np.concatenate(col) for col in zip(*blocks)))
 
-    values, counts = np.unique(records.slots, return_counts=True)
     won = ~records.backoff
     dist = records.winner_distance[won]
     ranks = records.winner_rank[won]
@@ -664,7 +746,7 @@ def run_episode_batch(
         protocol=config.protocol,
         n=config.n,
         replications=replications,
-        pmf={k: c / replications for k, c in zip(values.tolist(), counts.tolist())},
+        pmf=empirical_pmf(records),
         mean_slots=float(slots.mean()),
         var_slots=float(slots.var()),
         backoff_rate=int(records.backoff.sum()) / replications,
@@ -678,12 +760,11 @@ def run_episode_batch(
 
 
 def empirical_pmf(records) -> dict[int, float]:
-    """Slot-count relative frequencies of a record collection."""
-    counts: dict[int, int] = {}
-    for r in records:
-        counts[r.slots] = counts.get(r.slots, 0) + 1
-    total = len(records)
-    return {k: c / total for k, c in sorted(counts.items())}
+    """Slot-count relative frequencies of a record collection; a
+    :class:`RecordBatch`'s are read off its ``slots`` column."""
+    slots = records.slots if isinstance(records, RecordBatch) else [r.slots for r in records]
+    values, counts = np.unique(np.asarray(slots, dtype=np.int64), return_counts=True)
+    return {k: c / len(records) for k, c in zip(values.tolist(), counts.tolist())}
 
 
 def total_variation(analytic: dict[int, float], empirical: dict[int, float]) -> float:

@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, determinism, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import relaysel
+from relaysel import simulator
 from relaysel.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VALIDATION, cli_main
 
 
@@ -309,3 +311,76 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# sha256 of `simulate --format records --seed 31` as the per-episode replay
+# wrote it: (protocol, n, reps, extra flags, digest)
+RECORDS_GOLDEN = [
+    ("sta", 4, 3000, [],
+     "6fee5a2cedbb6c15ad3436bbdc57708b55c6449ae3f18a14927f993324642bd7"),
+    ("sta", 4, 3000, ["--region", "sdr"],
+     "4e49dd46a720532f6cd14a3dde68eece088639ba052d41703063f608294a80f7"),
+    ("sta", 5, 2000, ["--q", "3"],
+     "e3a2b4d0823e17be063b55777a953d4d80175d71bad8467d430f33643d6760a9"),
+    ("sta", 5, 2000, ["--p", "0.3,0.7"],
+     "f98c20ca301e96ac1977bf636b83bb9995716f9c53697c3325bec2848f9dcdc8"),
+    ("sta", 3, 2000, ["--count-request-slot"],
+     "b30ddc776c74f5362235a2f2120e3c3c41411b73aecd1ad380c0cfdff3a36ac7"),
+    ("sta", 8, 9000, ["--region", "sdr"],
+     "4e1f8f1a3d3bc300bee2f58b385db6208557e5caae674b3b1532d542ef984d7a"),
+    ("sta", 0, 50, [],
+     "6cfc4a565cfa73095104c536e3d64b2ff3b41791ec5e3a14e40199b7a431655b"),
+    ("sta", 1, 200, [],
+     "6551e8b1303956c427a85d58e648c0274f4eea325091c2f10569571b2fa88b6b"),
+    ("auction", 4, 3000, [],
+     "239a94d012de54caef74c5a1c03a76e4eddda921a9ebd7b687b83d9f4abfee98"),
+    ("auction", 5, 2000, ["--q", "3"],
+     "159d008ec05393fff2cb166dd2291f214d87e90289e726fd71d9c2dbdedc4807"),
+    ("auction", 5, 2000, ["--p", "0.3,0.7"],
+     "6b191dc6f12761631360f17ca12e63eb94433569836720015f9193770a2c1338"),
+    ("auction", 3, 2000, ["--count-request-slot"],
+     "82d5992554c82cf7f7b2f6b96a09fddb470b673fa937cc98945d17b0e45b7122"),
+    ("auction", 8, 9000, [],
+     "2bc2d1d263418f3d5169459b704523457d084cad58ab7644522b15063c125a9e"),
+    ("auction", 0, 50, [],
+     "6893f68c3b6e9500ebf4f399ec209eee2056340dafbbd23ce315f3314ab915eb"),
+    ("auction", 1, 200, [],
+     "cd1bd14d4339eec39d0e7d661ce4a3c76b090c0bd0189a67cb3d67e6b80471b1"),
+    ("auction-skip", 4, 3000, [],
+     "3846a890b87b1f47c49d7f6965ad8dbae04f030099cc6c55fdfd0e0eb9ac7d50"),
+    ("auction-skip", 5, 2000, ["--q", "3"],
+     "01910310944b32ff986a716e21903c8d83ec35ff241488063fb7722834490b56"),
+    ("auction-skip", 5, 2000, ["--p", "0.3,0.7"],
+     "0740e10f210ac6203b31e423255335b8940eda19b3c41957d7f73d963ce2b5ac"),
+    ("auction-skip", 3, 2000, ["--count-request-slot"],
+     "5f1afa824a6fb7337dbbb0afcf586f5edc3c90e5cedfb078e5e776d782b5d6e3"),
+    ("auction-skip", 0, 50, [],
+     "09126b37402cbdfca5960ed4531d428412e4b3f730841a0ca84480f4e1f5138b"),
+    ("auction-skip", 1, 200, [],
+     "34ef648c15c0672017e4ea3df26451c59723ddc61934c0cd1a18825c252a7f70"),
+]
+
+
+@pytest.mark.parametrize("protocol,n,reps,extra,digest", RECORDS_GOLDEN)
+def test_simulate_records_match_the_golden_digests(capsys, protocol, n, reps, extra, digest):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--protocol", protocol, "--n", str(n), "--reps", str(reps),
+        "--seed", "31", "--format", "records", *extra,
+    )
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_simulate_records_never_replay_an_episode(capsys, monkeypatch):
+    def replay(*args):
+        raise AssertionError("an episode was replayed")
+
+    monkeypatch.setattr(simulator, "_walk_tree", replay)
+    monkeypatch.setattr(simulator, "_walk_auction", replay)
+    for protocol in ("sta", "auction", "auction-skip"):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--protocol", protocol, "--n", "4", "--reps", "50",
+            "--format", "records",
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 52

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaysel import simulator
 from relaysel.errors import DomainError
 from relaysel.geometry import (
     LensRegion,
@@ -370,6 +371,67 @@ def test_episode_outcomes_do_not_depend_on_the_block(protocol, n, awake_prob, se
         assert np.array_equal(column, np.concatenate(pieces), equal_nan=column.dtype.kind == "f")
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
+def test_lines_from_the_columns_equal_the_replayed_lines(monkeypatch, protocol, q):
+    # blocks of 40 relays put several block seams in every batch
+    monkeypatch.setattr(simulator, "_BLOCK_RELAYS", 40)
+    region = SECTOR if protocol == "sta" else LENS
+    for p in (None, BIASED[q]):
+        for awake_prob in (1.0, 0.6):
+            for n in (0, 1, 2, 5, 8):
+                for progress, request in (("separation", False), ("projection", True)):
+                    cfg = EpisodeConfig(
+                        protocol=protocol, n=n, region=region, q=q, p=p, awake_prob=awake_prob,
+                        progress=progress, include_request_slot=request,
+                    )
+                    records, _ = run_episode_batch(cfg, 45, 313)
+                    assert list(records.lines()) == [r.to_line() for r in records]
+
+
+@pytest.mark.parametrize("protocol", ["sta", "auction"])
+def test_lines_from_the_columns_cross_a_full_block(protocol):
+    cfg = EpisodeConfig(protocol=protocol, n=8, region=SECTOR if protocol == "sta" else LENS,
+                        awake_prob=0.8)
+    reps = _block_size(cfg.n) + 40
+    records, _ = run_episode_batch(cfg, reps, 71)
+    lines = list(records.lines())
+    assert len(lines) == reps
+    for i in (0, reps // 2, _block_size(cfg.n) - 1, _block_size(cfg.n), reps - 1):
+        assert lines[i] == records[i].to_line()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    protocol=st.sampled_from(["sta", "auction", "auction_skip"]),
+    n=st.integers(0, 9),
+    q=st.integers(2, 4),
+    coin=st.lists(st.integers(1, 20), min_size=4, max_size=4),
+    awake_prob=st.sampled_from([1.0, 0.8, 0.5]),
+    request=st.booleans(),
+    seed=st.integers(0, 2**64),
+)
+def test_record_lines_round_trip_and_keep_the_tree_shape(
+    protocol, n, q, coin, awake_prob, request, seed
+):
+    # every line parses back to itself; a splitting tree's trace is a full
+    # q-ary tree whose leaves are its n solo replies and idle sub-groups
+    p = tuple(c / sum(coin[:q]) for c in coin[:q])
+    cfg = EpisodeConfig(
+        protocol=protocol, n=n, region=SECTOR if protocol == "sta" else LENS, q=q, p=p,
+        awake_prob=awake_prob, include_request_slot=request,
+    )
+    records, _ = run_episode_batch(cfg, 30, seed)
+    for line in records.lines():
+        rec = CriRecord.from_line(line)
+        assert rec.to_line() == line
+        trace = rec.trace_symbols()
+        assert len(trace) == rec.slots - request
+        if protocol == "sta":
+            assert trace.count("S") == rec.n
+            assert trace.count("I") + trace.count("S") == (q - 1) * trace.count("C") + 1
+
+
 def test_plain_auction_steps_over_an_empty_top_band():
     # p_0 = 0 only costs the plain auction an idle probe per round
     cfg = EpisodeConfig(protocol="auction", n=3, region=LENS, q=3, p=(0.0, 0.5, 0.5))
@@ -390,7 +452,7 @@ def test_winner_distance_follows_the_furthest_neighbor_law():
     n, reps = 3, 100_000
     cfg = EpisodeConfig(protocol="sta", n=n, region=SECTOR)
     records, _ = run_episode_batch(cfg, reps, 20240101)
-    samples = np.sort(np.array([r.winner_distance for r in records]))
+    samples = np.sort(records.winner_distance)
     cdf = 1.0 - nth_neighbor_ccdf(SECTOR, n, n, samples)
     hi = np.arange(1, reps + 1) / reps
     lo = np.arange(0, reps) / reps
@@ -428,6 +490,7 @@ def test_empirical_pmf_and_total_variation_helpers():
         EpisodeConfig(protocol="sta", n=2, region=SECTOR), 500, 99
     )
     assert empirical_pmf(records) == summary.pmf
+    assert empirical_pmf(list(records)) == summary.pmf  # the replayed records agree
     assert total_variation(summary.pmf, summary.pmf) == 0.0
     assert total_variation({1: 1.0}, {2: 1.0}) == 1.0
 
