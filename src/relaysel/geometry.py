@@ -24,8 +24,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, InfeasibleRegionError
 
@@ -460,6 +458,8 @@ def expected_nth_distance(region: Region, rank: int, n_points: int) -> float:
     """E[rank-th nearest distance] as the integral of the CCDF over [0, R]."""
     if not 1 <= rank <= n_points:
         raise DomainError(f"rank {rank} outside [1, {n_points}]")
+    from scipy.integrate import quad  # here, not at the top: the import is most of start-up
+
     val, _ = quad(
         lambda d: nth_neighbor_ccdf(region, rank, n_points, d),
         0.0,
@@ -472,6 +472,8 @@ def expected_nth_distance(region: Region, rank: int, n_points: int) -> float:
 
 def median_nth_distance(region: Region, rank: int, n_points: int) -> float:
     """Distance at which the rank-th neighbour CCDF crosses one half."""
+    from scipy.optimize import brentq  # here, not at the top: see expected_nth_distance
+
     f = lambda d: nth_neighbor_ccdf(region, rank, n_points, d) - 0.5
     return brentq(f, 0.0, region.radius, xtol=1e-12)
 

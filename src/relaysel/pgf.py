@@ -5,9 +5,11 @@ among ``n`` contenders by randomized splitting, and the number of slots it
 spends admits a PGF recursion over the conflict multiplicity.  The
 self-referential term of each recursion is moved to the left-hand side,
 leaving a rational form whose power-series coefficients follow from plain
-convolution plus a short linear recurrence.  Everything is numeric array
-arithmetic on truncated series with an explicit tail mass; no symbolic
-algebra is used anywhere.
+convolution plus a short linear recurrence.  The splitting tree only spends
+1 + q * (collisions) slots, so its series is built in w = z^q and divided
+with lag 1 there; the auctions divide with lag 1, or lags 1 and 2, in z.
+Everything is numeric array arithmetic on truncated series with an explicit
+tail mass; no symbolic algebra is used anywhere.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, TruncationError
 
 COEFF_SLACK = 1e-12
-COMPOSITION_LIMIT = 200_000
+# One tree-builder call may spend WORK_LIMIT multiply-adds on its series
+# products, about a second on one core.  Each product also costs a fixed call
+# overhead worth PRODUCT_OVERHEAD of them, which dominates short products.
+WORK_LIMIT = 6_000_000_000
+PRODUCT_OVERHEAD = 30_000
 
 
 @dataclass(frozen=True)
@@ -187,14 +193,12 @@ def _shift(arr: np.ndarray, by: int) -> np.ndarray:
     return out
 
 
-def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)[: len(a)]
-
-
 def _divide(rhs: np.ndarray, lag_weights: dict[int, float]) -> np.ndarray:
     """Solve a_k = rhs_k + sum_j w_j * a_{k-j} coefficient by coefficient.
 
-    Takes one lag, or lags 1 and 2.  The sums run in the order of a
+    Takes one lag, or lags 1 and 2: the tree divides with lag 1 in w = z^q,
+    the skip auction with lag 1 and the auction with lags 1 and 2, both in
+    z.  The sums run in the order of a
     direct-form-II-transposed filter, so the result matches
     ``scipy.signal.lfilter([1], den, rhs)`` bit for bit.
     """
@@ -211,6 +215,17 @@ def _divide(rhs: np.ndarray, lag_weights: dict[int, float]) -> np.ndarray:
     return np.array(a[2:])
 
 
+def _check_work(n: int, q: int, size: int) -> None:
+    # sta_pgf_qary makes m // 2 + (q - 2) * (m - 1) products at each level m = 2..n,
+    # each a full np.convolve of size * size multiply-adds
+    products = n * n // 4 + (q - 2) * n * (n - 1) // 2
+    if products * (size * size + PRODUCT_OVERHEAD) > WORK_LIMIT:
+        raise ResourceLimitError(
+            f"the splitting tree for n={n}, q={q} needs {products} series products of "
+            f"{size} coefficients, over the limit of {WORK_LIMIT} multiply-adds"
+        )
+
+
 def _check_k_max(k_max: int) -> None:
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
@@ -221,85 +236,62 @@ def _check_k_max(k_max: int) -> None:
 
 
 def sta_pgf_binary(model: SplitModel, k_max: int) -> TruncatedSeries:
-    """Slot-count PGF of the binary splitting-tree election for ``model.n`` contenders.
-
-    Built bottom-up over multiplicities 2..n.  At each level the two
-    self-referential split outcomes (everyone in one group) are moved to the
-    left-hand side, and the division by (1 - c z^2) is the linear recurrence
-    a_k = b_k + c a_{k-2}.
-    """
+    """Slot-count PGF of the binary splitting-tree election: :func:`sta_pgf_qary` at q = 2."""
     if model.q != 2:
         raise DomainError("binary construction needs q = 2")
-    _check_k_max(k_max)
-    size = k_max + 1
-    fam = [_base_coeffs(size), _base_coeffs(size)]
-    for m in range(2, model.n + 1):
-        row = _binomial_row(m, model.p[0])
-        rhs = np.zeros(size)
-        for i in range(1, m):
-            rhs += row[i] * _conv(fam[i], fam[m - i])
-        rhs = _shift(rhs, 1)
-        fam.append(_divide(rhs, {2: row[0] + row[m]}))
-    return TruncatedSeries.from_coeffs(fam[model.n] if model.n >= 2 else fam[min(model.n, 1)])
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(total: int, parts: tuple[int, ...]) -> float:
-    num = math.factorial(total)
-    for c in parts:
-        num //= math.factorial(c)
-    return float(num)
+    return sta_pgf_qary(model, k_max)
 
 
 def sta_pgf_qary(model: SplitModel, k_max: int) -> TruncatedSeries:
-    """Slot-count PGF of the q-ary splitting-tree election.
+    """Slot-count PGF of the q-ary splitting-tree election for ``model.n`` contenders.
 
-    Enumerates every composition of the colliding set over the q groups.  The
-    q degenerate compositions that put all contenders in one group each
-    contribute z^q times the level's own series (the q - 1 empty groups cost
-    one slot apiece), so the division uses a_k = b_k + c a_{k-q}.  Reduces to
-    the binary construction when q = 2.
+    A collision costs its slot and hands the colliding set to q sub-groups,
+    and an empty or singleton group costs one slot, so an election spends
+    1 + q * (collisions) slots: F_m(z) = z f_m(w) with w = z^q.  The build
+    runs on the w coefficients of f_m.  Let G_j(t) be the law of t
+    contenders spread over groups j..q-1, so G_{q-1}(t) = f_t; then
+    G_j(t) = sum_c b_j(c) f_c G_{j+1}(t - c), with b_j the binomial row of
+    the share p_j / (p_j + ... + p_{q-1}), and f_m = w G_0(m).  The terms
+    of G_0(m) that put all m contenders in one group add up to
+    (sum_j p_j^m) f_m, so the division is a_i = b_i + c a_{i-1} in w.
     """
     _check_k_max(k_max)
     n, q = model.n, model.q
-    total_comps = math.comb(n + q, q) if n >= 2 else 0
-    if total_comps > COMPOSITION_LIMIT:
-        raise ResourceLimitError(
-            f"{total_comps} split compositions exceed the limit of {COMPOSITION_LIMIT}"
-        )
-    size = k_max + 1
-    fam = [_base_coeffs(size), _base_coeffs(size)]
+    size = -(-k_max // q)  # the w coefficients that land at z^1, z^(1+q), ... <= z^k_max
+    _check_work(n, q, size)
+    shares, left = [0.0] * (q - 1), model.p[q - 1]
+    for j in range(q - 2, -1, -1):
+        left += model.p[j]
+        shares[j] = model.p[j] / left if left > 0.0 else 0.0
+    one = np.zeros(size)
+    one[0] = 1.0
+    f = [one, one]
+    # g[j][t] = G_j(t) for j = 1..q-2: G_{q-1} is f itself, and G_0 is needed at t = m only
+    g = [None] + [[one, one] for _ in range(q - 2)]
     for m in range(2, n + 1):
-        rhs = np.zeros(size)
-        cancel = 0.0
-        for comp in _compositions(m, q):
-            if max(comp) == m:
-                j = comp.index(m)
-                cancel += model.p[j] ** m
-                continue
-            weight = _multinomial(m, comp)
-            for j, c in enumerate(comp):
-                weight *= model.p[j] ** c
-            prod = None
-            empties = 0
-            for c in comp:
-                if c == 0:
-                    empties += 1
-                elif prod is None:
-                    prod = fam[c]
-                else:
-                    prod = _conv(prod, fam[c])
-            rhs += weight * _shift(prod, 1 + empties)
-        fam.append(_divide(rhs, {q: cancel}))
-    return TruncatedSeries.from_coeffs(fam[n] if n >= 2 else fam[min(n, 1)])
+        # rest[j]: G_j(m) less its f_m terms; stay[j]: the weight of f_m in G_j(m)
+        rest, stay = [None] * (q - 1), [0.0] * (q - 1)
+        row = _binomial_row(m, shares[q - 2])
+        part = np.zeros(size)
+        for c in range(1, m // 2 + 1):
+            # c and m - c contenders share one product f_c f_{m-c}
+            weight = row[c] + row[m - c] if 2 * c < m else row[c]
+            if weight:
+                part += weight * np.convolve(f[c], f[m - c])[:size]
+        rest[q - 2], stay[q - 2] = part, row[0] + row[m]
+        for j in range(q - 3, -1, -1):
+            row = _binomial_row(m, shares[j])
+            part = row[0] * part
+            for c in range(1, m):
+                if row[c]:
+                    part += row[c] * np.convolve(f[c], g[j + 1][m - c])[:size]
+            rest[j], stay[j] = part, row[m] + row[0] * stay[j + 1]
+        f.append(_divide(_shift(part, 1), {1: sum(pj**m for pj in model.p)}))
+        for j in range(1, q - 1):
+            g[j].append(rest[j] + stay[j] * f[m])
+    out = np.zeros(k_max + 1)
+    out[1::q] = f[n]
+    return TruncatedSeries.from_coeffs(out)
 
 
 def _auction_series(model: SplitModel, k_max: int, skip: bool) -> TruncatedSeries:
@@ -441,9 +433,9 @@ def moments(series: TruncatedSeries) -> MomentEstimate:
 PROTOCOLS = ("sta", "auction", "auction_skip")
 
 
-def _builder_for(protocol: str, model: SplitModel):
+def _builder_for(protocol: str):
     if protocol == "sta":
-        return sta_pgf_binary if model.q == 2 else sta_pgf_qary
+        return sta_pgf_qary
     if protocol == "auction":
         return auction_pgf
     if protocol == "auction_skip":
@@ -463,7 +455,7 @@ def build_pgf(
     A coin with some p_j = 1 never splits a collision of two or more, so no
     series exists there; a lone contender still takes its one slot.
     """
-    builder = _builder_for(protocol, model)
+    builder = _builder_for(protocol)
     if model.n >= 2 and max(model.p) == 1.0:
         raise DomainError("a coin with some p_j = 1 never splits a collision")
     k = k_start

@@ -22,18 +22,35 @@ def _split(m: int, p0: Fraction = HALF):
     return [(i, math.comb(m, i) * p0**i * (1 - p0) ** (m - i)) for i in range(m + 1)]
 
 
-def sta_slot_mass(n: int, k: int) -> Fraction:
-    """P(the fair binary splitting tree over ``n`` contenders takes exactly ``k`` slots).
+def _tree_split(m: int, probs: tuple) -> list:
+    """(sorted sub-group sizes, probability) for m contenders each joining group j w.p. probs[j]."""
+    law = defaultdict(Fraction)
 
-    The state is the multiset of groups still to reply.  Each slot one group
-    replies; an empty or singleton group is then done, a larger one collides
-    and is replaced by its two coin-toss halves.  The election ends when no
-    group is left.  Group order does not change the slot count, so states
-    are kept as sorted tuples.
+    def place(j: int, left: int, sizes: tuple, mass: Fraction) -> None:
+        if j == len(probs) - 1:
+            law[tuple(sorted(sizes + (left,)))] += mass * probs[j] ** left
+            return
+        for c in range(left + 1):
+            place(j + 1, left - c, sizes + (c,), mass * math.comb(left, c) * probs[j] ** c)
+
+    place(0, m, (), Fraction(1))
+    return [(sizes, prob) for sizes, prob in law.items() if prob]
+
+
+def tree_slot_pmf(n: int, k_max: int, probs: tuple = (HALF, HALF)) -> list:
+    """P(the splitting tree over ``n`` contenders takes exactly k slots), k <= k_max.
+
+    Every contender of a collision joins sub-group j with probability
+    ``probs[j]``, a rational.  The state is the multiset of groups still to
+    reply.  Each slot one group replies; an empty or singleton group is then
+    done, a larger one collides and is replaced by its ``len(probs)``
+    sub-groups.  The election ends when no group is left.  Group order does
+    not change the slot count, so states are kept as sorted tuples.
     """
+    laws = {}
     states = {(n,): Fraction(1)}
-    done = Fraction(0)
-    for _ in range(k):
+    pmf = [Fraction(0)]
+    for _ in range(k_max):
         nxt = defaultdict(Fraction)
         done = Fraction(0)
         for pending, weight in states.items():
@@ -44,10 +61,18 @@ def sta_slot_mass(n: int, k: int) -> Fraction:
                 else:
                     done += weight
                 continue
-            for heads, prob in _split(group):
-                nxt[tuple(sorted(rest + (heads, group - heads)))] += weight * prob
+            if group not in laws:
+                laws[group] = _tree_split(group, probs)
+            for sizes, prob in laws[group]:
+                nxt[tuple(sorted(rest + sizes))] += weight * prob
         states = nxt
-    return done
+        pmf.append(done)
+    return pmf
+
+
+def sta_slot_mass(n: int, k: int) -> Fraction:
+    """P(the fair binary splitting tree over ``n`` contenders takes exactly ``k`` slots)."""
+    return tree_slot_pmf(n, k)[k]
 
 
 def auction_slot_pmf(n: int, k_max: int, p0: Fraction = HALF, skip: bool = False) -> list:

@@ -301,11 +301,10 @@ def test_module_entry_point_runs_the_cli(capsys):
 
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # each costs a large share of every run's start-up and the CLI needs neither
-    probe = (
-        "import relaysel.cli, sys; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
-    )
+    # each costs a large share of every run's start-up; only the distance
+    # laws' mean and median use scipy, and they import it when called
+    modules = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize")
+    probe = f"import relaysel.cli, sys; print(sorted(m for m in {modules!r} if m in sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=120
     )

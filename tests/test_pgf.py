@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from relaysel import pgf
 from relaysel.errors import DomainError, ResourceLimitError, TruncationError
 from relaysel.geometry import SectorRegion
 from relaysel.pgf import (
@@ -30,7 +31,7 @@ from relaysel.pgf import (
 )
 from relaysel.simulator import EpisodeConfig, run_episode_batch
 
-from oracles import auction_mean, auction_slot_pmf, sta_mean
+from oracles import auction_mean, auction_slot_pmf, sta_mean, tree_slot_pmf
 
 PROTOCOL_BUILDERS = {
     "sta": sta_pgf_binary,
@@ -123,7 +124,7 @@ def test_series_is_immutable():
     rhs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
 )
 def test_divide_matches_lfilter_bit_for_bit(lags, weights, rhs):
-    # the builders' lag sets: binary tree {2}, ternary {3}, auction {1, 2}, skip {1}
+    # the builders' lag sets: the tree (in w = z^q) and skip {1}, auction {1, 2}
     lag_weights = dict(zip(lags, weights))
     den = np.zeros(max(lags) + 1)
     den[0] = 1.0
@@ -163,11 +164,35 @@ def test_sta_rejects_bad_k_max():
         sta_pgf_binary(SplitModel(2), 0)
 
 
-def test_qary_specializes_to_binary():
-    for n in (2, 3, 5, 8):
-        binary = sta_pgf_binary(SplitModel(n), 256)
-        qary = sta_pgf_qary(SplitModel(n, q=2), 256)
-        assert np.max(np.abs(binary.coeffs - qary.coeffs)) <= 1e-12
+# Largest |coefficient - exact mass| at n = 0..6 of the builders that the one
+# sta_pgf_qary replaced (a binary recursion at q = 2, an enumeration of the
+# split compositions above), on the same cells with tail_tol=1e-13; 0.0 stands
+# for anything below 1e-18.
+_TREE_COINS = {
+    (Fraction(1, 2),) * 2: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (Fraction(1, 3),) * 3: (0.0, 0.0, 3.70e-17, 4.20e-17, 9.41e-17, 1.57e-16, 1.13e-16),
+    (Fraction(1, 4),) * 4: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.14e-18),
+    (Fraction(3, 10), Fraction(7, 10)):
+        (0.0, 0.0, 3.08e-17, 8.26e-17, 1.03e-16, 1.40e-16, 1.84e-16),
+    (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)):
+        (0.0, 0.0, 4.44e-18, 5.60e-17, 5.94e-17, 4.67e-17, 1.43e-16),
+    (Fraction(1, 2), Fraction(1, 2), Fraction(0)): (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (Fraction(0), Fraction(1, 2), Fraction(1, 2)): (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("probs", list(_TREE_COINS), ids=lambda c: ",".join(map(str, c)))
+def test_tree_series_match_exact_propagation(probs):
+    # every coefficient against the Fraction slot-by-slot law of the tree
+    dyadic = all(x.denominator & (x.denominator - 1) == 0 for x in probs)
+    for n, before in enumerate(_TREE_COINS[probs]):
+        model = SplitModel(n, q=len(probs), p=tuple(map(float, probs)))
+        series = build_pgf("sta", model, tail_tol=1e-13)
+        exact = tree_slot_pmf(n, series.k_max, probs)
+        worst = max(abs(float(m - Fraction(c))) for m, c in zip(exact, series.coeffs.tolist()))
+        assert worst <= before + 2.2e-16, f"n={n}: {worst:.3e}"
+        assert not dyadic or worst <= 1e-15, f"n={n}: {worst:.3e}"
+        assert abs(series.tail_mass - float(1 - sum(exact))) <= 1e-14
 
 
 def test_qary_base_case():
@@ -194,6 +219,19 @@ def test_qary_mean_matches_simulation():
 def test_qary_composition_limit():
     with pytest.raises(ResourceLimitError):
         sta_pgf_qary(SplitModel(400, q=5), 64)
+
+
+def test_binary_tree_work_limit(monkeypatch):
+    # `pmf --n 200` ends at k_max = 1024 and stays under the bound
+    assert sta_pgf_binary(SplitModel(200), 1024).tail_mass < 1e-9
+
+    def no_work(*args):
+        raise AssertionError("the builder started work before checking its bound")
+
+    # n = 400 at the same k_max is over it, and is refused before any work
+    monkeypatch.setattr(pgf, "_binomial_row", no_work)
+    with pytest.raises(ResourceLimitError):
+        sta_pgf_binary(SplitModel(400), 1024)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +486,25 @@ def test_normalization_after_adaptive_truncation():
             series = build_pgf(protocol, SplitModel(n))
             assert series.tail_mass < 1e-9
             assert series.coeffs.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    protocol=st.sampled_from(PROTOCOLS),
+    n=st.integers(0, 8),
+    q=st.integers(2, 5),
+    weights=st.lists(st.integers(0, 10), min_size=5, max_size=5),
+)
+def test_mass_is_conserved_and_the_tree_lives_on_k_1_mod_q(protocol, n, q, weights):
+    q = q if protocol == "sta" else 2  # the auction constructions are binary
+    weights = weights[:q]
+    assume(sum(w > 0 for w in weights) >= 2)  # a coin that never splits has no series
+    model = SplitModel(n, q=q, p=tuple(w / sum(weights) for w in weights))
+    series = build_pgf(protocol, model)
+    assert abs(float(series.coeffs.sum()) + series.tail_mass - 1.0) <= 1e-12
+    if protocol == "sta":
+        off_support = np.arange(len(series.coeffs)) % q != 1
+        assert np.all(series.coeffs[off_support] == 0.0)
 
 
 def test_sta_minimum_support_nondecreasing():
