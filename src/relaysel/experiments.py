@@ -24,9 +24,9 @@ from .geometry import (
     SectorRegion,
     calibrate_sdr,
     expected_nth_distance,
-    iterated_priority_region,
     nth_neighbor_ccdf,
     nth_neighbor_pdf,
+    partition_region,
     sample_sorted_separations,
 )
 from .pgf import SplitModel, build_pgf, moments
@@ -229,6 +229,15 @@ def _dist_pdf(cfg: ExperimentConfig, region, label: str) -> ResultTable:
     )
 
 
+def _priority_rounds(cfg: ExperimentConfig, lens: LensRegion) -> list[LensRegion]:
+    """The lens after 1..cfg.rounds priority rounds, each the priority-1 band
+    of the one before (see ``iterated_priority_region``)."""
+    rounds = []
+    for _ in range(cfg.rounds):
+        rounds.append(partition_region(rounds[-1], cfg.q)[0] if rounds else lens)
+    return rounds
+
+
 def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     n_points = cfg.n_values[-1]
     rank = 1 if nearest else n_points
@@ -238,9 +247,8 @@ def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     rows = []
     diagnostics = {}
     failures = []
-    regions = [("sdr", 0, sector)] + [
-        ("cdr", t, iterated_priority_region(lens, t, cfg.q)) for t in range(1, cfg.rounds + 1)
-    ]
+    rounds = _priority_rounds(cfg, lens)
+    regions = [("sdr", 0, sector)] + [("cdr", t, region) for t, region in enumerate(rounds, 1)]
     per_round = max(cfg.replications // max(len(regions), 1), 1000)
     for label, t, region in regions:
         rng = np.random.default_rng(_hash_seed(cfg.seed, f"iter:{label}:{t}"))
@@ -255,10 +263,7 @@ def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
         pdf = nth_neighbor_pdf(region, rank, n_points, grid)
         for d, an, ep in zip(grid.tolist(), pdf.tolist(), emp_pdf.tolist()):
             rows.append((label, t, d, an, ep))
-    means = [
-        expected_nth_distance(iterated_priority_region(lens, t, cfg.q), rank, n_points)
-        for t in range(1, cfg.rounds + 1)
-    ]
+    means = [expected_nth_distance(region, rank, n_points) for region in rounds]
     diagnostics["round_means"] = tuple(round(m, 6) for m in means)
     if nearest and any(b <= a for a, b in zip(means, means[1:])):
         failures.append(f"round means not strictly increasing: {means}")
@@ -273,18 +278,19 @@ def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
 
 def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     lens = cfg.lens()
-    sector = calibrate_sdr(lens)
-    series_list = [("sdr", sector)] + [
-        (f"cdr_round{t}", iterated_priority_region(lens, t, cfg.q)) for t in range(1, cfg.rounds + 1)
+    rounds = _priority_rounds(cfg, lens)
+    series_list = [("sdr", calibrate_sdr(lens))] + [
+        (f"cdr_round{t}", region) for t, region in enumerate(rounds, 1)
     ]
     rows = []
     diagnostics = {}
     failures = []
+    means = {}
     per_cell = max(cfg.replications // (len(series_list) * len(cfg.n_values)), 500)
     for label, region in series_list:
         for n in cfg.n_values:
             rank = 1 if nearest else n
-            analytic = expected_nth_distance(region, rank, n)
+            analytic = means[label, n] = expected_nth_distance(region, rank, n)
             rng = np.random.default_rng(_hash_seed(cfg.seed, f"expdist:{label}:{n}"))
             d = sample_sorted_separations(region, n, per_cell, rng)[:, rank - 1]
             emp = float(d.mean())
@@ -296,15 +302,12 @@ def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     if nearest:
         # nearest-relay progress grows with every extra priority round
         for n in cfg.n_values:
-            means = [
-                expected_nth_distance(iterated_priority_region(lens, t, cfg.q), 1, n)
-                for t in range(1, cfg.rounds + 1)
-            ]
-            if any(b <= a for a, b in zip(means, means[1:])):
-                failures.append(f"rounds not increasing at n={n}: {means}")
-        for label, region in series_list:
-            means_n = [expected_nth_distance(region, 1, n) for n in cfg.n_values]
-            if any(b >= a for a, b in zip(means_n, means_n[1:])):
+            by_round = [means[f"cdr_round{t}", n] for t in range(1, cfg.rounds + 1)]
+            if any(b <= a for a, b in zip(by_round, by_round[1:])):
+                failures.append(f"rounds not increasing at n={n}: {by_round}")
+        for label, _ in series_list:
+            by_n = [means[label, n] for n in cfg.n_values]
+            if any(b >= a for a, b in zip(by_n, by_n[1:])):
                 failures.append(f"{label}: nearest distance not decreasing in n")
         diagnostics["monotone_rounds"] = True
     return ResultTable(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -29,10 +29,16 @@ from .errors import DomainError, InfeasibleRegionError
 
 _TWO_PI = 2.0 * math.pi
 # Array arguments are told apart by ``type(x) is _NDARRAY``: on the scalar
-# paths, which the auction, quad and brentq call per point, it costs a
-# fraction of ``isinstance(x, np.ndarray)``.
+# paths, which the auction and the median's bisection call per point, it
+# costs a fraction of ``isinstance(x, np.ndarray)``.
 _NDARRAY = np.ndarray
 _MASS_BISECT_TOL = 1e-10
+# expected distances: nodes per half panel, the agreement (in units of R) that
+# closes a panel, and a cap on the open panels, which rounding noise in the
+# mass of a sliver region would otherwise keep doubling
+_GL_NODES = 32
+_GL_TOL = 1e-14
+_GL_MAX_PANELS = 256
 # lens placement: a start interpolated in a table of this many anchor
 # distances, then Newton steps to rounding
 _PLACEMENT_TABLE_POINTS = 4097
@@ -161,10 +167,16 @@ class SectorRegion:
         inside = (d >= self.inner_radius) & (d <= self.radius)
         return 2.0 * d / (self.radius**2 - self.inner_radius**2) * inside
 
+    def kinks(self) -> tuple[float, ...]:
+        """Source distances where the radial mass is not smooth."""
+        return (self.inner_radius,)
+
     def contains(self, p: Point2) -> bool:
         dx, dy = p[0] - self.center.x, p[1] - self.center.y
         r = math.hypot(dx, dy)
-        if r > self.radius or (r <= self.inner_radius and self.inner_radius > 0.0):
+        # the same rounding slack at the rim as the lens: place(u, v) with u
+        # just below 1 lands on it
+        if r > self.radius * (1.0 + 1e-12) or (r <= self.inner_radius and self.inner_radius > 0.0):
             return False
         if r == 0.0:
             return True
@@ -193,7 +205,8 @@ class SectorRegion:
     def partition(self, q: int) -> list["SectorRegion"]:
         """Equal-mass annular bands by source distance, outermost first."""
         lo2, hi2 = self.inner_radius**2, self.radius**2
-        edges = [math.sqrt(lo2 + (j / q) * (hi2 - lo2)) for j in range(q + 1)]
+        inner = [math.sqrt(lo2 + (j / q) * (hi2 - lo2)) for j in range(1, q)]
+        edges = [self.inner_radius, *inner, self.radius]  # exact ends, even where r^2 underflows
         bands = [
             SectorRegion(self.center, edges[j + 1], self.aperture, self.axis, edges[j])
             for j in range(q)
@@ -268,6 +281,13 @@ class LensRegion:
         _check_distance(d, self.radius)
         mass = (self._overlap(d, self.rho) - self._overlap(d, self.inner_rho)) / self.area()
         return np.clip(mass, 0.0, 1.0) if type(mass) is _NDARRAY else min(1.0, max(0.0, mass))
+
+    def kinks(self) -> tuple[float, ...]:
+        """Source distances where the radial mass is not smooth: where the
+        source disk meets each anchor circle, from outside (d = R - rho) or
+        from inside it (d = rho - R).  Past each one the mass departs from
+        its course by a 3/2 power of the distance."""
+        return (abs(self.radius - self.rho), abs(self.radius - self.inner_rho))
 
     def anchor_radial_mass(self, s: float) -> float:
         """Mass of the slice within anchor distance ``s``; drives partitioning."""
@@ -455,27 +475,72 @@ def nth_neighbor_pdf(region: Region, rank: int, n_points: int, d):
 
 
 def expected_nth_distance(region: Region, rank: int, n_points: int) -> float:
-    """E[rank-th nearest distance] as the integral of the CCDF over [0, R]."""
+    """E[rank-th nearest distance]: the integral of the CCDF over [0, R].
+
+    A composite Gauss-Legendre rule on the array CCDF.  The panels split
+    [0, R] at the region's kinks, and on each panel d = a + (b - a) t^2
+    makes the integrand smooth in t despite the mass's (d - a)^{3/2} onset.
+    Every pass evaluates both halves of every open panel in one CCDF call;
+    a panel closes once its halves agree with the whole to 1e-14 R, and the
+    rest are halved again, up to 256 open panels.
+    """
     if not 1 <= rank <= n_points:
         raise DomainError(f"rank {rank} outside [1, {n_points}]")
-    from scipy.integrate import quad  # here, not at the top: the import is most of start-up
+    nodes, weights = _gauss_legendre()
+    big_r = region.radius
+    edges = np.array(sorted({0.0, big_r, *(k for k in region.kinks() if 0.0 < k < big_r)}))
+    # open panels: d = start + width * t^2 over t in [t0, t1], and the
+    # whole-panel estimate of each, made on the first pass
+    start, width = edges[:-1], np.diff(edges)
+    t0, t1 = np.zeros(len(start)), np.ones(len(start))
+    whole = None
+    total = 0.0
+    while True:
+        mid = 0.5 * (t0 + t1)
+        # both halves, and on the first pass each panel whole
+        lo = np.array([t0, mid] if whole is not None else [t0, mid, t0])
+        hi = np.array([mid, t1] if whole is not None else [mid, t1, t1])
+        h = 0.5 * (hi - lo)[..., None]
+        t = lo[..., None] + h * (1.0 + nodes)
+        w = width[:, None]
+        d = start[:, None] + w * t * t
+        ccdf = nth_neighbor_ccdf(region, rank, n_points, d.ravel()).reshape(d.shape)
+        sums = (ccdf * (2.0 * w * t * h * weights)).sum(axis=-1)
+        if whole is None:
+            whole = sums[2]
+        halves = sums[0] + sums[1]
+        open_ = np.abs(halves - whole) > _GL_TOL * big_r
+        total += float(halves[~open_].sum())
+        if not open_.any():
+            return total
+        if open_.sum() > _GL_MAX_PANELS:
+            return total + float(halves[open_].sum())
+        start, width = np.repeat(start[open_], 2), np.repeat(width[open_], 2)
+        t0 = np.column_stack((t0[open_], mid[open_])).ravel()
+        t1 = np.column_stack((mid[open_], t1[open_])).ravel()
+        whole = sums[:2, open_].T.ravel()
 
-    val, _ = quad(
-        lambda d: nth_neighbor_ccdf(region, rank, n_points, d),
-        0.0,
-        region.radius,
-        epsabs=1e-8,
-        limit=200,
-    )
-    return val
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # numpy.polynomial is imported on first use: at import it costs start-up
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(_GL_NODES)
 
 
 def median_nth_distance(region: Region, rank: int, n_points: int) -> float:
-    """Distance at which the rank-th neighbour CCDF crosses one half."""
-    from scipy.optimize import brentq  # here, not at the top: see expected_nth_distance
-
-    f = lambda d: nth_neighbor_ccdf(region, rank, n_points, d) - 0.5
-    return brentq(f, 0.0, region.radius, xtol=1e-12)
+    """Distance at which the rank-th neighbour CCDF crosses one half, by
+    bisection down to adjacent floats."""
+    lo, hi = 0.0, region.radius
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if nth_neighbor_ccdf(region, rank, n_points, mid) > 0.5:
+            lo = mid
+        else:
+            hi = mid
 
 
 def calibrate_sdr(lens: LensRegion) -> SectorRegion:

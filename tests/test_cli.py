@@ -301,15 +301,31 @@ def test_module_entry_point_runs_the_cli(capsys):
 
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # each costs a large share of every run's start-up; only the distance
-    # laws' mean and median use scipy, and they import it when called
-    modules = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize")
-    probe = f"import relaysel.cli, sys; print(sorted(m for m in {modules!r} if m in sys.modules))"
+    # relaysel depends on numpy alone: neither importing the CLI nor running
+    # the distance laws' mean and median loads any scipy module
+    commands = [
+        ["distance", "--region", "cdr", "--rank", "2", "--of", "5", "--stat", "mean"],
+        ["distance", "--region", "sdr", "--rank", "2", "--of", "5", "--stat", "median"],
+        ["experiment", "--id", "exp_dist_nearest", "--reps", "40000"],
+        ["experiment", "--id", "iter_gain_nearest", "--reps", "40000"],
+    ]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from relaysel.cli import cli_main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print('import', scipy_modules())\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli_main(argv)\n"
+        "    print(*argv[:3], code, scipy_modules())\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_subprocess_env(), timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    expected = ["import []"] + [f"{' '.join(argv[:3])} {EXIT_OK} []" for argv in commands]
+    assert done.stdout.splitlines() == expected
 
 
 # sha256 of `simulate --format records --seed 31` as the per-episode replay

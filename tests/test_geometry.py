@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc
 
+from relaysel import geometry
 from relaysel.errors import DomainError
 from relaysel.geometry import (
     LensRegion,
@@ -209,11 +211,13 @@ def regions(draw):
 
 
 def _edges(region) -> list[float]:
-    """0, R and the source distances where the slice's inner edge begins."""
+    """0, R and the source distances where the radial mass has a kink: the
+    sector band's inner radius, and where the source disk meets an anchor
+    circle from outside (R - rho) or from inside (rho - R)."""
     big_r = region.radius
     if isinstance(region, SectorRegion):
         return [0.0, region.inner_radius, big_r]
-    return [0.0, max(big_r - region.rho, 0.0), max(big_r - region.inner_rho, 0.0), big_r]
+    return [0.0, abs(big_r - region.rho), abs(big_r - region.inner_rho), big_r]
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,6 +296,83 @@ def test_expected_nearest_distance_decreases_with_crowding():
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
+_LENS = LensRegion(radius=1.0)
+_SECTOR = calibrate_sdr(_LENS)
+LAW_REGIONS = {
+    "lens_rho_0.5R": LensRegion(radius=1.0, rho=0.5),
+    "lens": _LENS,
+    "lens_rho_1.7R": LensRegion(radius=1.0, rho=1.7),
+    "thin_slice_1.9R_2R": LensRegion(radius=1.0, rho=2.0, inner_rho=1.9),
+    **{f"lens_round{t}": iterated_priority_region(_LENS, t) for t in (2, 3, 4)},
+    "sector": _SECTOR,
+    **{f"sector_band{j}": band for j, band in enumerate(partition_region(_SECTOR, 3))},
+}
+LAW_CELLS = [(n, rank) for n in (1, 5, 30, 200, 500) for rank in sorted({1, max(n // 2, 1), n})]
+
+
+def _expected_distance_oracle(region, rank: int, n_points: int) -> float:
+    """The CCDF integral by scipy's quad, one call per stretch between the
+    kinks, with the CCDF as a regularized incomplete beta function."""
+    def ccdf(d: float) -> float:
+        return betainc(n_points - rank + 1, rank, 1.0 - region.source_radial_mass(d))
+
+    edges = sorted(set(_edges(region)))
+    return sum(
+        quad(ccdf, a, b, epsabs=1e-16, epsrel=1e-15, limit=1000)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("name", LAW_REGIONS)
+def test_expected_distance_matches_a_tight_quad_oracle(name, monkeypatch):
+    region = LAW_REGIONS[name]
+    calls = []
+    ccdf = geometry.nth_neighbor_ccdf
+
+    def counted_ccdf(*args):
+        calls.append(args)
+        return ccdf(*args)
+
+    monkeypatch.setattr(geometry, "nth_neighbor_ccdf", counted_ccdf)
+    for n, rank in LAW_CELLS:
+        exact = _expected_distance_oracle(region, rank, n)
+        calls.clear()
+        assert abs(expected_nth_distance(region, rank, n) - exact) <= 1e-12, (n, rank)
+        # the kink splits and the t^2 substitution keep the halving short
+        assert len(calls) <= 6, (n, rank)
+
+
+def test_expected_distance_on_a_sliver_caps_its_open_panels(monkeypatch):
+    # rounding noise in a sliver's mass keeps halves and whole from agreeing
+    # to 1e-14, so without the cap the open panels would double each pass
+    sliver = LensRegion(radius=1.0, rho=1e-5)
+    ccdf = geometry.nth_neighbor_ccdf
+    limit = 4 * geometry._GL_MAX_PANELS * geometry._GL_NODES
+
+    def bounded_ccdf(region, rank, n_points, d):
+        assert d.size <= limit
+        return ccdf(region, rank, n_points, d)
+
+    monkeypatch.setattr(geometry, "nth_neighbor_ccdf", bounded_ccdf)
+    assert 1.0 - 1e-5 < expected_nth_distance(sliver, 1, 5) < 1.0
+
+
+@pytest.mark.parametrize("name", LAW_REGIONS)
+def test_median_is_where_the_ccdf_crosses_one_half(name):
+    region = LAW_REGIONS[name]
+    for n, rank in LAW_CELLS:
+        median = median_nth_distance(region, rank, n)
+        # on a steep CCDF one float's step can exceed 1e-12; then one half
+        # must fall between the floats either side of the median
+        before, after = (
+            nth_neighbor_ccdf(region, rank, n, math.nextafter(median, x)) for x in (0.0, math.inf)
+        )
+        assert after - 1e-12 <= 0.5 <= before + 1e-12, (n, rank)
+        step = max(before - after, 1e-12)
+        assert abs(nth_neighbor_ccdf(region, rank, n, median) - 0.5) <= step, (n, rank)
+
+
 def test_expected_furthest_distance_matches_sampling():
     lens = LensRegion(radius=1.0)
     rng = np.random.default_rng(808)
@@ -366,6 +447,38 @@ def test_partition_membership_matches_monte_carlo():
     n = 100_000
     se = math.sqrt(0.5 * 0.5 / n)
     assert abs(hits / n - 0.5) <= 3.0 * se
+
+
+def _band_bounds(region) -> tuple[float, float]:
+    if isinstance(region, SectorRegion):
+        return region.inner_radius, region.radius
+    return region.inner_rho, region.rho
+
+
+@settings(max_examples=100, deadline=None)
+@given(region=regions(), q=st.integers(2, 5))
+# the inner radius squared underflows to 0
+@example(region=SectorRegion(radius=1.0, aperture=1.0, inner_radius=3.3e-276), q=2)
+def test_partition_bands_hold_equal_mass_nest_and_cover(region, q):
+    bands = partition_region(region, q)
+    assert len(bands) == q
+    if isinstance(region, SectorRegion):
+        bands = bands[::-1]  # the outermost band has priority; walk outward
+    edges = [_band_bounds(band) for band in bands]
+    # the bands tile the region's radial bounds in order, with no gap
+    assert edges[0][0] == _band_bounds(region)[0]
+    assert edges[-1][1] == _band_bounds(region)[1]
+    assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+    for band, (lo, hi) in zip(bands, edges):
+        assert lo < hi
+        assert type(band) is type(region) and band.axis == region.axis
+        if isinstance(region, SectorRegion):
+            assert band.aperture == region.aperture and band.center == region.center
+        else:
+            assert band.radius == region.radius and band.source == region.source
+        # mass as the region measures it; the partition bisects on that measure
+        assert abs(band.area() / region.area() - 1.0 / q) <= 1e-9
+    assert sum(band.area() for band in bands) == pytest.approx(region.area(), rel=1e-12)
 
 
 def test_partition_rejects_single_band():
