@@ -60,21 +60,26 @@ def _default_seed() -> int:
 def _parse_range(text: str) -> tuple[int, ...]:
     """'2..5' -> (2,3,4,5); '4' -> (4,); '2,4,7' -> (2,4,7)."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise DomainError(f"empty range {text!r}")
-        return tuple(range(lo_i, hi_i + 1))
-    if "," in text:
-        return tuple(int(part) for part in text.split(","))
-    return (int(text),)
+    try:
+        if ".." in text:
+            lo, hi = (int(part) for part in text.split("..", 1))
+            values = tuple(range(lo, hi + 1))
+        else:
+            values = tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise DomainError(f"malformed multiplicity range {text!r}") from exc
+    if not values:
+        raise DomainError(f"empty range {text!r}")
+    return values
 
 
 def _parse_probs(text: str | None) -> tuple[float, ...] | None:
     if text is None:
         return None
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise DomainError(f"malformed group probabilities {text!r}") from exc
     if len(parts) == 1:
         return (parts[0], 1.0 - parts[0])
     return tuple(parts)
@@ -229,8 +234,6 @@ def _cmd_validate(args) -> int:
         seed=args.seed,
         r=args.r,
         rho=args.rho,
-        tv_threshold=args.tv_threshold,
-        ks_threshold=args.ks_threshold,
         protocols=tuple(_canon_protocol(p) for p in args.protocols.split(",")),
         distance_n=args.distance_n,
     )
@@ -326,8 +329,6 @@ def build_parser(seed_default: int) -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--protocols", default="sta,auction,auction-skip")
     p.add_argument("--distance-n", type=int, default=5)
-    p.add_argument("--tv-threshold", type=float, default=0.01)
-    p.add_argument("--ks-threshold", type=float, default=0.01)
     _add_common(p, seed_default)
     p.set_defaults(func=_cmd_validate)
 

@@ -5,6 +5,11 @@ and the Monte Carlo series side by side, plus agreement diagnostics (total
 variation for slot-count PMFs, Kolmogorov-Smirnov for distance laws,
 z-scores for scalar means).  Tables embed the config hash and seed so a rerun
 with the same inputs is byte-identical.
+
+Every table, ``validate``'s included, gates its statistical rows alike
+(:class:`_Checks`): at a family-wise ``ALPHA`` per table, split evenly over its
+rows (Bonferroni), KS rows by the DKW bound, TV rows by Bretagnolle-Huber-Carol
+over the analytic cells and z-scores by the two-sided normal quantile.
 """
 
 from __future__ import annotations
@@ -32,21 +37,10 @@ from .geometry import (
 from .pgf import SplitModel, build_pgf, moments
 from .simulator import EpisodeConfig, run_episode_batch, total_variation
 
-EXPERIMENT_IDS = (
-    "cri_pmf_sta",
-    "cri_pmf_auction",
-    "dist_pdf_sdr",
-    "dist_pdf_cdr",
-    "iter_gain_nearest",
-    "iter_gain_furthest",
-    "exp_dist_nearest",
-    "exp_dist_furthest",
-    "progress_vs_cri_sta",
-    "progress_vs_cri_auction",
-)
-
 DEFAULT_SEED = 12345
 DEFAULT_REPLICATIONS = 100_000
+ALPHA = 1e-3  # family-wise false-alarm probability of one table's statistical rows
+CUT_LEVEL = 0.999  # analytic slot-count masses are kept up to this quantile
 
 
 @dataclass(frozen=True)
@@ -66,9 +60,6 @@ class ExperimentConfig:
     skip: bool = False
     rounds: int = 3
     ranks: tuple[int, ...] | None = None
-    tv_threshold: float = 0.01
-    ks_threshold: float = 0.01
-    z_threshold: float = 4.0
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
@@ -81,6 +72,9 @@ class ExperimentConfig:
             raise DomainError("need at least one replication")
         if not self.n_values:
             raise DomainError("empty multiplicity range")
+        # every family but the slot-count PMFs draws neighbour distances
+        if not self.experiment.startswith("cri_pmf") and min(self.n_values) < 1:
+            raise DomainError(f"{self.experiment} needs at least one relay per multiplicity")
 
     def config_hash(self) -> str:
         blob = json.dumps(
@@ -155,38 +149,87 @@ def _hash_seed(seed: int, label: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# slot-count PMF families
+# agreement gates
 
 
-def _cri_pmf(cfg: ExperimentConfig, auction: bool) -> ResultTable:
-    protocol = _protocol(cfg, auction)
-    region = cfg.lens() if auction else cfg.sector()
-    rows = []
-    diagnostics = {}
-    failures = []
-    for n in cfg.n_values:
-        series = build_pgf(protocol, SplitModel(n=n, q=cfg.q, p=cfg.p))
-        cut = series.truncation_index(0.999)
-        analytic = {k: float(series.coeffs[k]) for k in range(cut + 1) if series.coeffs[k] > 0}
-        episode = EpisodeConfig(protocol=protocol, n=n, region=region, q=cfg.q, p=cfg.p)
-        _, summary = run_episode_batch(episode, cfg.replications, _hash_seed(cfg.seed, f"pmf:{n}"))
-        tv = total_variation(analytic, summary.pmf)
-        diagnostics[f"tv_n{n}"] = tv
-        if tv > cfg.tv_threshold:
-            failures.append(f"tv_n{n} {tv:.5f} > {cfg.tv_threshold}")
-        for k in sorted(set(analytic) | set(summary.pmf)):
-            rows.append((n, k, analytic.get(k, 0.0), summary.pmf.get(k, 0.0)))
-    return ResultTable(
-        columns=["n", "k_slots", "analytic_pmf", "empirical_pmf"],
-        rows=rows,
-        provenance=_provenance(cfg),
-        diagnostics=diagnostics,
-        failures=failures,
-    )
+def _tv_gate(samples: int, series, alpha: float) -> float:
+    """Gate for the TV of ``samples`` episodes against ``_analytic_pmf(series)``.
+
+    The cells k <= cut and one pooled tail cell T make K = cut + 2 cells, whose
+    L1 distance exceeds t = sqrt(2 (K ln 2 + ln(1/alpha)) / N) with probability
+    at most alpha (Bretagnolle-Huber-Carol).  Leaving T unpooled adds at most
+    2 p(T) to that, and the dropped analytic tail (1 - CUT_LEVEL) / 2 to the TV;
+    1e-9 absorbs rounding in both sums.
+    """
+    cut = series.truncation_index(CUT_LEVEL)
+    tail = max(0.0, 1.0 - float(series.cdf()[cut]))
+    t = math.sqrt(2.0 * ((cut + 2) * math.log(2.0) + math.log(1.0 / alpha)) / samples)
+    return 0.5 * t + tail + 0.5 * (1.0 - CUT_LEVEL) + 1e-9
 
 
-# ---------------------------------------------------------------------------
-# distance-law families
+def _ks_gate(samples: int, alpha: float) -> float:
+    """DKW: P(sup |F_N - F| > eps) <= 2 exp(-2 N eps^2) (Massart, 1990)."""
+    return math.sqrt(math.log(2.0 / alpha) / (2.0 * samples))
+
+
+def _z_gate(alpha: float) -> float:
+    """Two-sided normal quantile: the z with erfc(z / sqrt 2) = alpha, by bisection."""
+    lo, hi = 0.0, 40.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if math.erfc(mid / math.sqrt(2.0)) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class _Checks:
+    """The agreement checks of one table.
+
+    Statistical rows are gated together once all are in, each at
+    ALPHA / (number of rows).  Exact checks (``require``) pass or fail
+    outright and take no share of ALPHA.
+    """
+
+    def __init__(self) -> None:
+        self.diagnostics: dict = {}
+        self._rows: list = []
+        self._exact: list[str] = []
+
+    def _add(self, label: str, statistic: float, gate, diag: bool = True) -> None:
+        self._rows.append((label, statistic, gate))
+        if diag:
+            self.diagnostics[label] = statistic
+
+    def tv(self, label: str, statistic: float, samples: int, series) -> None:
+        self._add(label, statistic, lambda alpha: _tv_gate(samples, series, alpha))
+
+    def ks(self, label: str, statistic: float, samples: int) -> None:
+        self._add(label, statistic, lambda alpha: _ks_gate(samples, alpha))
+
+    def z(self, label: str, statistic: float, diag: bool = True) -> None:
+        self._add(label, statistic, _z_gate, diag)
+
+    def require(self, ok: bool, message: str) -> None:
+        if not ok:
+            self._exact.append(message)
+
+    def verdicts(self) -> list[tuple[str, float, float, int]]:
+        """(label, statistic, gate, passed) for every statistical row."""
+        alpha = ALPHA / max(len(self._rows), 1)
+        gated = [(label, stat, gate_of(alpha)) for label, stat, gate_of in self._rows]
+        return [(label, stat, gate, int(stat <= gate)) for label, stat, gate in gated]
+
+    def table(self, columns: list[str], rows: list[tuple], provenance: dict) -> ResultTable:
+        failures = [f"{label}: {stat:.5f} > {gate:.5f}" for label, stat, gate, ok in self.verdicts() if not ok]
+        return ResultTable(columns, rows, provenance, self.diagnostics, failures + self._exact)
+
+
+def _analytic_pmf(series) -> dict[int, float]:
+    """The series' positive masses up to its CUT_LEVEL quantile."""
+    cut = series.truncation_index(CUT_LEVEL)
+    return {k: float(series.coeffs[k]) for k in range(cut + 1) if series.coeffs[k] > 0}
 
 
 def _ks_distance(region, rank: int, n_points: int, distances: np.ndarray) -> float:
@@ -199,6 +242,37 @@ def _ks_distance(region, rank: int, n_points: int, distances: np.ndarray) -> flo
     return float(np.max(np.maximum(np.abs(steps_hi - cdf_values), np.abs(steps_lo - cdf_values))))
 
 
+def _empirical_pdf(distances: np.ndarray, radius: float, grid: np.ndarray) -> np.ndarray:
+    """A 50-bin histogram density of the distances over [0, radius], read on the grid."""
+    hist, edges = np.histogram(distances, bins=50, range=(0.0, radius), density=True)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return np.interp(grid, centers, hist, left=0.0, right=0.0)
+
+
+# ---------------------------------------------------------------------------
+# slot-count PMF families
+
+
+def _cri_pmf(cfg: ExperimentConfig, auction: bool) -> ResultTable:
+    protocol = _protocol(cfg, auction)
+    region = cfg.lens() if auction else cfg.sector()
+    rows = []
+    checks = _Checks()
+    for n in cfg.n_values:
+        series = build_pgf(protocol, SplitModel(n=n, q=cfg.q, p=cfg.p))
+        analytic = _analytic_pmf(series)
+        episode = EpisodeConfig(protocol=protocol, n=n, region=region, q=cfg.q, p=cfg.p)
+        _, summary = run_episode_batch(episode, cfg.replications, _hash_seed(cfg.seed, f"pmf:{n}"))
+        checks.tv(f"tv_n{n}", total_variation(analytic, summary.pmf), cfg.replications, series)
+        for k in sorted(set(analytic) | set(summary.pmf)):
+            rows.append((n, k, analytic.get(k, 0.0), summary.pmf.get(k, 0.0)))
+    return checks.table(["n", "k_slots", "analytic_pmf", "empirical_pmf"], rows, _provenance(cfg))
+
+
+# ---------------------------------------------------------------------------
+# distance-law families
+
+
 def _dist_pdf(cfg: ExperimentConfig, region, label: str) -> ResultTable:
     n_points = cfg.n_values[-1]
     ranks = cfg.ranks or tuple(range(1, n_points + 1))
@@ -206,88 +280,64 @@ def _dist_pdf(cfg: ExperimentConfig, region, label: str) -> ResultTable:
     sorted_d = sample_sorted_separations(region, n_points, cfg.replications, rng)
     grid = np.linspace(0.0, region.radius, 201)
     rows = []
-    diagnostics = {}
-    failures = []
+    checks = _Checks()
     for rank in ranks:
-        ks = _ks_distance(region, rank, n_points, sorted_d[:, rank - 1])
-        diagnostics[f"ks_rank{rank}"] = ks
-        if ks > cfg.ks_threshold:
-            failures.append(f"ks_rank{rank} {ks:.5f} > {cfg.ks_threshold}")
-        hist, edges = np.histogram(sorted_d[:, rank - 1], bins=50, range=(0.0, region.radius), density=True)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        emp_pdf = np.interp(grid, centers, hist, left=0.0, right=0.0)
+        distances = sorted_d[:, rank - 1]
+        checks.ks(f"ks_rank{rank}", _ks_distance(region, rank, n_points, distances), cfg.replications)
+        emp_pdf = _empirical_pdf(distances, region.radius, grid)
         pdf = nth_neighbor_pdf(region, rank, n_points, grid)
         ccdf = nth_neighbor_ccdf(region, rank, n_points, grid)
         for d, an, ep, cc in zip(grid.tolist(), pdf.tolist(), emp_pdf.tolist(), ccdf.tolist()):
             rows.append((rank, d, an, ep, cc))
-    return ResultTable(
-        columns=["rank", "d", "analytic_pdf", "empirical_pdf", "analytic_ccdf"],
-        rows=rows,
-        provenance=_provenance(cfg),
-        diagnostics=diagnostics,
-        failures=failures,
-    )
+    columns = ["rank", "d", "analytic_pdf", "empirical_pdf", "analytic_ccdf"]
+    return checks.table(columns, rows, _provenance(cfg))
 
 
-def _priority_rounds(cfg: ExperimentConfig, lens: LensRegion) -> list[LensRegion]:
-    """The lens after 1..cfg.rounds priority rounds, each the priority-1 band
-    of the one before (see ``iterated_priority_region``)."""
-    rounds = []
-    for _ in range(cfg.rounds):
-        rounds.append(partition_region(rounds[-1], cfg.q)[0] if rounds else lens)
-    return rounds
+def _priority_rounds(cfg: ExperimentConfig) -> list:
+    """Round 0's calibrated sector, then the lens after 1..cfg.rounds priority
+    rounds, each the priority-1 band of the one before (see
+    ``iterated_priority_region``)."""
+    lens = cfg.lens()
+    regions = [calibrate_sdr(lens)]
+    for t in range(cfg.rounds):
+        regions.append(partition_region(regions[-1], cfg.q)[0] if t else lens)
+    return regions
 
 
 def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     n_points = cfg.n_values[-1]
     rank = 1 if nearest else n_points
-    lens = cfg.lens()
-    sector = calibrate_sdr(lens)
-    grid = np.linspace(0.0, lens.radius, 201)
+    grid = np.linspace(0.0, cfg.r, 201)
     rows = []
-    diagnostics = {}
-    failures = []
-    rounds = _priority_rounds(cfg, lens)
-    regions = [("sdr", 0, sector)] + [("cdr", t, region) for t, region in enumerate(rounds, 1)]
-    per_round = max(cfg.replications // max(len(regions), 1), 1000)
-    for label, t, region in regions:
+    checks = _Checks()
+    regions = _priority_rounds(cfg)
+    per_round = max(cfg.replications // len(regions), 1000)
+    for t, region in enumerate(regions):
+        label = "cdr" if t else "sdr"
         rng = np.random.default_rng(_hash_seed(cfg.seed, f"iter:{label}:{t}"))
         distances = sample_sorted_separations(region, n_points, per_round, rng)[:, rank - 1]
-        ks = _ks_distance(region, rank, n_points, distances)
-        diagnostics[f"ks_{label}_round{t}"] = ks
-        if ks > cfg.ks_threshold * 2.0:  # fewer draws per round than a full batch
-            failures.append(f"ks_{label}_round{t} {ks:.5f}")
-        hist, edges = np.histogram(distances, bins=50, range=(0.0, lens.radius), density=True)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        emp_pdf = np.interp(grid, centers, hist, left=0.0, right=0.0)
+        checks.ks(f"ks_{label}_round{t}", _ks_distance(region, rank, n_points, distances), per_round)
+        emp_pdf = _empirical_pdf(distances, cfg.r, grid)
         pdf = nth_neighbor_pdf(region, rank, n_points, grid)
         for d, an, ep in zip(grid.tolist(), pdf.tolist(), emp_pdf.tolist()):
             rows.append((label, t, d, an, ep))
-    means = [expected_nth_distance(region, rank, n_points) for region in rounds]
-    diagnostics["round_means"] = tuple(round(m, 6) for m in means)
-    if nearest and any(b <= a for a, b in zip(means, means[1:])):
-        failures.append(f"round means not strictly increasing: {means}")
-    return ResultTable(
-        columns=["region", "round", "d", "analytic_pdf", "empirical_pdf"],
-        rows=rows,
-        provenance=_provenance(cfg),
-        diagnostics=diagnostics,
-        failures=failures,
-    )
+    means = [expected_nth_distance(region, rank, n_points) for region in regions[1:]]
+    checks.diagnostics["round_means"] = tuple(round(m, 6) for m in means)
+    if nearest:
+        checks.require(
+            all(b > a for a, b in zip(means, means[1:])), f"round means not strictly increasing: {means}"
+        )
+    return checks.table(["region", "round", "d", "analytic_pdf", "empirical_pdf"], rows, _provenance(cfg))
 
 
 def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
-    lens = cfg.lens()
-    rounds = _priority_rounds(cfg, lens)
-    series_list = [("sdr", calibrate_sdr(lens))] + [
-        (f"cdr_round{t}", region) for t, region in enumerate(rounds, 1)
-    ]
+    regions = _priority_rounds(cfg)
+    labels = ["sdr"] + [f"cdr_round{t}" for t in range(1, len(regions))]
     rows = []
-    diagnostics = {}
-    failures = []
+    checks = _Checks()
     means = {}
-    per_cell = max(cfg.replications // (len(series_list) * len(cfg.n_values)), 500)
-    for label, region in series_list:
+    per_cell = max(cfg.replications // (len(regions) * len(cfg.n_values)), 500)
+    for label, region in zip(labels, regions):
         for n in cfg.n_values:
             rank = 1 if nearest else n
             analytic = means[label, n] = expected_nth_distance(region, rank, n)
@@ -295,37 +345,31 @@ def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
             d = sample_sorted_separations(region, n, per_cell, rng)[:, rank - 1]
             emp = float(d.mean())
             se = float(d.std(ddof=1) / math.sqrt(len(d)))
-            z = abs(emp - analytic) / se if se > 0 else 0.0
             rows.append((label, n, analytic, emp, se))
-            if z > cfg.z_threshold:
-                failures.append(f"{label} n={n}: z={z:.2f}")
+            checks.z(f"z:{label}:n{n}", abs(emp - analytic) / se if se > 0 else 0.0, diag=False)
     if nearest:
         # nearest-relay progress grows with every extra priority round
         for n in cfg.n_values:
             by_round = [means[f"cdr_round{t}", n] for t in range(1, cfg.rounds + 1)]
-            if any(b <= a for a, b in zip(by_round, by_round[1:])):
-                failures.append(f"rounds not increasing at n={n}: {by_round}")
-        for label, _ in series_list:
+            checks.require(
+                all(b > a for a, b in zip(by_round, by_round[1:])), f"rounds not increasing at n={n}: {by_round}"
+            )
+        for label in labels:
             by_n = [means[label, n] for n in cfg.n_values]
-            if any(b >= a for a, b in zip(by_n, by_n[1:])):
-                failures.append(f"{label}: nearest distance not decreasing in n")
-        diagnostics["monotone_rounds"] = True
-    return ResultTable(
-        columns=["series", "n", "analytic_mean_distance", "empirical_mean_distance", "empirical_se"],
-        rows=rows,
-        provenance=_provenance(cfg),
-        diagnostics=diagnostics,
-        failures=failures,
-    )
+            checks.require(
+                all(b < a for a, b in zip(by_n, by_n[1:])), f"{label}: nearest distance not decreasing in n"
+            )
+        checks.diagnostics["monotone_rounds"] = True
+    columns = ["series", "n", "analytic_mean_distance", "empirical_mean_distance", "empirical_se"]
+    return checks.table(columns, rows, _provenance(cfg))
 
 
 def _progress_vs_cri(cfg: ExperimentConfig, auction: bool) -> ResultTable:
     protocol = _protocol(cfg, auction)
     region = cfg.lens() if auction else calibrate_sdr(cfg.lens())
     rows = []
-    diagnostics = {}
-    failures = []
-    per_cell = max(cfg.replications // max(len(cfg.n_values), 1), 1000)
+    checks = _Checks()
+    per_cell = max(cfg.replications // len(cfg.n_values), 1000)
     for n in cfg.n_values:
         series = build_pgf(protocol, SplitModel(n=n, q=cfg.q, p=cfg.p))
         cri_mean = moments(series).mean
@@ -335,64 +379,34 @@ def _progress_vs_cri(cfg: ExperimentConfig, auction: bool) -> ResultTable:
         sorted_d = sample_sorted_separations(region, n, per_cell, rng)
         ranks = {"nearest": 1, "second_furthest": max(n - 1, 1), "furthest": n}
         for label, rank in ranks.items():
-            rows.append(
-                (
-                    n,
-                    label,
-                    cri_mean,
-                    summary.mean_slots,
-                    expected_nth_distance(region, rank, n),
-                    float(sorted_d[:, rank - 1].mean()),
-                )
-            )
+            mean_d = expected_nth_distance(region, rank, n)
+            rows.append((n, label, cri_mean, summary.mean_slots, mean_d, float(sorted_d[:, rank - 1].mean())))
         z_denom = math.sqrt(max(summary.var_slots, 1e-12) / per_cell)
-        z = abs(summary.mean_slots - cri_mean) / z_denom if z_denom else 0.0
-        diagnostics[f"cri_z_n{n}"] = z
-        if z > cfg.z_threshold:
-            failures.append(f"cri mean mismatch at n={n}: z={z:.2f}")
-    return ResultTable(
-        columns=[
-            "n",
-            "rank",
-            "analytic_mean_cri",
-            "empirical_mean_cri",
-            "analytic_mean_distance",
-            "empirical_mean_distance",
-        ],
-        rows=rows,
-        provenance=_provenance(cfg),
-        diagnostics=diagnostics,
-        failures=failures,
-    )
+        checks.z(f"cri_z_n{n}", abs(summary.mean_slots - cri_mean) / z_denom if z_denom else 0.0)
+    columns = ["n", "rank", "analytic_mean_cri", "empirical_mean_cri"]
+    return checks.table(columns + ["analytic_mean_distance", "empirical_mean_distance"], rows, _provenance(cfg))
 
 
 # ---------------------------------------------------------------------------
 
+_FAMILIES = {
+    "cri_pmf_sta": lambda cfg: _cri_pmf(cfg, auction=False),
+    "cri_pmf_auction": lambda cfg: _cri_pmf(cfg, auction=True),
+    "dist_pdf_sdr": lambda cfg: _dist_pdf(cfg, cfg.sector(), "sdr"),
+    "dist_pdf_cdr": lambda cfg: _dist_pdf(cfg, cfg.lens(), "cdr"),
+    "iter_gain_nearest": lambda cfg: _iter_gain(cfg, nearest=True),
+    "iter_gain_furthest": lambda cfg: _iter_gain(cfg, nearest=False),
+    "exp_dist_nearest": lambda cfg: _exp_dist(cfg, nearest=True),
+    "exp_dist_furthest": lambda cfg: _exp_dist(cfg, nearest=False),
+    "progress_vs_cri_sta": lambda cfg: _progress_vs_cri(cfg, auction=False),
+    "progress_vs_cri_auction": lambda cfg: _progress_vs_cri(cfg, auction=True),
+}
+EXPERIMENT_IDS = tuple(_FAMILIES)
+
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
-    """Dispatch an experiment family; see ``EXPERIMENT_IDS``."""
-    ex = config.experiment
-    if ex == "cri_pmf_sta":
-        return _cri_pmf(config, auction=False)
-    if ex == "cri_pmf_auction":
-        return _cri_pmf(config, auction=True)
-    if ex == "dist_pdf_sdr":
-        return _dist_pdf(config, config.sector(), "sdr")
-    if ex == "dist_pdf_cdr":
-        return _dist_pdf(config, config.lens(), "cdr")
-    if ex == "iter_gain_nearest":
-        return _iter_gain(config, nearest=True)
-    if ex == "iter_gain_furthest":
-        return _iter_gain(config, nearest=False)
-    if ex == "exp_dist_nearest":
-        return _exp_dist(config, nearest=True)
-    if ex == "exp_dist_furthest":
-        return _exp_dist(config, nearest=False)
-    if ex == "progress_vs_cri_sta":
-        return _progress_vs_cri(config, auction=False)
-    if ex == "progress_vs_cri_auction":
-        return _progress_vs_cri(config, auction=True)
-    raise DomainError(f"unknown experiment {ex!r}")
+    """Run one experiment family; see ``EXPERIMENT_IDS``."""
+    return _FAMILIES[config.experiment](config)
 
 
 def validate_agreement(
@@ -401,8 +415,6 @@ def validate_agreement(
     seed: int = DEFAULT_SEED,
     r: float = 1.0,
     rho: float | None = None,
-    tv_threshold: float = 0.01,
-    ks_threshold: float = 0.01,
     protocols=("sta", "auction", "auction_skip"),
     distance_n: int = 5,
 ) -> ResultTable:
@@ -410,51 +422,33 @@ def validate_agreement(
 
     Slot-count PMFs are compared by total variation for every protocol and
     multiplicity; the distance laws of both region designs are compared by
-    the KS statistic for every neighbour rank at ``distance_n`` relays.
+    the KS statistic for every neighbour rank at ``distance_n`` relays.  Each
+    row reports its statistic, its derived gate and whether it passed.
     """
+    if distance_n < 1:
+        raise DomainError("the distance checks need at least one relay (distance_n >= 1)")
     lens = LensRegion(radius=r, rho=rho)
     sector = calibrate_sdr(lens)
-    rows = []
-    diagnostics = {}
-    failures = []
+    checks = _Checks()
     for protocol in protocols:
         region = sector if protocol == "sta" else lens
         for n in n_values:
             series = build_pgf(protocol, SplitModel(n))
-            cut = series.truncation_index(0.999)
-            analytic = {k: float(series.coeffs[k]) for k in range(cut + 1) if series.coeffs[k] > 0}
             episode = EpisodeConfig(protocol=protocol, n=n, region=region)
             label = f"tv:{protocol}:{n}"
             _, summary = run_episode_batch(episode, replications, _hash_seed(seed, label))
-            tv = total_variation(analytic, summary.pmf)
-            rows.append((label, tv, tv_threshold, int(tv <= tv_threshold)))
-            diagnostics[label] = tv
-            if tv > tv_threshold:
-                failures.append(f"{label}: {tv:.5f} > {tv_threshold}")
+            checks.tv(label, total_variation(_analytic_pmf(series), summary.pmf), replications, series)
     for label, region in (("sdr", sector), ("cdr", lens)):
         rng = np.random.default_rng(_hash_seed(seed, f"ks:{label}"))
         sorted_d = sample_sorted_separations(region, distance_n, replications, rng)
         for rank in range(1, distance_n + 1):
             ks = _ks_distance(region, rank, distance_n, sorted_d[:, rank - 1])
-            key = f"ks:{label}:rank{rank}"
-            rows.append((key, ks, ks_threshold, int(ks <= ks_threshold)))
-            diagnostics[key] = ks
-            if ks > ks_threshold:
-                failures.append(f"{key}: {ks:.5f} > {ks_threshold}")
-    return ResultTable(
-        columns=["check", "statistic", "threshold", "passed"],
-        rows=rows,
-        provenance={
-            "experiment": "validate",
-            "config_hash": hashlib.sha256(
-                json.dumps(
-                    [list(n_values), replications, seed, r, rho, tv_threshold, ks_threshold],
-                    sort_keys=True,
-                ).encode()
-            ).hexdigest()[:16],
-            "seed": seed,
-            "toolkit_version": __version__,
-        },
-        diagnostics=diagnostics,
-        failures=failures,
-    )
+            checks.ks(f"ks:{label}:rank{rank}", ks, replications)
+    inputs = [list(n_values), replications, seed, r, rho, list(protocols), distance_n]
+    provenance = {
+        "experiment": "validate",
+        "config_hash": hashlib.sha256(json.dumps(inputs).encode()).hexdigest()[:16],
+        "seed": seed,
+        "toolkit_version": __version__,
+    }
+    return checks.table(["check", "statistic", "threshold", "passed"], checks.verdicts(), provenance)

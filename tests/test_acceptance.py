@@ -235,8 +235,7 @@ def test_ac10_cli_determinism(tmp_path):
         ["pmf", "--protocol", "auction", "--n", "4"],
         ["simulate", "--protocol", "auction_skip", "--n", "3", "--reps", "500",
          "--seed", "7", "--format", "records"],
-        ["validate", "--n", "2..3", "--reps", "5000", "--seed", "7",
-         "--tv-threshold", "0.05", "--ks-threshold", "0.05"],
+        ["validate", "--n", "2..3", "--reps", "5000", "--seed", "7"],
     ]
     ok = True
     for idx, args in enumerate(cases):

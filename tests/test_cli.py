@@ -87,7 +87,6 @@ def test_simulate_records_format(capsys):
 def test_cli_output_files_are_bit_identical(tmp_path, capsys):
     args = [
         "validate", "--n", "2..3", "--reps", "2000", "--seed", "7",
-        "--tv-threshold", "0.08", "--ks-threshold", "0.08",
     ]
     path_a = tmp_path / "a.csv"
     path_b = tmp_path / "b.csv"
@@ -115,14 +114,53 @@ def test_unknown_experiment_id_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
-def test_validation_failure_exit_code(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "validate", "--n", "2", "--reps", "300", "--protocols", "sta",
-        "--tv-threshold", "0.000001",
-    )
+def test_validation_failure_exit_code(capsys, auction_law_on_skip_episodes):
+    # the plain auction's law against idle-skip episodes fails every one of its
+    # rows, and only those, at the derived gates
+    code, out, _ = run_cli(capsys, "validate", "--n", "2..5", "--reps", "5000", "--seed", "7")
     assert code == EXIT_VALIDATION
-    assert "# FAIL" in out
+    failed = [line.split()[2] for line in out.splitlines() if line.startswith("# FAIL")]
+    assert failed == [f"tv:auction:{n}:" for n in range(2, 6)]
+    rows = [line.split(",") for line in out.splitlines() if line.startswith(("tv:", "ks:"))]
+    assert [label for label, _, _, passed in rows if passed == "0"] == [f"tv:auction:{n}" for n in range(2, 6)]
+
+
+def test_validate_passes_correct_code_at_small_reps(capsys):
+    code, out, _ = run_cli(capsys, "validate", "--n", "1..5", "--reps", "2000", "--seed", "7")
+    assert code == EXIT_OK
+    assert "# FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--id", "cri_pmf_sta", "--n", "2..x"],
+        ["validate", "--n", "a,b"],
+        ["simulate", "--protocol", "sta", "--n", "3", "--p", "0.3,x"],
+        ["pmf", "--protocol", "sta", "--n", "3", "--p", "x"],
+    ],
+)
+def test_malformed_range_or_coin_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: malformed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--id", "iter_gain_nearest", "--n", "0"],
+        ["experiment", "--id", "dist_pdf_sdr", "--n", "0"],
+        ["experiment", "--id", "exp_dist_nearest", "--n", "0..2"],
+        ["experiment", "--id", "progress_vs_cri_sta", "--n", "0..2"],
+        ["validate", "--n", "2", "--distance-n", "0"],
+    ],
+)
+def test_zero_distance_multiplicity_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--reps", "200")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+    assert out == ""
 
 
 def test_domain_error_maps_to_usage_exit(capsys):
@@ -302,12 +340,15 @@ def test_module_entry_point_runs_the_cli(capsys):
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():
     # relaysel depends on numpy alone: neither importing the CLI nor running
-    # the distance laws' mean and median loads any scipy module
+    # the distance laws' mean and median, the slot-count checks or the
+    # derived agreement gates loads any scipy module
     commands = [
         ["distance", "--region", "cdr", "--rank", "2", "--of", "5", "--stat", "mean"],
         ["distance", "--region", "sdr", "--rank", "2", "--of", "5", "--stat", "median"],
         ["experiment", "--id", "exp_dist_nearest", "--reps", "40000"],
         ["experiment", "--id", "iter_gain_nearest", "--reps", "40000"],
+        ["experiment", "--id", "cri_pmf_auction", "--reps", "20000"],
+        ["validate", "--reps", "2000"],
     ]
     probe = (
         "import contextlib, io, sys\n"

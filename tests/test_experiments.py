@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from relaysel import experiments
 from relaysel.errors import DomainError
 from relaysel.experiments import (
     EXPERIMENT_IDS,
@@ -11,6 +12,9 @@ from relaysel.experiments import (
     run_experiment,
     validate_agreement,
 )
+from relaysel.pgf import SplitModel, build_pgf
+
+from oracles import sta_slot_mass
 
 
 def small(experiment, **kw):
@@ -19,8 +23,6 @@ def small(experiment, **kw):
         n_values=(2, 3),
         replications=20_000,
         seed=31,
-        tv_threshold=0.03,
-        ks_threshold=0.03,
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -54,14 +56,15 @@ def test_pmf_experiment_pairs_analytic_and_empirical():
 
 def test_pmf_experiment_matches_anchor_values():
     # four initial contenders: the splitting tree resolves in nine slots with
-    # probability close to 0.28; the auction's nine-slot mass is far smaller
-    table = run_experiment(small("cri_pmf_sta", n_values=(4,), replications=1000, tv_threshold=1.0))
+    # probability exactly 69/256
+    table = run_experiment(small("cri_pmf_sta", n_values=(4,), replications=1000))
     sta_at_9 = {(n, k): a for n, k, a, _ in table.rows}[(4, 9)]
-    assert sta_at_9 == pytest.approx(0.28, abs=0.05)
+    assert sta_slot_mass(4, 9) * 256 == 69
+    assert sta_at_9 == pytest.approx(float(sta_slot_mass(4, 9)), abs=1e-12)
 
 
 def test_distance_experiment_has_ccdf_column():
-    table = run_experiment(small("dist_pdf_cdr", n_values=(5,), replications=50_000, ks_threshold=0.015))
+    table = run_experiment(small("dist_pdf_cdr", n_values=(5,), replications=50_000))
     assert table.passed, table.failures
     assert table.columns[-1] == "analytic_ccdf"
     ranks = {row[0] for row in table.rows}
@@ -106,7 +109,7 @@ def test_progress_experiment_links_cri_to_distance():
 
 
 def test_iter_gain_round_means_strictly_increase():
-    table = run_experiment(small("iter_gain_nearest", n_values=(5,), replications=30_000, ks_threshold=0.06))
+    table = run_experiment(small("iter_gain_nearest", n_values=(5,), replications=30_000))
     means = table.diagnostics["round_means"]
     assert means[0] < means[1] < means[2]
 
@@ -118,9 +121,6 @@ def test_every_experiment_id_dispatches():
             n_values=(2, 3),
             replications=2000,
             seed=17,
-            tv_threshold=1.0,
-            ks_threshold=1.0,
-            z_threshold=50.0,
         )
         table = run_experiment(cfg)
         assert table.rows
@@ -128,32 +128,30 @@ def test_every_experiment_id_dispatches():
 
 
 def test_tables_are_reproducible_bit_for_bit():
-    cfg = small("cri_pmf_auction", n_values=(3,), replications=5000, tv_threshold=1.0)
+    cfg = small("cri_pmf_auction", n_values=(3,), replications=5000)
     first = run_experiment(cfg).to_csv()
     second = run_experiment(cfg).to_csv()
     assert first == second
 
 
 def test_table_csv_embeds_provenance():
-    cfg = small("cri_pmf_sta", n_values=(2,), replications=2000, tv_threshold=1.0)
+    cfg = small("cri_pmf_sta", n_values=(2,), replications=2000)
     text = run_experiment(cfg).to_csv()
     assert f"# seed = {cfg.seed}" in text
     assert f"# config_hash = {cfg.config_hash()}" in text
     assert "# toolkit_version = 0.1.0" in text
 
 
-def test_failing_diagnostic_marks_table():
-    cfg = small("cri_pmf_sta", n_values=(2,), replications=500, tv_threshold=1e-6)
-    table = run_experiment(cfg)
+def test_failing_diagnostic_marks_table(auction_law_on_skip_episodes):
+    # the plain auction's law against idle-skip episodes: every row must fail
+    table = run_experiment(small("cri_pmf_auction", n_values=(2, 3, 4, 5), replications=5000))
     assert not table.passed
-    assert any("tv_n2" in f for f in table.failures)
-    assert "# FAIL" in table.to_csv()
+    assert [f.split(":")[0] for f in table.failures] == ["tv_n2", "tv_n3", "tv_n4", "tv_n5"]
+    assert "# FAIL tv_n2" in table.to_csv()
 
 
 def test_validate_agreement_reports_every_check():
-    table = validate_agreement(
-        n_values=(2,), replications=5000, seed=3, tv_threshold=0.05, ks_threshold=0.05
-    )
+    table = validate_agreement(n_values=(2,), replications=5000, seed=3)
     checks = {row[0] for row in table.rows}
     assert "tv:sta:2" in checks
     assert "tv:auction:2" in checks
@@ -161,3 +159,68 @@ def test_validate_agreement_reports_every_check():
     assert "ks:sdr:rank1" in checks
     assert "ks:cdr:rank5" in checks
     assert table.passed, table.failures
+
+
+def test_derived_gates_follow_the_stated_alpha():
+    # DKW at 100k samples and alpha 1e-3: sqrt(ln(2000) / 200000)
+    assert experiments._ks_gate(100_000, 1e-3) == pytest.approx(0.0061648, abs=1e-7)
+    assert experiments._ks_gate(400_000, 1e-3) == pytest.approx(0.0061648 / 2, abs=1e-7)
+    # the two-sided normal quantile: erfc(z / sqrt 2) = alpha
+    for alpha, z in ((0.05, 1.959963984540054), (1e-3, 3.290526731491926), (1e-9, 6.109410204869)):
+        assert experiments._z_gate(alpha) == pytest.approx(z, rel=1e-12)
+    # one statistical row more shrinks every row's share of ALPHA
+    checks = experiments._Checks()
+    checks.ks("a", 0.0, 1000)
+    alone = checks.verdicts()[0][2]
+    checks.ks("b", 0.0, 1000)
+    assert checks.verdicts()[0][2] == pytest.approx(experiments._ks_gate(1000, experiments.ALPHA / 2))
+    assert checks.verdicts()[0][2] > alone
+    checks.require(False, "exact")
+    assert len(checks.verdicts()) == 2  # exact checks take no share of ALPHA
+
+
+def test_tv_gate_shrinks_with_samples_and_grows_with_confidence():
+    series = build_pgf("sta", SplitModel(3))
+    gate = experiments._tv_gate(2000, series, 1e-3)
+    assert experiments._tv_gate(8000, series, 1e-3) < gate
+    assert experiments._tv_gate(2000, series, 1e-6) > gate
+    # every cell up to the cut and one pooled tail: sqrt(2 (K ln 2 + ln 1000) / N) / 2 + slack
+    cut = series.truncation_index(0.999)
+    t = math.sqrt(2.0 * ((cut + 2) * math.log(2.0) + math.log(1e3)) / 2000)
+    tail = 1.0 - float(series.cdf()[cut])
+    assert gate == pytest.approx(0.5 * t + tail + 0.0005, abs=1e-8)
+
+
+@pytest.mark.parametrize("experiment", [ex for ex in EXPERIMENT_IDS if not ex.startswith("cri_pmf")])
+def test_distance_families_reject_zero_relays_before_any_work(experiment):
+    with pytest.raises(DomainError):
+        ExperimentConfig(experiment=experiment, n_values=(0,))
+    with pytest.raises(DomainError):
+        ExperimentConfig(experiment=experiment, n_values=(0, 1, 2))
+
+
+def test_slot_count_families_and_validate_accept_zero_contenders(monkeypatch):
+    table = run_experiment(ExperimentConfig(experiment="cri_pmf_sta", n_values=(0, 1), replications=200))
+    assert table.passed, table.failures
+    table = validate_agreement(n_values=(0,), replications=200, protocols=("sta",), distance_n=1)
+    assert [row[0] for row in table.rows] == ["tv:sta:0", "ks:sdr:rank1", "ks:cdr:rank1"]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampled before the distance multiplicity was checked")
+
+    monkeypatch.setattr(experiments, "run_episode_batch", no_work)
+    with pytest.raises(DomainError):
+        validate_agreement(n_values=(2,), replications=200, distance_n=0)
+
+
+def test_validate_hash_covers_every_input():
+    base = dict(n_values=(2,), replications=200, seed=3, protocols=("sta",), distance_n=2)
+
+    def digest(**changes):
+        return validate_agreement(**{**base, **changes}).provenance["config_hash"]
+
+    first = digest()
+    assert digest() == first
+    assert digest(protocols=("sta", "auction")) != first
+    assert digest(distance_n=3) != first
+    assert digest(seed=4) != first
