@@ -203,10 +203,9 @@ def _cmd_experiment(args) -> int:
     experiment = pick(args.id, "experiment", None)
     if experiment is None:
         raise DomainError("an experiment id is required (--id or config file)")
-    n_raw = pick(args.n, "n_values", "2..5")
     cfg = ExperimentConfig(
         experiment=experiment,
-        n_values=_parse_range(n_raw) if isinstance(n_raw, str) else tuple(n_raw),
+        n_values=_as_multiplicities(pick(args.n, "n_values", "2..5")),
         q=pick(args.q, "q", 2),
         p=_parse_probs(args.p) if args.p is not None else _as_probs(base.get("p")),
         r=pick(args.r, "r", 1.0),
@@ -219,6 +218,15 @@ def _cmd_experiment(args) -> int:
     table = run_experiment(cfg)
     _emit(table.to_csv(), args.out)
     return EXIT_OK if table.passed else EXIT_VALIDATION
+
+
+def _as_multiplicities(value) -> tuple[int, ...]:
+    """``--n`` text, or a config file's ``n_values``: such text or a list of integers."""
+    if isinstance(value, str):
+        return _parse_range(value)
+    if not isinstance(value, list) or not all(type(n) is int for n in value):
+        raise DomainError(f"n_values must be a range or a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def _as_probs(value):

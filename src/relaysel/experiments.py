@@ -75,6 +75,10 @@ class ExperimentConfig:
         # every family but the slot-count PMFs draws neighbour distances
         if not self.experiment.startswith("cri_pmf") and min(self.n_values) < 1:
             raise DomainError(f"{self.experiment} needs at least one relay per multiplicity")
+        # the distance-PDF tables rank the neighbours of the last multiplicity
+        for rank in self.ranks or ():
+            if not 1 <= rank <= self.n_values[-1]:
+                raise DomainError(f"rank {rank} outside [1, {self.n_values[-1]}]")
 
     def config_hash(self) -> str:
         blob = json.dumps(

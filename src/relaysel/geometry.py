@@ -43,6 +43,10 @@ _GL_MAX_PANELS = 256
 # distances, then Newton steps to rounding
 _PLACEMENT_TABLE_POINTS = 4097
 _PLACEMENT_NEWTON_STEPS = 3
+# points are placed this many at a time: each float64 temporary is 64 KB,
+# under glibc's 128 KB mmap threshold, so a block's ufuncs reuse heap memory
+# where whole-array temporaries would each map and fault in fresh pages
+_PLACE_BLOCK = 8192
 
 
 class Point2(NamedTuple):
@@ -191,13 +195,15 @@ class SectorRegion:
         points come back with a trailing axis of (x, y).  Uniform ``u`` and
         ``v`` give points uniform over the sector.
         """
+        return _place_in_blocks(self._place_block, u, v)
+
+    def _place_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         base = math.atan2(self.axis[1], self.axis[0])
         lo2 = self.inner_radius**2
         r = np.sqrt(lo2 + u * (self.radius**2 - lo2))
         theta = base + (v - 0.5) * self.aperture
-        return np.stack(
-            (self.center.x + r * np.cos(theta), self.center.y + r * np.sin(theta)), axis=-1
-        )
+        out[:, 0] = self.center.x + r * np.cos(theta)
+        out[:, 1] = self.center.y + r * np.sin(theta)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.place(rng.random(n), rng.random(n))
@@ -343,9 +349,16 @@ class LensRegion:
         arrays of uniforms in [0, 1) of one shape, and uniform ``u`` and ``v``
         give points uniform over the slice, with ``u`` their anchor mass.
         """
+        return _place_in_blocks(self._place_block, u, v)
+
+    def _place_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         table_s, table_mass, lo, span = self._placement_table
         target = lo + u * span
-        s = np.interp(u, table_mass, table_s)
+        # interp looks each key up from the last one's index: in key order
+        # the lookups walk the table once instead of jumping about it
+        order = np.argsort(u)
+        s = np.empty_like(u)
+        s[order] = np.interp(u[order], table_mass, table_s)
         for _ in range(_PLACEMENT_NEWTON_STEPS):
             area, slope = self._disk_overlap(s)
             step = np.divide(area - target, slope, out=np.zeros_like(s), where=slope > 0.0)
@@ -353,7 +366,8 @@ class LensRegion:
         half_arc = np.arccos(np.minimum(s / (2.0 * self.radius), 1.0))
         phi = math.atan2(-self.axis[1], -self.axis[0]) + (2.0 * v - 1.0) * half_arc
         a = self.anchor
-        return np.stack((a.x + s * np.cos(phi), a.y + s * np.sin(phi)), axis=-1)
+        out[:, 0] = a.x + s * np.cos(phi)
+        out[:, 1] = a.y + s * np.sin(phi)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` points uniform over the slice, by inverse transform."""
@@ -398,6 +412,19 @@ class LensRegion:
 
 
 Region = SectorRegion | LensRegion
+
+
+def _place_in_blocks(place_block, u, v) -> np.ndarray:
+    """Points of uniforms ``u`` and ``v`` of one shape, with a trailing axis
+    of (x, y): ``place_block(u, v, out)`` fills ``out`` for flat blocks of
+    at most ``_PLACE_BLOCK`` uniforms."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    out = np.empty(u.shape + (2,))
+    flat_u, flat_v, flat_out = u.reshape(-1), v.reshape(-1), out.reshape(-1, 2)
+    for start in range(0, flat_u.size, _PLACE_BLOCK):
+        block = slice(start, start + _PLACE_BLOCK)
+        place_block(flat_u[block], flat_v[block], flat_out[block])
+    return out
 
 
 def region_from_spec(spec: dict) -> Region:
@@ -680,9 +707,20 @@ def sample_topology(
 def sample_sorted_separations(
     region: Region, n_points: int, draws: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(draws, n_points) source separations, row-sorted; bulk path for experiments."""
-    pts = region.sample(draws * n_points, rng)
-    src = region.source if isinstance(region, LensRegion) else region.center
-    d = np.hypot(pts[:, 0] - src.x, pts[:, 1] - src.y).reshape(draws, n_points)
-    d.sort(axis=1)
-    return d
+    """(draws, n_points) source separations, row-sorted; bulk path for experiments.
+
+    The uniforms are drawn as ``region.sample`` draws them; the rows are
+    then placed, measured and sorted a block of about ``_PLACE_BLOCK``
+    points at a time, so no whole-size temporary is held.
+    """
+    u = rng.random(draws * n_points).reshape(draws, n_points)
+    v = rng.random(draws * n_points).reshape(draws, n_points)
+    out = np.empty((draws, n_points))
+    rows = max(1, _PLACE_BLOCK // max(n_points, 1))
+    src = region.source
+    for start in range(0, draws, rows):
+        block = slice(start, start + rows)
+        pts = region.place(u[block], v[block])
+        np.hypot(pts[..., 0] - src.x, pts[..., 1] - src.y, out=out[block])
+        out[block].sort(axis=1)
+    return out

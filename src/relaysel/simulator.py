@@ -40,6 +40,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -453,29 +454,45 @@ def _block_keys(seed, replications: int, n: int):
 
 
 class _Deployment:
-    """A block of episodes' relays: (episodes, n) arrays from the placement
-    and awake draws."""
+    """A block of episodes' relays: (episodes, n) arrays from the awake draws
+    and the placement's first uniform ``u``, the lens relay's anchor mass.
+
+    The elections and their record lines read only these.  The relays are
+    placed when ``separations`` or ``projections`` is first read, each
+    block at most once.
+    """
 
     def __init__(self, config: EpisodeConfig, keys: np.ndarray):
-        region = config.region
-        relay = np.arange(config.n, dtype=np.uint64)
-        column = keys[:, None]
-        # the placement's first uniform is the lens relay's anchor mass
-        self.u = _uniforms(column, _PLACE_U, relay)
-        pts = region.place(self.u, _uniforms(column, _PLACE_V, relay))
-        sx, sy = region.source
-        dx, dy = pts[..., 0] - sx, pts[..., 1] - sy
-        self.separations = np.hypot(dx, dy)
-        # progress along the axis towards a destination three ranges out
-        ux = (sx + 3.0 * region.radius * region.axis[0]) - sx
-        uy = (sy + 3.0 * region.radius * region.axis[1]) - sy
-        self.projections = (dx * ux + dy * uy) / math.hypot(ux, uy)
+        self.region = config.region
+        self.relay = np.arange(config.n, dtype=np.uint64)
+        self.column = keys[:, None]
+        self.u = _uniforms(self.column, _PLACE_U, self.relay)
         if config.awake_prob >= 1.0:
             self.awake = np.ones(self.u.shape, dtype=bool)
         else:
-            self.awake = _uniforms(column, _AWAKE, relay) < config.awake_prob
+            self.awake = _uniforms(self.column, _AWAKE, self.relay) < config.awake_prob
         self.contenders = self.awake.sum(axis=1)
         self.caps = _SLOT_CAP_PER_CONTENDER * (self.contenders + 1)
+
+    @cached_property
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        pts = self.region.place(self.u, _uniforms(self.column, _PLACE_V, self.relay))
+        sx, sy = self.region.source
+        return pts[..., 0] - sx, pts[..., 1] - sy
+
+    @cached_property
+    def separations(self) -> np.ndarray:
+        return np.hypot(*self._offsets)
+
+    @cached_property
+    def projections(self) -> np.ndarray:
+        # progress along the axis towards a destination three ranges out
+        region = self.region
+        sx, sy = region.source
+        ux = (sx + 3.0 * region.radius * region.axis[0]) - sx
+        uy = (sy + 3.0 * region.radius * region.axis[1]) - sy
+        dx, dy = self._offsets
+        return (dx * ux + dy * uy) / math.hypot(ux, uy)
 
 
 def _tree_slots(keys, dep: _Deployment, q: int, cuts):
@@ -572,14 +589,13 @@ def _elect(config: EpisodeConfig, keys: np.ndarray):
     """(deployment, slots, winner or -1, marks) of a block of elections of
     at least one relay, the request slot left out; ``marks(at)`` yields the
     (positions, sizes) of every slot after the gating one, the episodes'
-    gating slots being at positions ``at``."""
+    gating slots being at positions ``at``.  The tree's winner is None: it
+    is picked by the relays' places, which the election never reads."""
     dep = _Deployment(config, keys)
     cuts = _cuts(config.q, config.p)
     if config.protocol == "sta":
         slots, sizes = _tree_slots(keys, dep, config.q, cuts)
-        metric = dep.separations if config.progress == "separation" else dep.projections
-        # the largest metric wins, the lowest id on ties, as argmax picks
-        winner = np.where(dep.contenders > 0, np.where(dep.awake, metric, -np.inf).argmax(axis=1), -1)
+        winner = None
 
         def marks(at):
             return _tree_marks(sizes, config.q, at[dep.contenders >= 2])
@@ -601,6 +617,10 @@ def _columns(config: EpisodeConfig, keys: np.ndarray) -> tuple[np.ndarray, ...]:
         slots = np.full(size, 1 + config.include_request_slot)
         return slots, np.full(size, -1), np.zeros(size, dtype=np.int64), np.full(size, np.nan)
     dep, slots, winner, _ = _elect(config, keys)
+    if winner is None:
+        metric = dep.separations if config.progress == "separation" else dep.projections
+        # the largest metric wins, the lowest id on ties, as argmax picks
+        winner = np.where(dep.contenders > 0, np.where(dep.awake, metric, -np.inf).argmax(axis=1), -1)
     has = winner >= 0
     w = np.where(has, winner, 0)
     dist = dep.separations[np.arange(w.size), w]

@@ -309,6 +309,24 @@ def test_experiment_flags_override_config_file(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "dist_pdf_sdr", "n_values": ["a"]},
+        {"experiment": "cri_pmf_sta", "n_values": 3},
+    ],
+)
+def test_malformed_config_n_values_is_usage_error(tmp_path, capsys, config):
+    import json
+
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--reps", "200")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "n_values" in err
+    assert out == ""
+
+
 def test_experiment_without_id_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "experiment")
     assert code == EXIT_USAGE

@@ -1,6 +1,7 @@
 """Decision regions, distance laws, partitioning and point-process sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -564,6 +565,82 @@ def test_placed_points_lie_in_the_region_at_their_anchor_mass(region, uv):
         if isinstance(region, LensRegion):
             s = math.hypot(x - region.anchor.x, y - region.anchor.y)
             assert abs(anchor_mass_by_quadrature(region, s) - mass) <= 1e-12
+
+
+def _whole_array_place(region, u, v) -> np.ndarray:
+    """The placement formulas over whole arrays, the lens start in one
+    ``np.interp`` call in the keys' own order: the reference that blocked
+    placement must match byte for byte."""
+    if isinstance(region, SectorRegion):
+        base = math.atan2(region.axis[1], region.axis[0])
+        lo2 = region.inner_radius**2
+        r = np.sqrt(lo2 + u * (region.radius**2 - lo2))
+        theta = base + (v - 0.5) * region.aperture
+        return np.stack(
+            (region.center.x + r * np.cos(theta), region.center.y + r * np.sin(theta)), axis=-1
+        )
+    table_s, table_mass, lo, span = region._placement_table
+    target = lo + u * span
+    s = np.interp(u, table_mass, table_s)
+    for _ in range(geometry._PLACEMENT_NEWTON_STEPS):
+        area, slope = region._disk_overlap(s)
+        step = np.divide(area - target, slope, out=np.zeros_like(s), where=slope > 0.0)
+        s = np.clip(s - step, region.inner_rho, region.rho)
+    half_arc = np.arccos(np.minimum(s / (2.0 * region.radius), 1.0))
+    phi = math.atan2(-region.axis[1], -region.axis[0]) + (2.0 * v - 1.0) * half_arc
+    a = region.anchor
+    return np.stack((a.x + s * np.cos(phi), a.y + s * np.sin(phi)), axis=-1)
+
+
+def _whole_array_separations(region, n_points, draws, rng) -> np.ndarray:
+    """Sorted separations from one whole-array placement of every point."""
+    pts = _whole_array_place(region, rng.random(draws * n_points), rng.random(draws * n_points))
+    d = np.hypot(pts[:, 0] - region.source.x, pts[:, 1] - region.source.y)
+    d = d.reshape(draws, n_points)
+    d.sort(axis=1)
+    return d
+
+
+_B = geometry._PLACE_BLOCK
+
+
+@settings(max_examples=30, deadline=None)
+@given(region=regions(), seed=st.integers(0, 2**32 - 1))
+def test_blocked_placement_equals_the_whole_array_formulas(region, seed):
+    rng = np.random.default_rng(seed)
+    for shape in [(0,), (1,), (_B - 1,), (_B,), (_B + 1,), (3, _B + 5)]:
+        u, v = rng.random(shape), rng.random(shape)
+        u.flat[::97] = 0.5  # ties in the lens start's key order
+        pts = region.place(u, v)
+        assert pts.shape == shape + (2,)
+        assert pts.tobytes() == _whole_array_place(region, u, v).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(region=regions(), seed=st.integers(0, 2**32 - 1))
+@example(region=LensRegion(), seed=0)
+def test_blocked_separations_equal_the_whole_array_pipeline(region, seed):
+    # row blocks of _B // n_points rows: no draws at all, no points per
+    # draw, a last block short of the others, and rows wider than a block
+    for draws, n_points in [(0, 5), (5, 0), (1700, 5), (7, 3), (3, _B + 3)]:
+        got = sample_sorted_separations(region, n_points, draws, np.random.default_rng(seed))
+        want = _whole_array_separations(region, n_points, draws, np.random.default_rng(seed))
+        assert got.shape == (draws, n_points)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sorted_separations_hold_no_whole_size_temporary():
+    # the uniforms and the output are 3 x 1.6 MB; whole-array placement
+    # peaked at ~21 MB, the blocked one stays within ~1.5 MB of them
+    draws, n_points = 40_000, 5
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        sample_sorted_separations(LensRegion(), n_points, draws, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * draws * n_points * 8 + 1.5e6
 
 
 def test_topology_rejects_out_of_range_relay():

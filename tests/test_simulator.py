@@ -389,6 +389,19 @@ def test_lines_from_the_columns_equal_the_replayed_lines(monkeypatch, protocol, 
                     assert list(records.lines()) == [r.to_line() for r in records]
 
 
+@pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
+def test_record_lines_place_no_relay(monkeypatch, protocol):
+    # the traces need the awake flags and the anchor masses, not the places
+    region = SECTOR if protocol == "sta" else LENS
+    records, _ = run_episode_batch(EpisodeConfig(protocol=protocol, n=5, region=region), 300, 29)
+
+    def no_placement(*args):
+        raise AssertionError("record lines placed relays")
+
+    monkeypatch.setattr(type(region), "place", no_placement)
+    assert len(list(records.lines())) == 300
+
+
 @pytest.mark.parametrize("protocol", ["sta", "auction"])
 def test_lines_from_the_columns_cross_a_full_block(protocol):
     cfg = EpisodeConfig(protocol=protocol, n=8, region=SECTOR if protocol == "sta" else LENS,
