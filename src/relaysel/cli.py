@@ -5,6 +5,11 @@ All output is CSV (or line-delimited episode records for ``simulate``) with
 '#'-prefixed provenance comments; identical arguments and seed always yield
 byte-identical output.  Exit codes: 0 success, 2 usage error, 3 validation
 failure, 4 resource limit.
+
+Every option is one entry of ``OPTIONS``: argparse collects its text, its
+converter types that text or its JSON value in an ``experiment --config``
+file, and the constructor it is passed to checks its domain.  An option not
+given is not passed, so the callee's own default applies.
 """
 
 from __future__ import annotations
@@ -14,16 +19,25 @@ import io
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, InfeasibleRegionError, ResourceLimitError, TruncationError
+from .errors import (
+    DomainError,
+    InfeasibleRegionError,
+    ResourceLimitError,
+    TruncationError,
+    as_int,
+    as_real,
+    of_type,
+)
 from .experiments import (
     DEFAULT_REPLICATIONS,
+    DEFAULT_SEED,
     EXPERIMENT_IDS,
     ExperimentConfig,
-    ResultTable,
     run_experiment,
     validate_agreement,
 )
@@ -47,54 +61,171 @@ EXIT_RESOURCE = 4
 SEED_ENV_VAR = "RELAYSEL_SEED"
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is not None:
+# ---------------------------------------------------------------------------
+# converters: command-line text or a JSON value, and the name it came under,
+# to a typed value or a DomainError naming the option
+
+
+class _Text(str):
+    """Command-line or environment text, which the numeric converters parse;
+    a JSON string is no number."""
+
+
+def _int(value, name: str) -> int:
+    """Integer text, or a number with no fractional part; never a bool."""
+    if isinstance(value, _Text):
         try:
-            return int(raw)
-        except ValueError as exc:
-            raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return 12345
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    return as_int(value, name)
 
 
-def _parse_range(text: str) -> tuple[int, ...]:
-    """'2..5' -> (2,3,4,5); '4' -> (4,); '2,4,7' -> (2,4,7)."""
-    text = text.strip()
+def _real(value, name: str) -> float:
+    """Real text or a number, finite either way."""
+    if isinstance(value, _Text):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    return as_real(value, name)
+
+
+_text = of_type(str)
+_flag = of_type(bool)  # a flag given on the command line is True
+
+
+def _range(value, name: str) -> tuple[int, ...]:
+    """'2..5' -> (2, 3, 4, 5); '2,4,7' or a JSON list of integers -> those."""
+    if isinstance(value, list):
+        return tuple(_int(n, name) for n in value)
+    if isinstance(value, str):
+        lo, dots, hi = value.partition("..")
+        try:
+            return tuple(range(int(lo), int(hi) + 1)) if dots else tuple(int(n) for n in value.split(","))
+        except ValueError:
+            pass
+    raise DomainError(f"malformed multiplicity range {value!r} for {name}")
+
+
+def _probs(value, name: str) -> tuple[float, ...]:
+    """'0.3' -> (0.3, 0.7); '0.2,0.3,0.5' or a JSON list of reals -> those."""
+    if isinstance(value, str):
+        try:
+            value = [float(x) for x in value.split(",")]
+        except ValueError:
+            raise DomainError(f"malformed group probabilities {value!r} for {name}") from None
+        if len(value) == 1:
+            value.append(1.0 - value[0])
+    if not isinstance(value, list):
+        raise DomainError(f"malformed group probabilities {value!r} for {name}")
+    return tuple(_real(x, name) for x in value)
+
+
+def _protocol(value, name: str) -> str:
+    return _text(value, name).replace("-", "_")
+
+
+def _protocols(value, name: str) -> tuple[str, ...]:
+    return tuple(_protocol(p, name) for p in _text(value, name).split(","))
+
+
+def _one_of(*choices: str):
+    def convert(value, name: str) -> str:
+        if value not in choices:
+            raise DomainError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return convert
+
+
+class Option(NamedTuple):
+    flag: str
+    key: str  # the keyword the value is passed as; for experiment, its config key
+    convert: Callable
+    commands: str  # the subcommands that take it
+    help: str
+    default: object = argparse.SUPPRESS  # SUPPRESS: not passed, the callee's default applies
+    required: bool = False
+
+
+OPTIONS = (
+    Option("--protocol", "protocol", _protocol, "pmf invert simulate", "sta, auction or auction-skip",
+           required=True),
+    Option("--id", "experiment", _text, "experiment", f"experiment family: {', '.join(EXPERIMENT_IDS)}"),
+    Option("--config", "config", _text, "experiment", "JSON file of config keys; flags take precedence"),
+    Option("--n", "n", _int, "pmf invert simulate", "initial conflict multiplicity", required=True),
+    Option("--n", "n_values", _range, "experiment validate", "multiplicity range, e.g. 2..5 or 2,4"),
+    Option("--q", "q", _int, "pmf invert simulate experiment", "number of splitting groups"),
+    Option("--p", "p", _probs, "pmf invert simulate experiment", "group probabilities, e.g. 0.4 or 0.2,0.5,0.3"),
+    Option("--min-prob", "min_prob", _real, "pmf", "hide entries at or below this mass", default=1e-12),
+    Option("--k", "k", _int, "invert", "slot count to recover", required=True),
+    Option("--radius", "r", _real, "invert", "evaluation radius in (0,1)"),
+    Option("--gamma", "gamma", _real, "invert", "aliasing exponent when radius unset"),
+    Option("--region", "region", _one_of("sdr", "cdr"), "distance simulate", "sdr or cdr", default="cdr"),
+    Option("--r", "r", _real, "distance simulate experiment validate", "transmission range (m)"),
+    Option("--rho", "rho", _real, "distance simulate experiment validate", "lens outer radius (default: r)"),
+    Option("--aperture", "aperture", _real, "distance simulate experiment", "sector aperture (rad)"),
+    Option("--rank", "rank", _int, "distance", "neighbour rank (1 = nearest)", required=True),
+    Option("--of", "n_points", _int, "distance", "number of candidate relays", required=True),
+    Option("--stat", "stat", _one_of("ccdf", "pdf", "mean", "median"), "distance", "the law", default="ccdf"),
+    Option("--d", "d", _real, "distance", "evaluate at one distance instead of a grid"),
+    Option("--reps", "replications", _int, "simulate experiment validate", "number of replications"),
+    Option("--format", "format", _one_of("csv", "records"), "simulate", "csv or records", default="csv"),
+    Option("--count-request-slot", "include_request_slot", _flag, "simulate", "count the source's request slot"),
+    Option("--skip", "skip", _flag, "experiment", "use the idle-skip auction variant"),
+    Option("--protocols", "protocols", _protocols, "validate", "comma-separated protocols"),
+    Option("--distance-n", "distance_n", _int, "validate", "relays in the distance-law checks"),
+    Option("--seed", "seed", _int, "pmf invert distance simulate experiment validate",
+           f"master random seed (default: ${SEED_ENV_VAR}, else {DEFAULT_SEED})"),
+    Option("--out", "out", _text, "pmf invert distance simulate experiment validate",
+           "output path (default: stdout)"),
+)
+
+
+def options_of(command: str) -> list[Option]:
+    return [opt for opt in OPTIONS if command in opt.commands.split()]
+
+
+# an experiment config file's keys: those of experiment's options that set ExperimentConfig fields
+CONFIG_KEYS = {opt.key: opt for opt in options_of("experiment") if opt.key not in ("config", "out")}
+
+
+def _read_config(path: str) -> dict:
     try:
-        if ".." in text:
-            lo, hi = (int(part) for part in text.split("..", 1))
-            values = tuple(range(lo, hi + 1))
-        else:
-            values = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"malformed multiplicity range {text!r}") from exc
-    if not values:
-        raise DomainError(f"empty range {text!r}")
-    return values
+        with open(path) as fh:
+            config = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"config file {path} is not JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise DomainError("config file must hold a JSON object")
+    unknown = sorted(set(config) - set(CONFIG_KEYS))
+    if unknown:
+        raise DomainError(f"unknown config keys {unknown}; expected some of {sorted(CONFIG_KEYS)}")
+    # a key set to null is as good as absent
+    return {key: CONFIG_KEYS[key].convert(value, key) for key, value in config.items() if value is not None}
 
 
-def _parse_probs(text: str | None) -> tuple[float, ...] | None:
-    if text is None:
-        return None
-    try:
-        parts = [float(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise DomainError(f"malformed group probabilities {text!r}") from exc
-    if len(parts) == 1:
-        return (parts[0], 1.0 - parts[0])
-    return tuple(parts)
+def _options(args) -> dict:
+    """The seed's default, under a config file's keys, under the flags given."""
+    given = {
+        opt.key: opt.convert(getattr(args, opt.key), opt.flag)
+        for opt in options_of(args.command)
+        if hasattr(args, opt.key)
+    }
+    config = _read_config(given.pop("config")) if "config" in given else {}
+    seed = _int(_Text(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)), SEED_ENV_VAR)
+    return {"seed": seed, **config, **given}
 
 
-def _canon_protocol(name: str) -> str:
-    return name.replace("-", "_")
+def _take(opts: dict, *keys: str) -> dict:
+    return {key: opts[key] for key in keys if key in opts}
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# ---------------------------------------------------------------------------
+# subcommands: each takes the typed options and returns (text, exit code)
 
 
 def _simple_table(columns, rows, seed=None) -> str:
@@ -108,263 +239,129 @@ def _simple_table(columns, rows, seed=None) -> str:
     return buf.getvalue()
 
 
-def _build_region(args):
-    if args.region == "cdr":
-        return LensRegion(radius=args.r, rho=args.rho)
-    if args.aperture is not None:
-        return SectorRegion(radius=args.r, aperture=args.aperture)
-    return calibrate_sdr(LensRegion(radius=args.r, rho=args.rho))
+def _build_region(opts):
+    size = {"radius": opts["r"]} if "r" in opts else {}
+    if opts["region"] == "sdr" and "aperture" in opts:
+        return SectorRegion(aperture=opts["aperture"], **size)
+    lens = LensRegion(**size, **_take(opts, "rho"))
+    return lens if opts["region"] == "cdr" else calibrate_sdr(lens)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _series(opts):
+    return build_pgf(opts["protocol"], SplitModel(**_take(opts, "n", "q", "p")))
 
 
-def _cmd_pmf(args) -> int:
-    model = SplitModel(n=args.n, q=args.q, p=_parse_probs(args.p))
-    series = build_pgf(_canon_protocol(args.protocol), model)
+def _cmd_pmf(opts):
+    series = _series(opts)
     rows = [
         (k, float(series.coeffs[k]))
         for k in range(series.k_max + 1)
-        if series.coeffs[k] > args.min_prob
+        if series.coeffs[k] > opts["min_prob"]
     ]
-    _emit(_simple_table(["k_slots", "probability"], rows), args.out)
-    return EXIT_OK
+    return _simple_table(["k_slots", "probability"], rows), EXIT_OK
 
 
-def _cmd_invert(args) -> int:
-    model = SplitModel(n=args.n, q=args.q, p=_parse_probs(args.p))
-    series = build_pgf(_canon_protocol(args.protocol), model)
-    params = InversionParams(r=args.radius, gamma=args.gamma)
-    result = invert_fourier(series, args.k, params)
-    direct = series.coefficient(args.k)
-    rows = [(args.k, result.prob, result.raw, direct)]
-    _emit(_simple_table(["k_slots", "estimate", "raw_estimate", "direct_coefficient"], rows), args.out)
-    return EXIT_OK
+def _cmd_invert(opts):
+    series = _series(opts)
+    k = opts["k"]
+    result = invert_fourier(series, k, InversionParams(**_take(opts, "r", "gamma")))
+    rows = [(k, result.prob, result.raw, series.coefficient(k))]
+    return _simple_table(["k_slots", "estimate", "raw_estimate", "direct_coefficient"], rows), EXIT_OK
 
 
-def _cmd_distance(args) -> int:
-    region = _build_region(args)
-    n = args.of
-    rank = args.rank
-    if args.stat == "mean":
-        rows = [(rank, n, expected_nth_distance(region, rank, n))]
-        cols = ["rank", "n", "mean_distance"]
-    elif args.stat == "median":
-        rows = [(rank, n, median_nth_distance(region, rank, n))]
-        cols = ["rank", "n", "median_distance"]
+def _cmd_distance(opts):
+    region = _build_region(opts)
+    rank, n, stat = opts["rank"], opts["n_points"], opts["stat"]
+    if stat in ("mean", "median"):
+        law = expected_nth_distance if stat == "mean" else median_nth_distance
+        rows, cols = [(rank, n, law(region, rank, n))], ["rank", "n", f"{stat}_distance"]
     else:
-        grid = np.array([args.d]) if args.d is not None else region.radius * np.arange(201) / 200
-        fn = nth_neighbor_ccdf if args.stat == "ccdf" else nth_neighbor_pdf
+        grid = np.array([opts["d"]]) if "d" in opts else region.radius * np.arange(201) / 200
+        fn = nth_neighbor_ccdf if stat == "ccdf" else nth_neighbor_pdf
         rows = [(rank, n, d, v) for d, v in zip(grid.tolist(), fn(region, rank, n, grid).tolist())]
-        cols = ["rank", "n", "d", args.stat]
-    _emit(_simple_table(cols, rows), args.out)
-    return EXIT_OK
+        cols = ["rank", "n", "d", stat]
+    return _simple_table(cols, rows), EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    region = _build_region(args)
-    config = EpisodeConfig(
-        protocol=_canon_protocol(args.protocol),
-        n=args.n,
-        region=region,
-        q=args.q,
-        p=_parse_probs(args.p),
-        include_request_slot=args.count_request_slot,
-    )
-    records, summary = run_episode_batch(config, args.reps, args.seed)
-    if args.format == "records":
-        buf = io.StringIO()
-        buf.write(f"# toolkit_version = {__version__}\n")
-        buf.write(f"# seed = {args.seed}\n")
-        buf.writelines(f"{line}\n" for line in records.lines())
-        _emit(buf.getvalue(), args.out)
-    else:
-        rows = [(k, v) for k, v in summary.pmf.items()]
-        rows.append(("mean", summary.mean_slots))
-        rows.append(("variance", summary.var_slots))
-        _emit(_simple_table(["k_slots", "value"], rows, seed=args.seed), args.out)
-    return EXIT_OK
+def _cmd_simulate(opts):
+    episode = _take(opts, "protocol", "n", "q", "p", "include_request_slot")
+    config = EpisodeConfig(region=_build_region(opts), **episode)
+    seed = opts["seed"]
+    records, summary = run_episode_batch(config, opts.get("replications", DEFAULT_REPLICATIONS), seed)
+    if opts["format"] == "records":
+        head = f"# toolkit_version = {__version__}\n# seed = {seed}\n"
+        return head + "".join(f"{line}\n" for line in records.lines()), EXIT_OK
+    rows = [(k, v) for k, v in summary.pmf.items()]
+    rows.append(("mean", summary.mean_slots))
+    rows.append(("variance", summary.var_slots))
+    return _simple_table(["k_slots", "value"], rows, seed=seed), EXIT_OK
 
 
-def _cmd_experiment(args) -> int:
-    base: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
-            raise DomainError("config file must hold a JSON object")
-
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return base.get(key, fallback)
-
-    experiment = pick(args.id, "experiment", None)
-    if experiment is None:
+def _cmd_experiment(opts):
+    if "experiment" not in opts:
         raise DomainError("an experiment id is required (--id or config file)")
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        n_values=_as_multiplicities(pick(args.n, "n_values", "2..5")),
-        q=pick(args.q, "q", 2),
-        p=_parse_probs(args.p) if args.p is not None else _as_probs(base.get("p")),
-        r=pick(args.r, "r", 1.0),
-        rho=pick(args.rho, "rho", None),
-        aperture=pick(args.aperture, "aperture", 3.141592653589793),
-        replications=pick(args.reps, "replications", DEFAULT_REPLICATIONS),
-        seed=pick(args.seed, "seed", _default_seed()),
-        skip=bool(pick(args.skip or None, "skip", False)),
-    )
-    table = run_experiment(cfg)
-    _emit(table.to_csv(), args.out)
-    return EXIT_OK if table.passed else EXIT_VALIDATION
+    return _checked(run_experiment(ExperimentConfig(**opts)))
 
 
-def _as_multiplicities(value) -> tuple[int, ...]:
-    """``--n`` text, or a config file's ``n_values``: such text or a list of integers."""
-    if isinstance(value, str):
-        return _parse_range(value)
-    if not isinstance(value, list) or not all(type(n) is int for n in value):
-        raise DomainError(f"n_values must be a range or a list of integers, got {value!r}")
-    return tuple(value)
+def _cmd_validate(opts):
+    return _checked(validate_agreement(**opts))
 
 
-def _as_probs(value):
-    if value is None:
-        return None
-    return tuple(float(x) for x in value)
+def _checked(table):
+    return table.to_csv(), EXIT_OK if table.passed else EXIT_VALIDATION
 
 
-def _cmd_validate(args) -> int:
-    table = validate_agreement(
-        n_values=_parse_range(args.n),
-        replications=args.reps,
-        seed=args.seed,
-        r=args.r,
-        rho=args.rho,
-        protocols=tuple(_canon_protocol(p) for p in args.protocols.split(",")),
-        distance_n=args.distance_n,
-    )
-    _emit(table.to_csv(), args.out)
-    return EXIT_OK if table.passed else EXIT_VALIDATION
+COMMANDS = {
+    "pmf": (_cmd_pmf, "analytic slot-count PMF of a protocol"),
+    "invert": (_cmd_invert, "contour inversion of a protocol PGF at one index"),
+    "distance": (_cmd_distance, "neighbour-distance laws of a decision region"),
+    "simulate": (_cmd_simulate, "run a batch of contention episodes"),
+    "experiment": (_cmd_experiment, "run one experiment family"),
+    "validate": (_cmd_validate, "full analytic-vs-simulation agreement suite"),
+}
 
 
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub, seed_default):
-    sub.add_argument("--seed", type=int, default=seed_default, help="master random seed")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-
-
-def _add_model_flags(sub):
-    sub.add_argument("--n", type=int, required=True, help="initial conflict multiplicity")
-    sub.add_argument("--q", type=int, default=2, help="number of splitting groups")
-    sub.add_argument("--p", default=None, help="group probabilities, e.g. 0.4 or 0.2,0.3,0.5")
-
-
-def _add_region_flags(sub):
-    sub.add_argument("--region", choices=["sdr", "cdr"], default="cdr")
-    sub.add_argument("--r", type=float, default=1.0, help="transmission range (m)")
-    sub.add_argument("--rho", type=float, default=None, help="lens outer radius (default: r)")
-    sub.add_argument("--aperture", type=float, default=None, help="sector aperture (rad)")
-
-
-def build_parser(seed_default: int) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaysel",
         description="Relay-election slot-count laws, decision-region geometry and simulation.",
     )
     parser.add_argument("--version", action="version", version=f"relaysel {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("pmf", help="analytic slot-count PMF of a protocol")
-    p.add_argument("--protocol", choices=["sta", "auction", "auction-skip", "auction_skip"], required=True)
-    _add_model_flags(p)
-    p.add_argument("--min-prob", type=float, default=1e-12, help="hide entries at or below this mass")
-    _add_common(p, seed_default)
-    p.set_defaults(func=_cmd_pmf)
-
-    p = subs.add_parser("invert", help="contour inversion of a protocol PGF at one index")
-    p.add_argument("--protocol", choices=["sta", "auction", "auction-skip", "auction_skip"], required=True)
-    _add_model_flags(p)
-    p.add_argument("--k", type=int, required=True, help="slot count to recover")
-    p.add_argument("--radius", type=float, default=None, help="evaluation radius in (0,1)")
-    p.add_argument("--gamma", type=float, default=8.0, help="aliasing exponent when radius unset")
-    _add_common(p, seed_default)
-    p.set_defaults(func=_cmd_invert)
-
-    p = subs.add_parser("distance", help="neighbour-distance laws of a decision region")
-    _add_region_flags(p)
-    p.add_argument("--rank", type=int, required=True, help="neighbour rank (1 = nearest)")
-    p.add_argument("--of", type=int, required=True, help="number of candidate relays")
-    p.add_argument("--stat", choices=["ccdf", "pdf", "mean", "median"], default="ccdf")
-    p.add_argument("--d", type=float, default=None, help="evaluate at one distance instead of a grid")
-    _add_common(p, seed_default)
-    p.set_defaults(func=_cmd_distance)
-
-    p = subs.add_parser("simulate", help="run a batch of contention episodes")
-    p.add_argument("--protocol", choices=["sta", "auction", "auction-skip", "auction_skip"], required=True)
-    _add_model_flags(p)
-    _add_region_flags(p)
-    p.add_argument("--reps", type=int, default=DEFAULT_REPLICATIONS)
-    p.add_argument("--format", choices=["csv", "records"], default="csv")
-    p.add_argument("--count-request-slot", action="store_true",
-                   help="include the source's request slot in the slot count")
-    _add_common(p, seed_default)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = subs.add_parser("experiment", help="run one experiment family")
-    p.add_argument("--id", choices=list(EXPERIMENT_IDS), default=None)
-    p.add_argument("--config", default=None,
-                   help="JSON config file; explicit flags take precedence")
-    p.add_argument("--n", default=None, help="multiplicity range, e.g. 2..5")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--p", default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--aperture", type=float, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--skip", action="store_true", help="use the idle-skip auction variant")
-    p.add_argument("--seed", type=int, default=None, help="master random seed")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_experiment)
-
-    p = subs.add_parser("validate", help="full analytic-vs-simulation agreement suite")
-    p.add_argument("--n", default="2..5")
-    p.add_argument("--reps", type=int, default=DEFAULT_REPLICATIONS)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--protocols", default="sta,auction,auction-skip")
-    p.add_argument("--distance-n", type=int, default=5)
-    _add_common(p, seed_default)
-    p.set_defaults(func=_cmd_validate)
-
+    for command, (run, text) in COMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        sub.set_defaults(run=run)
+        for opt in options_of(command):
+            store = {"action": "store_const", "const": True} if opt.convert is _flag else {"type": _Text}
+            sub.add_argument(opt.flag, dest=opt.key, default=opt.default, required=opt.required, help=opt.help,
+                             **store)
     return parser
 
 
 def cli_main(argv=None) -> int:
     try:
-        seed_default = _default_seed()
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    parser = build_parser(seed_default)
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (DomainError, InfeasibleRegionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        opts = _options(args)
+        out = opts.pop("out", None)
+        text, code = args.run(opts)
+        if out:
+            with open(out, "w", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except (DomainError, InfeasibleRegionError, OSError) as exc:
+        error, code = exc, EXIT_USAGE
     except (ResourceLimitError, TruncationError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RESOURCE
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        error, code = exc, EXIT_RESOURCE
+    sys.stderr.write(f"error: {error}\n")
+    return code
 
 
 def main() -> None:

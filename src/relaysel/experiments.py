@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError, check_fields
 from .geometry import (
     LensRegion,
     SectorRegion,
@@ -34,7 +34,7 @@ from .geometry import (
     partition_region,
     sample_sorted_separations,
 )
-from .pgf import SplitModel, build_pgf, moments
+from .pgf import K_CAP, SplitModel, build_pgf, moments
 from .simulator import EpisodeConfig, run_episode_batch, total_variation
 
 DEFAULT_SEED = 12345
@@ -62,6 +62,7 @@ class ExperimentConfig:
     ranks: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.experiment not in EXPERIMENT_IDS:
             raise DomainError(
                 f"unknown experiment {self.experiment!r}; expected one of {', '.join(EXPERIMENT_IDS)}"
@@ -70,6 +71,9 @@ class ExperimentConfig:
             raise DomainError("transmission range must be positive")
         if self.replications < 1:
             raise DomainError("need at least one replication")
+        # the distance families build no SplitModel, yet split regions into q bands
+        if self.q > K_CAP:
+            raise ResourceLimitError(f"{self.q} splitting groups exceed the limit of {K_CAP}")
         if not self.n_values:
             raise DomainError("empty multiplicity range")
         # every family but the slot-count PMFs draws neighbour distances
@@ -429,6 +433,8 @@ def validate_agreement(
     the KS statistic for every neighbour rank at ``distance_n`` relays.  Each
     row reports its statistic, its derived gate and whether it passed.
     """
+    if not n_values:
+        raise DomainError("empty multiplicity range")
     if distance_n < 1:
         raise DomainError("the distance checks need at least one relay (distance_n >= 1)")
     lens = LensRegion(radius=r, rho=rho)

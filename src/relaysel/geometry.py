@@ -19,13 +19,14 @@ can be partitioned again.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleRegionError
+from .errors import DomainError, InfeasibleRegionError, ResourceLimitError, check_fields
 
 _TWO_PI = 2.0 * math.pi
 # Array arguments are told apart by ``type(x) is _NDARRAY``: on the scalar
@@ -47,6 +48,12 @@ _PLACEMENT_NEWTON_STEPS = 3
 # under glibc's 128 KB mmap threshold, so a block's ufuncs reuse heap memory
 # where whole-array temporaries would each map and fault in fresh pages
 _PLACE_BLOCK = 8192
+# No episode deploys, and no separation sample holds, more points than this:
+# 1024 placement blocks.  An episode's splitting tree peaks near 120 bytes
+# per relay (1.0 GB at the cap), and a sample holds 24 bytes per point whole.
+MAX_POINTS = 1024 * _PLACE_BLOCK
+# a region's radius: its square is a normal float, and so is (2 r)^2 finite
+_RADIUS_RANGE = (math.sqrt(sys.float_info.min), 0.5 * math.sqrt(sys.float_info.max))
 
 
 class Point2(NamedTuple):
@@ -121,6 +128,12 @@ def _check_distance(d, radius: float) -> None:
         raise DomainError(f"distance {d} outside [0, {radius}]")
 
 
+def _check_radius(radius: float) -> None:
+    lo, hi = _RADIUS_RANGE
+    if not lo <= radius <= hi:
+        raise DomainError(f"radius must lie in [{lo:.4g}, {hi:.4g}], got {radius}")
+
+
 def _unit(v: tuple[float, float]) -> tuple[float, float]:
     norm = math.hypot(v[0], v[1])
     if norm == 0.0 or not math.isfinite(norm):
@@ -143,8 +156,8 @@ class SectorRegion:
     inner_radius: float = 0.0
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise DomainError("radius must be positive and finite")
+        check_fields(self)
+        _check_radius(self.radius)
         if not 0.0 < self.aperture <= _TWO_PI + 1e-12:
             raise DomainError("aperture must lie in (0, 2*pi]")
         if not 0.0 <= self.inner_radius < self.radius:
@@ -247,8 +260,8 @@ class LensRegion:
     inner_rho: float = 0.0
 
     def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise DomainError("radius must be positive and finite")
+        check_fields(self)
+        _check_radius(self.radius)
         if self.rho is None:
             object.__setattr__(self, "rho", self.radius)
         if not 0.0 < self.rho <= 2.0 * self.radius + 1e-12:
@@ -711,8 +724,11 @@ def sample_sorted_separations(
 
     The uniforms are drawn as ``region.sample`` draws them; the rows are
     then placed, measured and sorted a block of about ``_PLACE_BLOCK``
-    points at a time, so no whole-size temporary is held.
+    points at a time, so no whole-size temporary is held.  More than
+    ``MAX_POINTS`` points in all are refused before any is drawn.
     """
+    if draws * n_points > MAX_POINTS:
+        raise ResourceLimitError(f"{draws} draws of {n_points} points exceed the limit of {MAX_POINTS}")
     u = rng.random(draws * n_points).reshape(draws, n_points)
     v = rng.random(draws * n_points).reshape(draws, n_points)
     out = np.empty((draws, n_points))

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, TruncationError
+from .errors import DomainError, ResourceLimitError, TruncationError, check_fields
 
 COEFF_SLACK = 1e-12
 # One tree-builder call may spend WORK_LIMIT multiply-adds on its series
@@ -29,6 +29,10 @@ COEFF_SLACK = 1e-12
 # overhead worth PRODUCT_OVERHEAD of them, which dominates short products.
 WORK_LIMIT = 6_000_000_000
 PRODUCT_OVERHEAD = 30_000
+# build_pgf's longest series: no law resolves, and no inversion recovers a
+# mass, beyond this many slots.  One collision among q groups spends 1 + q
+# slots, so no series of this length holds a split into more groups.
+K_CAP = 16384
 
 
 @dataclass(frozen=True)
@@ -44,14 +48,15 @@ class SplitModel:
     p: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.n < 0:
             raise DomainError(f"multiplicity must be >= 0, got {self.n}")
         if self.q < 2:
             raise DomainError(f"need at least 2 splitting groups, got {self.q}")
+        if self.q > K_CAP:
+            raise ResourceLimitError(f"{self.q} splitting groups exceed the limit of {K_CAP}")
         if self.p is None:
-            object.__setattr__(self, "p", tuple(1.0 / self.q for _ in range(self.q)))
-        else:
-            object.__setattr__(self, "p", tuple(float(x) for x in self.p))
+            object.__setattr__(self, "p", (1.0 / self.q,) * self.q)
         if len(self.p) != self.q:
             raise DomainError(f"probability vector has {len(self.p)} entries for q={self.q}")
         if any(x < 0.0 or x > 1.0 for x in self.p):
@@ -69,22 +74,26 @@ class InversionParams:
     """Contour parameters for series inversion.
 
     When ``r`` is unset it is chosen as ``10**(-gamma / (2 k))``, which keeps
-    the aliasing error of the estimate near ``10**-gamma``.
+    the aliasing error of the estimate near ``10**-gamma``.  Either way the
+    radius at ``k`` must lie in (0, 1) with ``r**k`` > 0, the estimate's
+    divisor.
     """
 
     r: float | None = None
     gamma: float = 8.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.r is not None and not 0.0 < self.r < 1.0:
             raise DomainError(f"evaluation radius must lie in (0, 1), got {self.r}")
         if self.gamma <= 0.0:
             raise DomainError("gamma must be positive")
 
     def radius_for(self, k: int) -> float:
-        if self.r is not None:
-            return self.r
-        return 10.0 ** (-self.gamma / (2.0 * k))
+        r = self.r if self.r is not None else 10.0 ** (-self.gamma / (2.0 * k))
+        if not (r < 1.0 and r**k > 0.0):
+            raise DomainError(f"evaluation radius {r!r} at k = {k} needs 0 < r**k and r < 1; adjust gamma or r")
+        return r
 
 
 @dataclass(frozen=True)
@@ -369,12 +378,14 @@ def invert_fourier(
     1 / (2 k r^k).  ``pgf_eval`` is called once, with all 2k contour points
     as one complex ndarray, and returns an array of their values.  Undefined
     at k = 0; read the mass at zero directly off the series coefficients
-    instead.
+    instead, and refused above ``K_CAP``, where no series reaches.
     """
     if k == 0:
         raise DomainError("inversion is undefined at k = 0; use the direct coefficient")
     if k < 0:
         raise DomainError("k must be positive")
+    if k > K_CAP:
+        raise ResourceLimitError(f"k = {k} is beyond the longest series, {K_CAP} slots")
     params = params or InversionParams()
     r = params.radius_for(k)
     # cmath.exp, not np.exp: the two differ in the last bit on some points
@@ -448,7 +459,7 @@ def build_pgf(
     model: SplitModel,
     tail_tol: float = 1e-9,
     k_start: int = 128,
-    k_cap: int = 16384,
+    k_cap: int = K_CAP,
 ) -> TruncatedSeries:
     """Build a protocol PGF, doubling k_max until the tail mass clears ``tail_tol``.
 

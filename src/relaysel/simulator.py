@@ -45,8 +45,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
-from .geometry import LensRegion, Region, Topology, as_generator
+from .errors import DomainError, ResourceLimitError, check_fields
+from .geometry import MAX_POINTS, LensRegion, Region, Topology, as_generator
 from .pgf import SplitModel
 
 PROGRESS_METRICS = ("separation", "projection")
@@ -394,9 +394,9 @@ def run_auction(
 class EpisodeConfig:
     """Everything one episode needs besides its seed.
 
-    ``n`` is the deployed relay count; the realized conflict multiplicity is
-    the number of relays that are awake (all of them at the default
-    ``awake_prob`` of 1).
+    ``n`` is the deployed relay count, at most ``MAX_POINTS``; the realized
+    conflict multiplicity is the number of relays that are awake (all of
+    them at the default ``awake_prob`` of 1).
     """
 
     protocol: str
@@ -409,14 +409,21 @@ class EpisodeConfig:
     include_request_slot: bool = False
 
     def __post_init__(self):
-        # check q and p once per batch rather than once per episode, and turn
-        # away the coins under which no election can ever end
+        check_fields(self)
+        if self.n > MAX_POINTS:
+            raise ResourceLimitError(f"{self.n} relays exceed the limit of {MAX_POINTS} per episode")
+        if not isinstance(self.region, Region):
+            raise DomainError(f"region must be a LensRegion or a SectorRegion, got {self.region!r}")
+        if not 0.0 <= self.awake_prob <= 1.0:
+            raise DomainError(f"awake_prob must lie in [0, 1], got {self.awake_prob}")
         if self.protocol not in PROTOCOLS:
             raise DomainError(f"unknown protocol {self.protocol!r}")
         if self.progress not in PROGRESS_METRICS:
             raise DomainError(f"progress must be one of {PROGRESS_METRICS}")
         if self.protocol != "sta" and not isinstance(self.region, LensRegion):
             raise DomainError("the auction needs a lens decision region to form bands")
+        # check q and p once per batch rather than once per episode, and turn
+        # away the coins under which no election can ever end
         model = SplitModel(n=self.n, q=self.q, p=self.p)
         if max(model.p) == 1.0:
             raise DomainError("a coin with some p_j = 1 never splits a collision")

@@ -1,16 +1,38 @@
 """Command-line surface: golden outputs, determinism, exit codes."""
 
+import argparse
+import contextlib
+import dataclasses
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+from datetime import timedelta
+from math import inf, nan
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import relaysel
-from relaysel import simulator
-from relaysel.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VALIDATION, cli_main
+from relaysel import cli, simulator
+from relaysel.cli import (
+    COMMANDS,
+    CONFIG_KEYS,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    build_parser,
+    cli_main,
+    options_of,
+)
+from relaysel.experiments import EXPERIMENT_IDS, ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -270,8 +292,6 @@ def test_version_flag(capsys):
 
 
 def test_experiment_accepts_config_file(tmp_path, capsys):
-    import json
-
     config = {
         "experiment": "exp_dist_nearest",
         "n_values": [2, 3],
@@ -296,8 +316,6 @@ def test_experiment_accepts_config_file(tmp_path, capsys):
 
 
 def test_experiment_flags_override_config_file(tmp_path, capsys):
-    import json
-
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"experiment": "exp_dist_nearest", "seed": 5,
                                     "n_values": [2], "replications": 2000}))
@@ -317,8 +335,6 @@ def test_experiment_flags_override_config_file(tmp_path, capsys):
     ],
 )
 def test_malformed_config_n_values_is_usage_error(tmp_path, capsys, config):
-    import json
-
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))
     code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path), "--reps", "200")
@@ -458,3 +474,222 @@ def test_simulate_records_never_replay_an_episode(capsys, monkeypatch):
         )
         assert code == EXIT_OK
         assert len(out.splitlines()) == 52
+
+
+# ---------------------------------------------------------------------------
+# typed options: one table for flags and config keys
+
+
+def _write_config(tmp_path, config) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        ({"experiment": "exp_dist_nearest", "seed": "a"}, "seed"),
+        ({"experiment": "cri_pmf_sta", "p": 3}, "p"),
+        ({"experiment": "cri_pmf_sta", "q": "3"}, "q"),
+        ({"experiment": "cri_pmf_sta", "q": 2.5}, "q"),
+        ({"experiment": "cri_pmf_sta", "r": "1"}, "r"),
+        ({"experiment": "cri_pmf_sta", "n_values": ["2"]}, "n_values"),
+        ({"experiment": "cri_pmf_sta", "r": float("nan")}, "r"),
+        ({"experiment": "cri_pmf_sta", "replications": "x"}, "replications"),
+        ({"experiment": "cri_pmf_sta", "replications": True}, "replications"),
+        ({"experiment": "cri_pmf_sta", "replication": 200}, "replication"),
+        ({"experiment": "cri_pmf_auction", "skip": "no"}, "skip"),
+        ({"experiment": 3}, "experiment"),
+        ("[1, 2]", "JSON object"),
+        ("{not json", "not JSON"),
+    ],
+)
+def test_malformed_or_unknown_config_key_is_usage_error(tmp_path, capsys, config, key):
+    code, out, err = run_cli(capsys, "experiment", "--config", _write_config(tmp_path, config), "--reps", "200")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "config,flags",
+    [
+        ({"r": 1, "aperture": 3, "q": 2.0}, ["--r", "1", "--aperture", "3", "--q", "2"]),
+        ({"n_values": "2..3", "p": "0.3"}, ["--n", "2,3", "--p", "0.3,0.7"]),
+        ({"n_values": [2, 3], "rho": None, "skip": False}, ["--n", "2..3"]),
+    ],
+)
+def test_config_keys_and_flags_make_the_same_table(tmp_path, capsys, config, flags):
+    # one converter per option: a value means the same from either source,
+    # config_hash included, and a null key is as good as absent
+    base = ["experiment", "--id", "cri_pmf_auction", "--reps", "300", "--seed", "5"]
+    code_a, from_config, _ = run_cli(capsys, *base, "--config", _write_config(tmp_path, config))
+    code_b, from_flags, _ = run_cli(capsys, *base, *flags)
+    assert code_a == code_b == EXIT_OK
+    assert from_config == from_flags
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--gamma", "nan"], EXIT_USAGE),
+        (["--gamma", "inf"], EXIT_USAGE),
+        (["--gamma", "1e-300"], EXIT_USAGE),
+        (["--gamma", "1e6"], EXIT_USAGE),
+        (["--radius", "1e-300"], EXIT_USAGE),
+        (["--k", "100000000"], EXIT_RESOURCE),
+    ],
+)
+def test_inversion_outside_its_radius_or_length_is_refused(capsys, argv, code):
+    flags = ["--protocol", "sta", "--n", "3", "--k", "5"]
+    got, out, err = run_cli(capsys, "invert", *flags, *argv)
+    assert got == code
+    assert err.startswith("error:") and out == ""
+
+
+def test_relay_count_above_the_cap_is_refused_at_once(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "sta", "--n", "100000000", "--reps", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_RESOURCE
+    assert err.startswith("error:") and out == ""
+    assert peak < 2_000_000  # the parser's own allocations, and no relay
+
+
+def test_each_subcommand_takes_exactly_its_table_entries():
+    parser = build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subs.choices) == set(COMMANDS)
+    for command, sub in subs.choices.items():
+        taken = [(a.option_strings, a.dest) for a in sub._actions if a.dest != "help"]
+        assert taken == [([opt.flag], opt.key) for opt in options_of(command)], command
+
+
+def test_every_settable_experiment_field_has_exactly_one_config_key():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    keys = [opt.key for opt in options_of("experiment") if opt.key in fields]
+    assert sorted(keys) == sorted(set(keys)) == sorted(CONFIG_KEYS)
+    assert fields - set(CONFIG_KEYS) == {"rounds", "ranks"}  # no option sets these
+
+
+def test_readme_lists_every_config_key_with_its_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for key, opt in CONFIG_KEYS.items():
+        assert f"| `{key}` | `{opt.flag}` |" in readme, key
+
+
+# The fuzz: generated argv and config files, every one of which must end in a
+# documented exit with no traceback.  Half the examples are clean, each value
+# of its option's type and range; in the others a value is junk one time in
+# three.  Multiplicities stay at most 8 and replications at most 200; only k,
+# q and a simulated n take huge values, whose refusals allocate nothing.
+_NON_NUMERIC = st.text(alphabet="abxyz_-. ,", max_size=6)
+_FRACTIONAL = st.one_of(
+    st.integers(-10**6, 10**6).map(lambda i: i + 0.5), st.sampled_from([nan, inf, -inf, 1e-300])
+)
+_JUNK = st.one_of(
+    st.integers(-3, 0),
+    st.recursive(
+        st.one_of(_NON_NUMERIC, st.none(), st.booleans(), _FRACTIONAL),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NON_NUMERIC, inner, max_size=2),
+        max_leaves=5,
+    ),
+)
+_EDGES = st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308, -0.0, -1.0])
+_REAL = st.one_of(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(0.1, 3.0), _EDGES)
+_HUGE = st.integers(simulator.MAX_POINTS + 1, 10**30)
+_PROTOCOL = st.sampled_from(["sta", "auction", "auction-skip", "auction_skip"])
+
+_VALUES = {
+    "protocol": _PROTOCOL,
+    "experiment": st.sampled_from(EXPERIMENT_IDS),
+    "n": st.integers(0, 8),
+    "n_values": st.one_of(
+        st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        st.tuples(st.integers(0, 8), st.integers(0, 8)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    ),
+    "q": st.one_of(st.integers(2, 4), st.integers(2, 4), _HUGE),
+    "p": st.one_of(
+        st.sampled_from([0.3, 0.5, [0.2, 0.3, 0.5], [0.6, 0.4]]), st.lists(_REAL, min_size=1, max_size=3)
+    ),
+    "min_prob": _REAL,
+    "k": st.one_of(st.integers(1, 30), _HUGE),
+    "gamma": _REAL,
+    "region": st.sampled_from(["sdr", "cdr"]),
+    "r": _REAL,
+    "rho": _REAL,
+    "aperture": _REAL,
+    "rank": st.integers(1, 8),
+    "n_points": st.integers(1, 8),
+    "stat": st.sampled_from(["ccdf", "pdf", "mean", "median"]),
+    "d": _REAL,
+    "replications": st.integers(1, 200),
+    "format": st.sampled_from(["csv", "records"]),
+    "include_request_slot": st.booleans(),
+    "skip": st.booleans(),
+    "protocols": st.lists(_PROTOCOL, min_size=1, max_size=3).map(",".join),
+    "distance_n": st.integers(1, 8),
+    "seed": st.integers(-5, 10**30),
+    "out": st.just("/nonexistent-relaysel-dir/out.csv"),
+}
+
+
+def _value(draw, key, command, dirty):
+    if dirty and key != "out" and draw(st.sampled_from([False, False, True])):
+        return draw(_JUNK)
+    if key == "n" and command == "simulate":
+        return draw(st.one_of(_VALUES["n"], _HUGE))
+    return draw(_VALUES[key])
+
+
+def _as_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(_as_text(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    dirty = draw(st.booleans())
+    argv, config = [command], None
+    for opt in options_of(command):
+        # replications are always given: their default is far more than 200
+        if not (opt.required or opt.key in ("experiment", "replications") or draw(st.booleans())):
+            continue
+        if opt.key == "config":
+            keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True, max_size=5))
+            config = {key: _value(draw, key, command, dirty) for key in keys}
+            if dirty and draw(st.booleans()):
+                config["replication"] = 200
+        elif opt.convert is cli._flag:
+            argv.append(opt.flag)
+        else:
+            argv.append(f"{opt.flag}={_as_text(_value(draw, opt.key, command, dirty))}")
+    if dirty and draw(st.sampled_from([False] * 9 + [True])):
+        argv.append("--bogus=1")
+    return argv, config
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=30), suppress_health_check=[HealthCheck.too_slow])
+@given(invocation=_invocations())
+def test_fuzzed_invocations_end_in_a_documented_exit(invocation):
+    argv, config = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv = [*argv, f"--config={path}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_RESOURCE), (argv, config)
+    assert "Traceback" not in err.getvalue()
+    if code in (EXIT_USAGE, EXIT_RESOURCE):
+        assert err.getvalue().startswith(("error:", "usage:")), err.getvalue()

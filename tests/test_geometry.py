@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import betainc
 
 from relaysel import geometry
-from relaysel.errors import DomainError
+from relaysel.errors import DomainError, ResourceLimitError
 from relaysel.geometry import (
     LensRegion,
     Point2,
@@ -665,3 +665,12 @@ def test_region_spec_round_trip():
         assert clone.area() == pytest.approx(region.area(), rel=1e-12)
     with pytest.raises(DomainError):
         region_from_spec({"kind": "triangle"})
+
+
+def test_sorted_separations_refuse_more_points_than_the_cap_before_drawing():
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    for n_points, draws in [(8, geometry.MAX_POINTS // 8 + 1), (geometry.MAX_POINTS + 1, 1), (10**9, 10**9)]:
+        with pytest.raises(ResourceLimitError):
+            sample_sorted_separations(LensRegion(), n_points, draws, rng)
+    assert rng.bit_generator.state == state  # not one uniform was drawn

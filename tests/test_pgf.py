@@ -1,6 +1,7 @@
 """Series construction, inversion and moments of the election slot counts."""
 
 import cmath
+import inspect
 import math
 from fractions import Fraction
 
@@ -543,3 +544,47 @@ def test_coin_that_never_splits_has_no_series(protocol):
             assert series.coefficient(1) == 1.0 and series.tail_mass == 0.0
     with pytest.raises(DomainError):
         build_pgf("sta", SplitModel(3, q=3, p=(0.0, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "params,k",
+    [
+        (dict(gamma=1e-300), 5),  # the derived radius rounds to 1
+        (dict(gamma=8.0), 10**300),  # as it does at any gamma for a k this large
+        (dict(gamma=1e6), 5),  # the derived radius underflows to 0
+        (dict(r=1e-300), 5),  # r**k underflows to 0
+        (dict(r=0.5), pgf.K_CAP),
+    ],
+)
+def test_inversion_radius_must_lie_in_the_open_unit_interval_with_positive_power(params, k):
+    with pytest.raises(DomainError):
+        InversionParams(**params).radius_for(k)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_inversion_gamma_must_be_finite_and_positive(gamma):
+    with pytest.raises(DomainError):
+        InversionParams(gamma=gamma)
+
+
+def test_inversion_refuses_k_beyond_the_longest_series_before_any_point():
+    series = build_pgf("sta", SplitModel(3))
+
+    def no_points(zs):
+        raise AssertionError("a contour point was evaluated")
+
+    assert inspect.signature(build_pgf).parameters["k_cap"].default == pgf.K_CAP
+    with pytest.raises(ResourceLimitError):
+        invert_fourier(no_points, pgf.K_CAP + 1)
+    with pytest.raises(ResourceLimitError):
+        invert_fourier(no_points, 10**8)
+    # the last index a series can hold still inverts
+    assert invert_fourier(series, pgf.K_CAP).prob == pytest.approx(series.coefficient(pgf.K_CAP), abs=1e-6)
+
+
+def test_split_model_refuses_more_groups_than_the_longest_series_allows():
+    assert SplitModel(2, q=pgf.K_CAP).q == pgf.K_CAP
+    with pytest.raises(ResourceLimitError):
+        SplitModel(2, q=pgf.K_CAP + 1)
+    with pytest.raises(ResourceLimitError):
+        SplitModel(2, q=10**30)  # refused before the fair coin's q entries are built

@@ -1,6 +1,7 @@
 """Episode semantics, protocol invariants and batch machinery."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaysel import simulator
-from relaysel.errors import DomainError
+from relaysel.errors import DomainError, ResourceLimitError
 from relaysel.geometry import (
+    MAX_POINTS,
     LensRegion,
     Point2,
     SectorRegion,
@@ -516,3 +518,16 @@ def test_batch_summary_rank_means_cover_all_ranks():
     assert summary.backoff_rate == 0.0
     total = sum(summary.pmf.values())
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_relay_counts_above_the_cap_are_refused_before_any_allocation():
+    assert EpisodeConfig(protocol="sta", n=MAX_POINTS, region=LENS).n == MAX_POINTS
+    tracemalloc.start()
+    try:
+        for n in (MAX_POINTS + 1, 10**8, 10**30):
+            with pytest.raises(ResourceLimitError):
+                EpisodeConfig(protocol="sta", n=n, region=LENS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
