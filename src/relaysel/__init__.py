@@ -25,7 +25,6 @@ from .pgf import (
     evaluate,
     invert_fourier,
     moments,
-    split_prob,
     sta_pgf_binary,
     sta_pgf_qary,
 )

@@ -29,11 +29,8 @@ import numpy as np
 from .errors import DomainError, InfeasibleRegionError, ResourceLimitError, check_fields
 
 _TWO_PI = 2.0 * math.pi
-# Array arguments are told apart by ``type(x) is _NDARRAY``: on the scalar
-# paths, which the auction and the median's bisection call per point, it
-# costs a fraction of ``isinstance(x, np.ndarray)``.
-_NDARRAY = np.ndarray
-_MASS_BISECT_TOL = 1e-10
+# t - sin t = t^3 (1/3! - t^2/5! + t^4/7! - ...): the coefficients in t^2
+_SIN_TAIL = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
 # expected distances: nodes per half panel, the agreement (in units of R) that
 # closes a panel, and a cap on the open panels, which rounding noise in the
 # mass of a sliver region would otherwise keep doubling
@@ -65,67 +62,61 @@ class Point2(NamedTuple):
 
 def circle_intersection_area(r1, r2, d):
     """Area of the intersection of two discs with radii ``r1``, ``r2`` and
-    centre separation ``d``.
+    centre separation ``d``; any argument may be an ndarray, and floats give a float.
 
-    Handles the disjoint and contained configurations; the general case is
-    the sum of the two circular segments cut off by the common chord.  Any
-    argument may be an ndarray, and then the areas come back as one, by the
-    same expressions.
+    The sum of the two segments beyond the common chord, r^2 theta - x h for
+    a disc of radius r: theta is the angle of the triangle r1, r2, d at the
+    disc's centre, by Kahan's tan(theta / 2) = sqrt(Q / P) with P = 4 s (s - r')
+    and Q = 4 (s - r)(s - d) (s the half-perimeter, r' the other radius); half
+    the chord is h = sqrt(P Q) / 2d, and x = (P - Q) / 4d.  Disjoint, contained
+    and tangent discs make no triangle: a factor clamped to 0 gives theta = 0
+    or pi.  Concentric discs share the smaller one; a radius <= 0 meets nothing.
     """
-    if type(r1) is _NDARRAY or type(r2) is _NDARRAY or type(d) is _NDARRAY:
-        return _intersection_areas(r1, r2, d)
-    if r1 <= 0.0 or r2 <= 0.0:
-        return 0.0
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        r = min(r1, r2)
-        return math.pi * r * r
-    x1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    x2 = d - x1
-    c1 = min(1.0, max(-1.0, x1 / r1))
-    c2 = min(1.0, max(-1.0, x2 / r2))
-    seg1 = r1 * r1 * math.acos(c1) - x1 * math.sqrt(max(r1 * r1 - x1 * x1, 0.0))
-    seg2 = r2 * r2 * math.acos(c2) - x2 * math.sqrt(max(r2 * r2 - x2 * x2, 0.0))
-    return seg1 + seg2
+    a, b, d = (np.asarray(x, dtype=float) for x in (r1, r2, d))
+    # 2 (s - x) for each side x, and 2 s: x comes off the larger other side,
+    # exactly (Sterbenz) where x is a triangle's longest side, so no factor
+    # cancels however thin the triangle
+    f_a = np.maximum((np.maximum(b, d) - a) + np.minimum(b, d), 0.0)
+    f_b = np.maximum((np.maximum(a, d) - b) + np.minimum(a, d), 0.0)
+    f_d = np.maximum((np.maximum(a, b) - d) + np.minimum(a, b), 0.0)
+    f_s = a + b + d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area = _segment(a, f_s * f_b, f_a * f_d, d) + _segment(b, f_s * f_a, f_b * f_d, d)
+    r = np.minimum(a, b)
+    area = np.where(d > 0.0, area, math.pi * r * r)
+    return _as_float(np.where(r > 0.0, area, 0.0))
 
 
-def _intersection_areas(r1, r2, d) -> np.ndarray:
-    r1, r2, d = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (r1, r2, d)))
-    out = np.zeros(r1.shape)
-    meet = (r1 > 0.0) & (r2 > 0.0) & (d < r1 + r2)
-    inside = meet & (d <= np.abs(r1 - r2))
-    r = np.minimum(r1, r2)[inside]
-    out[inside] = math.pi * r * r
-    cut = meet & ~inside
-    r1, r2, d = r1[cut], r2[cut], d[cut]
-    x1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    x2 = d - x1
-    c1 = np.clip(x1 / r1, -1.0, 1.0)
-    c2 = np.clip(x2 / r2, -1.0, 1.0)
-    seg1 = r1 * r1 * _acos(c1) - x1 * np.sqrt(np.maximum(r1 * r1 - x1 * x1, 0.0))
-    seg2 = r2 * r2 * _acos(c2) - x2 * np.sqrt(np.maximum(r2 * r2 - x2 * x2, 0.0))
-    out[cut] = seg1 + seg2
-    return out
+def _segment(r: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The segment of the disc of radius ``r`` beyond the chord, from P = ``p``
+    and Q = ``q`` of :func:`circle_intersection_area`.  Below t = 2 theta = 0.5,
+    r^2 theta - x h = (r^2 / 2)(t - sin t) would lose up to six bits, and the
+    odd series of t - sin t, cut below 1e-18 of its sum, takes over."""
+    root_p, root_q = np.sqrt(p), np.sqrt(q)
+    theta = 2.0 * np.arctan2(root_q, root_p)
+    t = 2.0 * theta
+    s = t * t
+    series = _SIN_TAIL[-1]
+    for c in _SIN_TAIL[-2::-1]:
+        series = c + s * series
+    # x h = ((p - q) / 4d)(sqrt(p q) / 2d), which is 0 wherever h is, however small d
+    chord = r * r * theta - (p - q) * (root_p * root_q) / (8.0 * d) / d
+    return np.where(t < 0.5, 0.5 * r * r * (t * s * series), chord)
 
 
-def _acos(c: np.ndarray) -> np.ndarray:
-    # libm's acos, as on the scalar path: numpy's SIMD arccos differs from it
-    # in the last place on ~9% of arguments, and the segment differences and
-    # the binomial sum amplify that past 1e-15 in the CCDF near d = R.
-    return np.fromiter(map(math.acos, c.tolist()), float, c.size)
+def _as_float(x: np.ndarray):
+    """``x`` itself, or a Python float where ``x`` holds a single value of
+    no dimension: ``repr`` of a numpy scalar would not print as a number."""
+    return x if x.ndim else float(x)
 
 
 def _check_distance(d, radius: float) -> None:
     """Raise unless every distance in ``d`` (a float or an ndarray) lies in
     [0, radius], with a relative slack of 1e-12 at the top; NaN is outside."""
-    top = radius * (1.0 + 1e-12)
-    if type(d) is _NDARRAY:
-        bad = ~((d >= 0.0) & (d <= top))
-        if bad.any():
-            raise DomainError(f"distance {d[bad].flat[0]} outside [0, {radius}]")
-    elif not 0.0 <= d <= top:
-        raise DomainError(f"distance {d} outside [0, {radius}]")
+    d = np.asarray(d)
+    bad = ~((d >= 0.0) & (d <= radius * (1.0 + 1e-12)))
+    if bad.any():
+        raise DomainError(f"distance {d[bad].flat[0]} outside [0, {radius}]")
 
 
 def _check_radius(radius: float) -> None:
@@ -177,8 +168,9 @@ class SectorRegion:
     def source_radial_mass(self, d):
         """Mass within source distance ``d`` (a float or an ndarray)."""
         _check_distance(d, self.radius)
+        d = np.asarray(d, dtype=float)
         mass = (d * d - self.inner_radius**2) / (self.radius**2 - self.inner_radius**2)
-        return np.maximum(mass, 0.0) if type(mass) is _NDARRAY else max(0.0, mass)
+        return _as_float(np.maximum(mass, 0.0))
 
     def source_radial_mass_derivative(self, d):
         inside = (d >= self.inner_radius) & (d <= self.radius)
@@ -280,7 +272,7 @@ class LensRegion:
             self.source.y + self.radius * self.axis[1],
         )
 
-    def _overlap(self, r_source: float, s_anchor: float) -> float:
+    def _overlap(self, r_source, s_anchor):
         # disk(source, r) with disk(anchor, s); the centres are radius apart
         return circle_intersection_area(r_source, s_anchor, self.radius)
 
@@ -298,8 +290,10 @@ class LensRegion:
     def source_radial_mass(self, d):
         """Mass within source distance ``d`` (a float or an ndarray)."""
         _check_distance(d, self.radius)
-        mass = (self._overlap(d, self.rho) - self._overlap(d, self.inner_rho)) / self.area()
-        return np.clip(mass, 0.0, 1.0) if type(mass) is _NDARRAY else min(1.0, max(0.0, mass))
+        # a full lens's inner circle has no area: skip the array work of its overlap
+        inner = self._overlap(d, self.inner_rho) if self.inner_rho > 0.0 else 0.0
+        mass = (self._overlap(d, self.rho) - inner) / self.area()
+        return _as_float(np.clip(mass, 0.0, 1.0))
 
     def kinks(self) -> tuple[float, ...]:
         """Source distances where the radial mass is not smooth: where the
@@ -308,9 +302,10 @@ class LensRegion:
         its course by a 3/2 power of the distance."""
         return (abs(self.radius - self.rho), abs(self.radius - self.inner_rho))
 
-    def anchor_radial_mass(self, s: float) -> float:
-        """Mass of the slice within anchor distance ``s``; drives partitioning."""
-        s = min(max(s, self.inner_rho), self.rho)
+    def anchor_radial_mass(self, s):
+        """Mass of the slice within anchor distance ``s`` (a float or an
+        ndarray); drives partitioning."""
+        s = np.minimum(np.maximum(s, self.inner_rho), self.rho)
         return (self._overlap(self.radius, s) - self._inner_overlap) / self._area
 
     def contains(self, p: Point2) -> bool:
@@ -389,25 +384,12 @@ class LensRegion:
     def partition(self, q: int) -> list["LensRegion"]:
         """Equal-mass anchor-centred slices, the slice nearest the anchor first.
 
-        Band edges come from bisection on the anchor radial mass, to within
-        1e-10 of the target mass fraction.
+        The inner edges bisect the anchor radial mass at 1/q, 2/q, ... down
+        to adjacent floats, all of them in one call per step.
         """
-        edges = [self.inner_rho]
-        for j in range(1, q):
-            target = j / q
-            lo, hi = self.inner_rho, self.rho
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                m = self.anchor_radial_mass(mid)
-                if abs(m - target) <= _MASS_BISECT_TOL:
-                    lo = hi = mid
-                    break
-                if m < target:
-                    lo = mid
-                else:
-                    hi = mid
-            edges.append(0.5 * (lo + hi))
-        edges.append(self.rho)
+        targets, ones = np.arange(1, q) / q, np.ones(q - 1)
+        inner = _bisect(lambda s: self.anchor_radial_mass(s) < targets, self.inner_rho * ones, self.rho * ones)
+        edges = [self.inner_rho, *inner.tolist(), self.rho]
         return [
             LensRegion(self.source, self.radius, edges[j + 1], self.axis, edges[j])
             for j in range(q)
@@ -477,7 +459,7 @@ def nth_neighbor_ccdf(region: Region, rank: int, n_points: int, d):
     total = 0.0
     for k in range(rank):
         total += math.comb(n_points, k) * p**k * (1.0 - p) ** (n_points - k)
-    return np.clip(total, 0.0, 1.0) if type(total) is _NDARRAY else min(1.0, max(0.0, total))
+    return _as_float(np.clip(total, 0.0, 1.0))
 
 
 def nth_neighbor_pdf(region: Region, rank: int, n_points: int, d):
@@ -500,18 +482,15 @@ def nth_neighbor_pdf(region: Region, rank: int, n_points: int, d):
             * (1.0 - p) ** (n_points - rank)
             * deriv(d)
         )
-        return np.maximum(dens, 0.0) if type(dens) is _NDARRAY else max(0.0, dens)
+        return _as_float(np.maximum(dens, 0.0))
     _check_distance(d, region.radius)
     h = 1e-5 * region.radius
-    if type(d) is _NDARRAY:
-        lo, hi = np.maximum(d - h, 0.0), np.minimum(d + h, region.radius)
-    else:
-        lo, hi = max(0.0, d - h), min(region.radius, d + h)
+    lo, hi = np.maximum(d - h, 0.0), np.minimum(d + h, region.radius)
     slope = (
         nth_neighbor_ccdf(region, rank, n_points, lo)
         - nth_neighbor_ccdf(region, rank, n_points, hi)
     ) / (hi - lo)
-    return np.maximum(slope, 0.0) if type(slope) is _NDARRAY else max(0.0, slope)
+    return _as_float(np.maximum(slope, 0.0))
 
 
 def expected_nth_distance(region: Region, rank: int, n_points: int) -> float:
@@ -572,15 +551,25 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def median_nth_distance(region: Region, rank: int, n_points: int) -> float:
     """Distance at which the rank-th neighbour CCDF crosses one half, by
     bisection down to adjacent floats."""
-    lo, hi = 0.0, region.radius
+
+    def above_half(d):
+        return nth_neighbor_ccdf(region, rank, n_points, d) > 0.5
+
+    return float(_bisect(above_half, np.zeros(()), np.full((), region.radius)))
+
+
+def _bisect(below, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Crossings of ``below`` bisected down to adjacent floats, one call per
+    step for all the intervals [lo, hi] (arrays of one shape): ``below(x)``
+    is true where ``x`` lies left of its interval's crossing."""
     while True:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
             return mid
-        if nth_neighbor_ccdf(region, rank, n_points, mid) > 0.5:
-            lo = mid
-        else:
-            hi = mid
+        left = open_ & below(mid)
+        lo = np.where(left, mid, lo)
+        hi = np.where(open_ ^ left, mid, hi)  # open and not left
 
 
 def calibrate_sdr(lens: LensRegion) -> SectorRegion:

@@ -157,15 +157,6 @@ class TruncatedSeries:
 # building blocks
 
 
-def split_prob(model: SplitModel, i: int) -> float:
-    """Probability that exactly ``i`` of the ``n`` contenders join the first group."""
-    if model.q != 2:
-        raise DomainError("split_prob is defined for binary splitting (q = 2)")
-    if not 0 <= i <= model.n:
-        raise DomainError(f"group count {i} outside [0, {model.n}]")
-    return _binomial_row(model.n, model.p[0])[i]
-
-
 def _binomial_row(n: int, p0: float) -> np.ndarray:
     """All binomial(n, p0) masses; log-space above n = 50 to stay stable."""
     out = np.zeros(n + 1)
@@ -224,14 +215,13 @@ def _divide(rhs: np.ndarray, lag_weights: dict[int, float]) -> np.ndarray:
     return np.array(a[2:])
 
 
-def _check_work(n: int, q: int, size: int) -> None:
-    # sta_pgf_qary makes m // 2 + (q - 2) * (m - 1) products at each level m = 2..n,
-    # each a full np.convolve of size * size multiply-adds
-    products = n * n // 4 + (q - 2) * n * (n - 1) // 2
-    if products * (size * size + PRODUCT_OVERHEAD) > WORK_LIMIT:
+def _check_work(what: str, products: int, product_size: int) -> None:
+    """Refuse a build of ``products`` series products of ``product_size``
+    multiply-adds each whose cost, call overhead included, exceeds WORK_LIMIT."""
+    if products * (product_size + PRODUCT_OVERHEAD) > WORK_LIMIT:
         raise ResourceLimitError(
-            f"the splitting tree for n={n}, q={q} needs {products} series products of "
-            f"{size} coefficients, over the limit of {WORK_LIMIT} multiply-adds"
+            f"{what} needs {products} series products of {product_size} multiply-adds, "
+            f"over the limit of {WORK_LIMIT}"
         )
 
 
@@ -267,7 +257,11 @@ def sta_pgf_qary(model: SplitModel, k_max: int) -> TruncatedSeries:
     _check_k_max(k_max)
     n, q = model.n, model.q
     size = -(-k_max // q)  # the w coefficients that land at z^1, z^(1+q), ... <= z^k_max
-    _check_work(n, q, size)
+    # m // 2 + (q - 2) * (m - 1) products at each level m = 2..n, each a
+    # full np.convolve of size * size multiply-adds
+    _check_work(
+        f"the splitting tree for n={n}, q={q}", n * n // 4 + (q - 2) * n * (n - 1) // 2, size * size
+    )
     shares, left = [0.0] * (q - 1), model.p[q - 1]
     for j in range(q - 2, -1, -1):
         left += model.p[j]
@@ -308,6 +302,8 @@ def _auction_series(model: SplitModel, k_max: int, skip: bool) -> TruncatedSerie
         raise DomainError("the auction constructions are binary (q = 2)")
     _check_k_max(k_max)
     size = k_max + 1
+    # m - 2 scaled sums of size coefficients at each level m = 2..n
+    _check_work(f"the auction for n={model.n}", (model.n - 1) * (model.n - 2) // 2, size)
     fam = [_base_coeffs(size), _base_coeffs(size)]
     for m in range(2, model.n + 1):
         row = _binomial_row(m, model.p[0])

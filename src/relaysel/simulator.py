@@ -369,10 +369,8 @@ def run_auction(
         raise DomainError("the auction needs a lens decision region to form bands")
     eligible = topology._eligible
     ax, ay = region.anchor
-    u = {
-        rid: region.anchor_radial_mass(math.hypot(pos.x - ax, pos.y - ay))
-        for rid, (pos, _) in enumerate(topology.relays)
-    }
+    s = np.array([math.hypot(pos.x - ax, pos.y - ay) for pos, _ in topology.relays])
+    u = dict(enumerate(region.anchor_radial_mass(s).tolist()))
     sent, winner = _walk_auction(eligible, u, q, _cuts(q, p), skip)
     protocol = "auction_skip" if skip else "auction"
     return _record(
@@ -449,13 +447,16 @@ class BatchSummary:
 _BLOCK_RELAYS = 1 << 16
 
 
-def _block_size(n: int) -> int:
-    return max(1, _BLOCK_RELAYS // max(n, 1))
+def _block_size(n: int, q: int) -> int:
+    """Episodes per block.  A splitting tree's frontier counts the q
+    sub-groups of up to n / 2 crowded groups per episode, so a block holds
+    episodes * n * q / 2 <= _BLOCK_RELAYS: at q = 2, n relays per episode."""
+    return max(1, 2 * _BLOCK_RELAYS // max(n * q, 2))
 
 
-def _block_keys(seed, replications: int, n: int):
+def _block_keys(seed, replications: int, config: EpisodeConfig):
     """The keys of episodes 0 .. replications - 1, a block at a time."""
-    size = _block_size(n)
+    size = _block_size(config.n, config.q)
     for start in range(0, replications, size):
         yield episode_seeds(seed, min(size, replications - start), start)
 
@@ -725,14 +726,14 @@ class RecordBatch(Sequence):
         return run_single_episode(self.config, self.seed, i)
 
     def __iter__(self):
-        for keys in _block_keys(self.seed, len(self), self.config.n):
+        for keys in _block_keys(self.seed, len(self), self.config):
             yield from _replay(self.config, keys)
 
     def lines(self):
         """Each episode's ``to_line()``, from the columns and the traces of
         the blocks' elections: no episode is replayed."""
         start = 0
-        for keys in _block_keys(self.seed, len(self), self.config.n):
+        for keys in _block_keys(self.seed, len(self), self.config):
             end = start + keys.size
             yield from _lines(self.config, keys, self.slots[start:end], self.winner_distance[start:end])
             start = end
@@ -760,7 +761,7 @@ def run_episode_batch(
     if replications < 1:
         raise DomainError("need at least one replication")
     seed = _master_seed(seed)
-    blocks = [_columns(config, keys) for keys in _block_keys(seed, replications, config.n)]
+    blocks = [_columns(config, keys) for keys in _block_keys(seed, replications, config)]
     records = RecordBatch(config, seed, *(np.concatenate(col) for col in zip(*blocks)))
 
     won = ~records.backoff

@@ -4,13 +4,15 @@ Nothing here calls the package's series builders or radial-mass code, so a
 check against these helpers is a second derivation, not a rerun of the
 program: the slot-count masses come from exact ``Fraction`` propagation over
 each protocol's states, the lens radial and anchor masses from polar
-quadrature.
+quadrature, and two-circle areas from the textbook closed form in 60-digit
+arithmetic.
 """
 
 import math
 from collections import defaultdict
 from fractions import Fraction
 
+import mpmath
 from scipy.integrate import quad
 
 
@@ -192,3 +194,21 @@ def anchor_mass_by_quadrature(lens, s: float) -> float:
     num, _ = quad(ring, lens.inner_rho, s, epsabs=0.0, epsrel=2e-14, limit=300)
     den, _ = quad(ring, lens.inner_rho, lens.rho, epsabs=0.0, epsrel=2e-14, limit=300)
     return num / den
+
+
+def circle_intersection_area_exact(r1: float, r2: float, d: float) -> float:
+    """Two-disc intersection area at 60 significant digits: the textbook sum
+    of segments r^2 acos(x / r) - x sqrt(r^2 - x^2), whose cancellation in
+    double precision the digits absorb."""
+    with mpmath.workdps(60):
+        a, b, d = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(d)
+        if a <= 0 or b <= 0 or d >= a + b:
+            return 0.0
+        if d <= abs(a - b):
+            return float(mpmath.pi * min(a, b) ** 2)
+        x1 = (d * d + a * a - b * b) / (2 * d)
+        x2 = d - x1
+        segments = (
+            r * r * mpmath.acos(x / r) - x * mpmath.sqrt(r * r - x * x) for r, x in ((a, x1), (b, x2))
+        )
+        return float(sum(segments))

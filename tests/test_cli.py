@@ -197,6 +197,13 @@ def test_resource_limit_exit_code(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("protocol", ["auction", "auction-skip"])
+def test_auction_beyond_the_work_limit_is_resource_exit(capsys, protocol):
+    code, _, err = run_cli(capsys, "pmf", "--protocol", protocol, "--n", "100000")
+    assert code == EXIT_RESOURCE
+    assert "over the limit" in err
+
+
 @pytest.mark.parametrize(
     "protocol,n,coin",
     [
@@ -642,7 +649,7 @@ _VALUES = {
 def _value(draw, key, command, dirty):
     if dirty and key != "out" and draw(st.sampled_from([False, False, True])):
         return draw(_JUNK)
-    if key == "n" and command == "simulate":
+    if key == "n" and command in ("simulate", "pmf", "invert"):
         return draw(st.one_of(_VALUES["n"], _HUGE))
     return draw(_VALUES[key])
 

@@ -30,7 +30,7 @@ from relaysel.geometry import (
     sample_topology,
 )
 
-from oracles import anchor_mass_by_quadrature, lens_mass_by_quadrature
+from oracles import anchor_mass_by_quadrature, circle_intersection_area_exact, lens_mass_by_quadrature
 
 LENS_AREA_RHO_EQ_R = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0
 
@@ -51,6 +51,39 @@ def test_equal_circles_at_unit_separation():
     assert circle_intersection_area(1.0, 1.0, 1.0) == pytest.approx(
         LENS_AREA_RHO_EQ_R, rel=1e-14
     )
+
+
+@st.composite
+def disc_pairs(draw):
+    """Radii and a separation: anywhere, a tiny disc on the other's rim, two
+    discs near outer or inner tangency, or concentric discs."""
+    r1 = draw(st.floats(0.5, 4.0))
+    kind = draw(st.sampled_from(["any", "rim", "tangent", "contained", "concentric"]))
+    if kind == "any":
+        return r1, draw(st.floats(0.01, 8.0)), draw(st.floats(0.0, 12.0))
+    if kind == "rim":
+        r2 = r1 * 10 ** draw(st.floats(-9.0, -2.0))
+        return r1, r2, r1 + r2 * draw(st.floats(-1.0, 1.0))
+    r2 = r1 * draw(st.floats(0.05, 3.0))
+    gap = 10 ** draw(st.floats(-12.0, -2.0))
+    if kind == "tangent":
+        return r1, r2, (r1 + r2) * (1.0 - gap)
+    if kind == "contained":
+        return r1, r2, abs(r1 - r2) * (1.0 + gap) if r1 != r2 else gap * r1
+    return r1, r2, 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=disc_pairs())
+@example(pair=(3.5, 1.26e-6, 3.5))  # once off by a factor of 250, from acos near 1
+@example(pair=(1.0, 1.0, 1.9999))
+@example(pair=(1.0, 0.5, 5e-324))  # a chord of length 0 at a subnormal separation
+@example(pair=(1.0, 1.0, 1e-6))  # nearly concentric equal discs
+def test_intersection_area_matches_a_60_digit_oracle(pair):
+    exact = circle_intersection_area_exact(*pair)
+    got = circle_intersection_area(*pair)
+    assert type(got) is float
+    assert abs(got - exact) <= 1e-13 * exact
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +290,22 @@ def test_array_intersection_areas_equal_scalar_calls(r1, r2, sep):
     assert areas.tolist() == [circle_intersection_area(x, r2, sep) for x in r1]
 
 
+@pytest.mark.parametrize("region", [SectorRegion(radius=2.0), LensRegion(radius=2.0, rho=1.5, inner_rho=0.5)])
+def test_scalar_laws_return_python_floats(region):
+    # repr of a numpy scalar reads np.float64(...), which would spoil CSV cells
+    values = [
+        region.source_radial_mass(1.2),
+        nth_neighbor_ccdf(region, 2, 3, 1.2),
+        nth_neighbor_pdf(region, 2, 3, 1.2),
+        median_nth_distance(region, 2, 3),
+        expected_nth_distance(region, 2, 3),
+        circle_intersection_area(1.0, 0.5, 0.7),
+    ]
+    if isinstance(region, LensRegion):
+        values.append(region.anchor_radial_mass(1.0))
+    assert all(type(v) is float for v in values)
+
+
 @pytest.mark.parametrize(
     "region", [SectorRegion(radius=2.0), LensRegion(radius=2.0, rho=1.5, inner_rho=0.5)]
 )
@@ -460,6 +509,8 @@ def _band_bounds(region) -> tuple[float, float]:
 @given(region=regions(), q=st.integers(2, 5))
 # the inner radius squared underflows to 0
 @example(region=SectorRegion(radius=1.0, aperture=1.0, inner_radius=3.3e-276), q=2)
+# a slice whose inner anchor circle barely enters the range disk
+@example(region=LensRegion(radius=3.5, rho=1.26, inner_rho=1.26e-6), q=2)
 def test_partition_bands_hold_equal_mass_nest_and_cover(region, q):
     bands = partition_region(region, q)
     assert len(bands) == q
@@ -477,8 +528,12 @@ def test_partition_bands_hold_equal_mass_nest_and_cover(region, q):
             assert band.aperture == region.aperture and band.center == region.center
         else:
             assert band.radius == region.radius and band.source == region.source
-        # mass as the region measures it; the partition bisects on that measure
-        assert abs(band.area() / region.area() - 1.0 / q) <= 1e-9
+        # mass as the region measures it, which the partition bisects on to
+        # adjacent floats, and as the independent quadrature measures it
+        assert abs(band.area() / region.area() - 1.0 / q) <= 1e-13
+        if isinstance(region, LensRegion):
+            mass = anchor_mass_by_quadrature(region, hi) - anchor_mass_by_quadrature(region, lo)
+            assert abs(mass - 1.0 / q) <= 1e-12
     assert sum(band.area() for band in bands) == pytest.approx(region.area(), rel=1e-12)
 
 

@@ -19,6 +19,7 @@ from relaysel.pgf import (
     InversionParams,
     SplitModel,
     TruncatedSeries,
+    _binomial_row,
     _divide,
     auction_pgf,
     auction_skip_pgf,
@@ -26,7 +27,6 @@ from relaysel.pgf import (
     evaluate,
     invert_fourier,
     moments,
-    split_prob,
     sta_pgf_binary,
     sta_pgf_qary,
 )
@@ -42,45 +42,33 @@ PROTOCOL_BUILDERS = {
 
 
 # ---------------------------------------------------------------------------
-# split probabilities
+# binomial split rows
 
 
-def test_split_prob_symmetric_pair():
-    assert split_prob(SplitModel(2), 1) == pytest.approx(0.5, abs=1e-15)
+def test_binomial_row_symmetric_pair():
+    assert _binomial_row(2, 0.5)[1] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_split_prob_all_zero_tosses():
-    assert split_prob(SplitModel(4), 0) == pytest.approx(0.0625, abs=1e-15)
+def test_binomial_row_all_zero_tosses():
+    assert _binomial_row(4, 0.5)[0] == pytest.approx(0.0625, abs=1e-15)
 
 
-def test_split_prob_against_factorial_oracle():
+def test_binomial_row_against_factorial_oracle():
     # direct factorial evaluation, independent of math.comb
     n, i, p = 10, 3, 0.3
     oracle = (
         math.factorial(n) / (math.factorial(i) * math.factorial(n - i)) * p**i * (1 - p) ** (n - i)
     )
     assert oracle == pytest.approx(0.266827932, abs=1e-9)
-    assert split_prob(SplitModel(10, p=(0.3, 0.7)), 3) == pytest.approx(oracle, rel=1e-13)
+    assert _binomial_row(10, 0.3)[3] == pytest.approx(oracle, rel=1e-13)
 
 
-def test_split_prob_log_path_matches_exact_binomial():
+def test_binomial_row_log_path_matches_exact_binomial():
     # above the exact-arithmetic cutoff the log-space path takes over
-    model = SplitModel(120, p=(0.37, 0.63))
+    row = _binomial_row(120, 0.37)
     for i in (0, 1, 17, 60, 119, 120):
         exact = math.comb(120, i) * 0.37**i * 0.63 ** (120 - i)
-        assert split_prob(model, i) == pytest.approx(exact, rel=1e-10)
-
-
-def test_split_prob_rejects_out_of_range_count():
-    with pytest.raises(DomainError):
-        split_prob(SplitModel(3), 4)
-    with pytest.raises(DomainError):
-        split_prob(SplitModel(3), -1)
-
-
-def test_split_prob_requires_binary_model():
-    with pytest.raises(DomainError):
-        split_prob(SplitModel(3, q=3), 1)
+        assert row[i] == pytest.approx(exact, rel=1e-10)
 
 
 def test_split_model_validation():
@@ -233,6 +221,20 @@ def test_binary_tree_work_limit(monkeypatch):
     monkeypatch.setattr(pgf, "_binomial_row", no_work)
     with pytest.raises(ResourceLimitError):
         sta_pgf_binary(SplitModel(400), 1024)
+
+
+@pytest.mark.parametrize("builder", [auction_pgf, auction_skip_pgf])
+def test_auction_work_limit(builder, monkeypatch):
+    # the auction's n^2 / 2 scaled sums are bounded by the tree's own limit:
+    # n = 600 builds, n = 100000 is refused before any work
+    assert builder(SplitModel(600), 128).tail_mass < 1e-9
+
+    def no_work(*args):
+        raise AssertionError("the builder started work before checking its bound")
+
+    monkeypatch.setattr(pgf, "_binomial_row", no_work)
+    with pytest.raises(ResourceLimitError):
+        builder(SplitModel(100_000), 128)
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,7 @@ def test_single_replication_equals_direct_call():
     # episode i of a batch is the direct run at (seed, i), wherever the
     # batch's blocks fall: first, last and middle episodes of a three-block batch
     cfg = EpisodeConfig(protocol="sta", n=3, region=SECTOR)
-    block = _block_size(cfg.n)
+    block = _block_size(cfg.n, cfg.q)
     reps = 2 * block + 7
     records, _ = run_episode_batch(cfg, reps, 555)
     columns = _column_outcomes(records)
@@ -408,11 +408,12 @@ def test_record_lines_place_no_relay(monkeypatch, protocol):
 def test_lines_from_the_columns_cross_a_full_block(protocol):
     cfg = EpisodeConfig(protocol=protocol, n=8, region=SECTOR if protocol == "sta" else LENS,
                         awake_prob=0.8)
-    reps = _block_size(cfg.n) + 40
+    block = _block_size(cfg.n, cfg.q)
+    reps = block + 40
     records, _ = run_episode_batch(cfg, reps, 71)
     lines = list(records.lines())
     assert len(lines) == reps
-    for i in (0, reps // 2, _block_size(cfg.n) - 1, _block_size(cfg.n), reps - 1):
+    for i in (0, reps // 2, block - 1, block, reps - 1):
         assert lines[i] == records[i].to_line()
 
 
@@ -531,3 +532,18 @@ def test_relay_counts_above_the_cap_are_refused_before_any_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def test_many_splitting_groups_keep_the_tree_frontier_small():
+    # each crowded group counts its q sub-groups: a block of 300 episodes of
+    # a crowded pair at q = 16384 would count 39 MB of them at depth 0
+    cfg = EpisodeConfig(protocol="sta", n=2, region=SECTOR, q=16384)
+    assert _block_size(cfg.n, cfg.q) == 4
+    tracemalloc.start()
+    try:
+        _, summary = run_episode_batch(cfg, 300, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert min(summary.pmf) == 1 + cfg.q  # the pair's one sure collision
