@@ -71,8 +71,13 @@ def circle_intersection_area(r1, r2, d):
     the chord is h = sqrt(P Q) / 2d, and x = (P - Q) / 4d.  Disjoint, contained
     and tangent discs make no triangle: a factor clamped to 0 gives theta = 0
     or pi.  Concentric discs share the smaller one; a radius <= 0 meets nothing.
+    The lengths are first scaled by a power of two to below 1, which is exact:
+    a product of four of them then neither overflows nor underflows at any
+    radius in ``_RADIUS_RANGE``, and the area is scaled back at the end.
     """
     a, b, d = (np.asarray(x, dtype=float) for x in (r1, r2, d))
+    _, scale = np.frexp(np.maximum(np.maximum(a, b), d))
+    a, b, d = (np.ldexp(x, -scale) for x in (a, b, d))
     # 2 (s - x) for each side x, and 2 s: x comes off the larger other side,
     # exactly (Sterbenz) where x is a triangle's longest side, so no factor
     # cancels however thin the triangle
@@ -84,7 +89,7 @@ def circle_intersection_area(r1, r2, d):
         area = _segment(a, f_s * f_b, f_a * f_d, d) + _segment(b, f_s * f_a, f_b * f_d, d)
     r = np.minimum(a, b)
     area = np.where(d > 0.0, area, math.pi * r * r)
-    return _as_float(np.where(r > 0.0, area, 0.0))
+    return _as_float(np.ldexp(np.where(r > 0.0, area, 0.0), 2 * scale))
 
 
 def _segment(r: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -325,7 +330,7 @@ class LensRegion:
         With the centres ``R`` apart and ``t = s / 2R`` the two-circle area
         reduces to ``R^2 (2 asin t + 4 t^2 acos t - 2 t sqrt(1 - t^2))``, and
         its derivative is the arc length ``2 s acos t``.  Placement only: the
-        laws use :func:`circle_intersection_area`, with libm's ``acos``.
+        laws use :func:`circle_intersection_area`'s half-angle formula.
         """
         t = np.minimum(s / (2.0 * self.radius), 1.0)
         half_arc = np.arccos(t)

@@ -24,9 +24,12 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, TruncationError, check_fields
 
 COEFF_SLACK = 1e-12
-# One tree-builder call may spend WORK_LIMIT multiply-adds on its series
-# products, about a second on one core.  Each product also costs a fixed call
-# overhead worth PRODUCT_OVERHEAD of them, which dominates short products.
+# One builder call, the tree's or an auction's, may spend WORK_LIMIT
+# multiply-adds on its series products, about a second on one core.  Each
+# product also costs a fixed call overhead worth PRODUCT_OVERHEAD of them,
+# which dominates short products: build_pgf's first auction series holds 129
+# coefficients, so each of its sums is charged as 30,129 and n = 632 is the
+# largest auction built.
 WORK_LIMIT = 6_000_000_000
 PRODUCT_OVERHEAD = 30_000
 # build_pgf's longest series: no law resolves, and no inversion recovers a

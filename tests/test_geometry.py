@@ -56,21 +56,27 @@ def test_equal_circles_at_unit_separation():
 @st.composite
 def disc_pairs(draw):
     """Radii and a separation: anywhere, a tiny disc on the other's rim, two
-    discs near outer or inner tangency, or concentric discs."""
+    discs near outer or inner tangency, or concentric discs; half of them
+    scaled by up to 1e140 either way, where a product of four lengths would
+    overflow or underflow."""
     r1 = draw(st.floats(0.5, 4.0))
     kind = draw(st.sampled_from(["any", "rim", "tangent", "contained", "concentric"]))
     if kind == "any":
-        return r1, draw(st.floats(0.01, 8.0)), draw(st.floats(0.0, 12.0))
-    if kind == "rim":
+        pair = r1, draw(st.floats(0.01, 8.0)), draw(st.floats(0.0, 12.0))
+    elif kind == "rim":
         r2 = r1 * 10 ** draw(st.floats(-9.0, -2.0))
-        return r1, r2, r1 + r2 * draw(st.floats(-1.0, 1.0))
-    r2 = r1 * draw(st.floats(0.05, 3.0))
-    gap = 10 ** draw(st.floats(-12.0, -2.0))
-    if kind == "tangent":
-        return r1, r2, (r1 + r2) * (1.0 - gap)
-    if kind == "contained":
-        return r1, r2, abs(r1 - r2) * (1.0 + gap) if r1 != r2 else gap * r1
-    return r1, r2, 0.0
+        pair = r1, r2, r1 + r2 * draw(st.floats(-1.0, 1.0))
+    else:
+        r2 = r1 * draw(st.floats(0.05, 3.0))
+        gap = 10 ** draw(st.floats(-12.0, -2.0))
+        if kind == "tangent":
+            pair = r1, r2, (r1 + r2) * (1.0 - gap)
+        elif kind == "contained":
+            pair = r1, r2, abs(r1 - r2) * (1.0 + gap) if r1 != r2 else gap * r1
+        else:
+            pair = r1, r2, 0.0
+    scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-140, 140)))
+    return tuple(x * scale for x in pair)
 
 
 @settings(max_examples=400, deadline=None)
@@ -79,6 +85,8 @@ def disc_pairs(draw):
 @example(pair=(1.0, 1.0, 1.9999))
 @example(pair=(1.0, 0.5, 5e-324))  # a chord of length 0 at a subnormal separation
 @example(pair=(1.0, 1.0, 1e-6))  # nearly concentric equal discs
+@example(pair=(1e150, 1e150, 1e150))  # the ends of a region's radius range
+@example(pair=(1e-150, 1e-150, 1e-150))
 def test_intersection_area_matches_a_60_digit_oracle(pair):
     exact = circle_intersection_area_exact(*pair)
     got = circle_intersection_area(*pair)
@@ -97,7 +105,13 @@ def test_sector_area():
 
 
 def test_lens_area_closed_form():
-    assert LensRegion(radius=1.0).area() == pytest.approx(LENS_AREA_RHO_EQ_R, rel=1e-14)
+    mass = LensRegion(radius=1.0).source_radial_mass(0.5)
+    # the ends of the radius range too, where a product of four lengths would
+    # overflow or underflow
+    for radius in [1.0, *geometry._RADIUS_RANGE, 1e-100, 1e100]:
+        lens = LensRegion(radius=radius)
+        assert lens.area() == pytest.approx(LENS_AREA_RHO_EQ_R * radius * radius, rel=1e-14)
+        assert lens.source_radial_mass(0.5 * radius) == pytest.approx(mass, rel=1e-14)
 
 
 def test_full_reach_lens_covers_the_range_disk():
