@@ -41,6 +41,9 @@ _GL_MAX_PANELS = 256
 # distances, then Newton steps to rounding
 _PLACEMENT_TABLE_POINTS = 4097
 _PLACEMENT_NEWTON_STEPS = 3
+# bisection: levels of each interval's bisection tree taken per call of the
+# crossing test, 2**6 - 1 points an interval, so ~9 calls instead of ~54
+_BISECT_LEVELS = 6
 # points are placed this many at a time: each float64 temporary is 64 KB,
 # under glibc's 128 KB mmap threshold, so a block's ufuncs reuse heap memory
 # where whole-array temporaries would each map and fault in fresh pages
@@ -460,11 +463,16 @@ def nth_neighbor_ccdf(region: Region, rank: int, n_points: int, d):
     """
     if not 1 <= rank <= n_points:
         raise DomainError(f"rank {rank} outside [1, {n_points}]")
-    p = region.source_radial_mass(d)
+    return _as_float(np.clip(_fewer_than(rank, n_points, region.source_radial_mass(d)), 0.0, 1.0))
+
+
+def _fewer_than(rank: int, n_points: int, p):
+    """P(fewer than ``rank`` of ``n_points`` uniform points fall in a part of
+    mass ``p``), a float or an ndarray, unclamped."""
     total = 0.0
     for k in range(rank):
         total += math.comb(n_points, k) * p**k * (1.0 - p) ** (n_points - k)
-    return _as_float(np.clip(total, 0.0, 1.0))
+    return total
 
 
 def nth_neighbor_pdf(region: Region, rank: int, n_points: int, d):
@@ -556,25 +564,54 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def median_nth_distance(region: Region, rank: int, n_points: int) -> float:
     """Distance at which the rank-th neighbour CCDF crosses one half, by
     bisection down to adjacent floats."""
+    if not 1 <= rank <= n_points:
+        raise DomainError(f"rank {rank} outside [1, {n_points}]")
 
     def above_half(d):
-        return nth_neighbor_ccdf(region, rank, n_points, d) > 0.5
+        # the masses as one array, the binomial sums point by point in floats
+        # as nth_neighbor_ccdf sums them for one distance: numpy's power of an
+        # array can differ in the last bit from libm's power of a float
+        masses = region.source_radial_mass(d).tolist()
+        return [_fewer_than(rank, n_points, p) > 0.5 for p in masses]
 
     return float(_bisect(above_half, np.zeros(()), np.full((), region.radius)))
 
 
 def _bisect(below, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Crossings of ``below`` bisected down to adjacent floats, one call per
-    step for all the intervals [lo, hi] (arrays of one shape): ``below(x)``
-    is true where ``x`` lies left of its interval's crossing."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        open_ = (lo < mid) & (mid < hi)
-        if not open_.any():
-            return mid
-        left = open_ & below(mid)
-        lo = np.where(left, mid, lo)
-        hi = np.where(open_ ^ left, mid, hi)  # open and not left
+    """Crossings of ``below`` bisected down to adjacent floats, for all the
+    intervals [lo, hi] (arrays of one shape): ``below(x)`` is true where
+    ``x`` lies left of its interval's crossing.
+
+    Each call of ``below`` takes the next ``_BISECT_LEVELS`` levels of every
+    interval's bisection tree at once: the midpoints ``0.5 * (lo + hi)`` of
+    every interval the search can reach in that many halvings, an array of
+    shape ``(2**_BISECT_LEVELS - 1, *lo.shape)``.  The walk down the tree is
+    then the binary search's own, midpoint for midpoint, and so is the
+    crossing.
+    """
+    shape, width = lo.shape, lo.size
+    lo, hi = lo.ravel().tolist(), hi.ravel().tolist()
+    found = [None] * width
+    while None in found:
+        # the tree in heap order: node i's halves are nodes 2i + 1 and 2i + 2
+        a, b = np.array([lo]), np.array([hi])
+        nodes = [0.5 * (a + b)]
+        while len(nodes) < _BISECT_LEVELS:
+            a, b = np.repeat(a, 2, axis=0), np.repeat(b, 2, axis=0)
+            a[1::2] = b[0::2] = nodes[-1]
+            nodes.append(0.5 * (a + b))
+        mids = np.concatenate(nodes)
+        left = np.asarray(below(mids.reshape(-1, *shape))).reshape(-1, width)
+        for j, (mid_j, left_j) in enumerate(zip(mids.T.tolist(), left.T.tolist())):
+            i = 0
+            while found[j] is None and i < len(mid_j):
+                if not lo[j] < mid_j[i] < hi[j]:
+                    found[j] = mid_j[i]
+                elif left_j[i]:
+                    lo[j], i = mid_j[i], 2 * i + 2
+                else:
+                    hi[j], i = mid_j[i], 2 * i + 1
+    return np.array(found).reshape(shape)
 
 
 def calibrate_sdr(lens: LensRegion) -> SectorRegion:

@@ -15,9 +15,11 @@ tail mass; no symbolic algebra is used anywhere.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -218,10 +220,15 @@ def _divide(rhs: np.ndarray, lag_weights: dict[int, float]) -> np.ndarray:
     return np.array(a[2:])
 
 
+def _work(products: int, product_size: int) -> int:
+    """Cost of ``products`` series products of ``product_size`` multiply-adds
+    each, call overhead included."""
+    return products * (product_size + PRODUCT_OVERHEAD)
+
+
 def _check_work(what: str, products: int, product_size: int) -> None:
-    """Refuse a build of ``products`` series products of ``product_size``
-    multiply-adds each whose cost, call overhead included, exceeds WORK_LIMIT."""
-    if products * (product_size + PRODUCT_OVERHEAD) > WORK_LIMIT:
+    """Refuse a build whose :func:`_work` exceeds WORK_LIMIT."""
+    if _work(products, product_size) > WORK_LIMIT:
         raise ResourceLimitError(
             f"{what} needs {products} series products of {product_size} multiply-adds, "
             f"over the limit of {WORK_LIMIT}"
@@ -231,6 +238,80 @@ def _check_work(what: str, products: int, product_size: int) -> None:
 def _check_k_max(k_max: int) -> None:
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
+
+
+# ---------------------------------------------------------------------------
+# the held family
+#
+# Level f_m of each recursion is built from f_0 .. f_{m-1}, so building f_n
+# builds every level below it, and a level's low coefficients do not depend
+# on the series length: np.convolve's prefix, the _divide recurrence and the
+# binomial rows are the same at every width.  The builders therefore keep the
+# levels of the last family they built, one (protocol, p) at one width, and
+# serve a later request of that family by slicing and extending them, bit
+# for bit what a fresh build at the requested width gives.  One family at a
+# time: every caller walks n upwards within a family, and the memory held is
+# what that family's build peaks at anyway.
+
+# np.convolve of two series shorter than this sums their product's last
+# coefficient in another order than a longer product sums it (numpy's
+# small-kernel path), so the two may differ in the last bit: a request this
+# narrow is served only by a family of exactly its width.
+_SLICE_MIN = 12
+
+
+class _Family:
+    """Levels f_0, f_1, ... of one law family, ``size`` coefficients each,
+    drawn one at a time from the generator ``levels``."""
+
+    def __init__(self, key: tuple, size: int, levels: Iterator[np.ndarray]):
+        self.key, self.size, self._levels = key, size, levels
+        self.levels: list[np.ndarray] = []
+
+    def level(self, n: int) -> np.ndarray:
+        while len(self.levels) <= n:
+            self.levels.append(next(self._levels))
+        return self.levels[n]
+
+
+_held: _Family | None = None
+# one builder at a time reads, extends or replaces the held family
+_held_lock = threading.Lock()
+
+
+def _held_level(
+    key: tuple,
+    n: int,
+    size: int,
+    what: str,
+    products: int,
+    per_product: Callable[[int], int],
+    levels: Callable[[int], Iterator[np.ndarray]],
+) -> np.ndarray:
+    """Level f_n of family ``key`` at ``size`` coefficients.
+
+    Refused as a direct build of n at ``size`` is: when its ``products``
+    series products of ``per_product(size)`` multiply-adds exceed the limit.
+    Otherwise sliced from the held family when that serves it, extended first
+    when n is past its last level and its own width allows that build too,
+    and else built in its place by a fresh ``levels(size)``.
+    """
+    global _held
+    _check_work(what, products, per_product(size))
+    with _held_lock:
+        family = _held
+        serves = family is not None and family.key == key and (
+            size == family.size or _SLICE_MIN <= size < family.size
+        )
+        if not serves or (n >= len(family.levels) and _work(products, per_product(family.size)) > WORK_LIMIT):
+            # the old family is let go here, before the new one builds a level
+            family = _held = _Family(key, size, levels(size))
+        try:
+            return family.level(n)[:size]
+        except BaseException:
+            # an interrupted build leaves its generator spent: start afresh next time
+            _held = None
+            raise
 
 
 # ---------------------------------------------------------------------------
@@ -250,31 +331,49 @@ def sta_pgf_qary(model: SplitModel, k_max: int) -> TruncatedSeries:
     A collision costs its slot and hands the colliding set to q sub-groups,
     and an empty or singleton group costs one slot, so an election spends
     1 + q * (collisions) slots: F_m(z) = z f_m(w) with w = z^q.  The build
-    runs on the w coefficients of f_m.  Let G_j(t) be the law of t
-    contenders spread over groups j..q-1, so G_{q-1}(t) = f_t; then
-    G_j(t) = sum_c b_j(c) f_c G_{j+1}(t - c), with b_j the binomial row of
-    the share p_j / (p_j + ... + p_{q-1}), and f_m = w G_0(m).  The terms
-    of G_0(m) that put all m contenders in one group add up to
-    (sum_j p_j^m) f_m, so the division is a_i = b_i + c a_{i-1} in w.
+    runs on the w coefficients of f_m (see :func:`_tree_levels`).
     """
     _check_k_max(k_max)
     n, q = model.n, model.q
     size = -(-k_max // q)  # the w coefficients that land at z^1, z^(1+q), ... <= z^k_max
-    # m // 2 + (q - 2) * (m - 1) products at each level m = 2..n, each a
-    # full np.convolve of size * size multiply-adds
-    _check_work(
-        f"the splitting tree for n={n}, q={q}", n * n // 4 + (q - 2) * n * (n - 1) // 2, size * size
+    out = np.zeros(k_max + 1)
+    out[1::q] = _held_level(
+        ("sta", model.p),
+        n,
+        size,
+        f"the splitting tree for n={n}, q={q}",
+        # m // 2 + (q - 2) * (m - 1) products at each level m = 2..n, each a
+        # full np.convolve of size * size multiply-adds
+        n * n // 4 + (q - 2) * n * (n - 1) // 2,
+        lambda width: width * width,
+        lambda width: _tree_levels(model.p, width),
     )
-    shares, left = [0.0] * (q - 1), model.p[q - 1]
+    return TruncatedSeries.from_coeffs(out)
+
+
+def _tree_levels(p: tuple[float, ...], size: int) -> Iterator[np.ndarray]:
+    """The w coefficients of f_0, f_1, ... for the q-ary tree with coin ``p``.
+
+    Let G_j(t) be the law of t contenders spread over groups j..q-1, so
+    G_{q-1}(t) = f_t; then G_j(t) = sum_c b_j(c) f_c G_{j+1}(t - c), with b_j
+    the binomial row of the share p_j / (p_j + ... + p_{q-1}), and
+    f_m = w G_0(m).  The terms of G_0(m) that put all m contenders in one
+    group add up to (sum_j p_j^m) f_m, so the division is a_i = b_i + c a_{i-1}
+    in w.
+    """
+    q = len(p)
+    shares, left = [0.0] * (q - 1), p[q - 1]
     for j in range(q - 2, -1, -1):
-        left += model.p[j]
-        shares[j] = model.p[j] / left if left > 0.0 else 0.0
+        left += p[j]
+        shares[j] = p[j] / left if left > 0.0 else 0.0
     one = np.zeros(size)
     one[0] = 1.0
     f = [one, one]
     # g[j][t] = G_j(t) for j = 1..q-2: G_{q-1} is f itself, and G_0 is needed at t = m only
     g = [None] + [[one, one] for _ in range(q - 2)]
-    for m in range(2, n + 1):
+    yield one
+    yield one
+    for m in itertools.count(2):
         # rest[j]: G_j(m) less its f_m terms; stay[j]: the weight of f_m in G_j(m)
         rest, stay = [None] * (q - 1), [0.0] * (q - 1)
         row = _binomial_row(m, shares[q - 2])
@@ -292,24 +391,36 @@ def sta_pgf_qary(model: SplitModel, k_max: int) -> TruncatedSeries:
                 if row[c]:
                     part += row[c] * np.convolve(f[c], g[j + 1][m - c])[:size]
             rest[j], stay[j] = part, row[m] + row[0] * stay[j + 1]
-        f.append(_divide(_shift(part, 1), {1: sum(pj**m for pj in model.p)}))
+        f.append(_divide(_shift(part, 1), {1: sum(pj**m for pj in p)}))
         for j in range(1, q - 1):
             g[j].append(rest[j] + stay[j] * f[m])
-    out = np.zeros(k_max + 1)
-    out[1::q] = f[n]
-    return TruncatedSeries.from_coeffs(out)
+        yield f[m]
 
 
 def _auction_series(model: SplitModel, k_max: int, skip: bool) -> TruncatedSeries:
     if model.q != 2:
         raise DomainError("the auction constructions are binary (q = 2)")
     _check_k_max(k_max)
-    size = k_max + 1
-    # m - 2 scaled sums of size coefficients at each level m = 2..n
-    _check_work(f"the auction for n={model.n}", (model.n - 1) * (model.n - 2) // 2, size)
+    n = model.n
+    level = _held_level(
+        ("auction_skip" if skip else "auction", model.p),
+        n,
+        k_max + 1,
+        f"the auction for n={n}",
+        # m - 2 scaled sums of size coefficients at each level m = 2..n
+        (n - 1) * (n - 2) // 2,
+        lambda width: width,
+        lambda width: _auction_levels(model.p[0], skip, width),
+    )
+    return TruncatedSeries.from_coeffs(level)
+
+
+def _auction_levels(p0: float, skip: bool, size: int) -> Iterator[np.ndarray]:
+    """The coefficients of f_0, f_1, ... for either auction with first-group share ``p0``."""
     fam = [_base_coeffs(size), _base_coeffs(size)]
-    for m in range(2, model.n + 1):
-        row = _binomial_row(m, model.p[0])
+    yield from fam
+    for m in itertools.count(2):
+        row = _binomial_row(m, p0)
         rhs = np.zeros(size)
         for i in range(2, m):
             # pruned sibling groups never add a second recursive factor
@@ -321,7 +432,7 @@ def _auction_series(model: SplitModel, k_max: int, skip: bool) -> TruncatedSerie
             fam.append(_divide(rhs, {1: row[0] + row[m]}))
         else:
             fam.append(_divide(rhs, {1: row[m], 2: row[0]}))
-    return TruncatedSeries.from_coeffs(fam[model.n] if model.n >= 2 else fam[min(model.n, 1)])
+        yield fam[m]
 
 
 def auction_pgf(model: SplitModel, k_max: int) -> TruncatedSeries:

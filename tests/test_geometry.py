@@ -551,6 +551,39 @@ def test_partition_bands_hold_equal_mass_nest_and_cover(region, q):
     assert sum(band.area() for band in bands) == pytest.approx(region.area(), rel=1e-12)
 
 
+def _binary_bisect(below, lo, hi):
+    """One midpoint per interval a step: the search the tree bisection retraces."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            return mid
+        left = open_ & below(mid)
+        lo = np.where(left, mid, lo)
+        hi = np.where(open_ & ~left, mid, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(region=regions(), q=st.integers(2, 5), rank=st.integers(1, 12), extra=st.integers(0, 11))
+# the array CCDF's powers would move this median by one float
+@example(region=SectorRegion(radius=1.0, aperture=1.0), q=2, rank=6, extra=1)
+def test_tree_bisection_retraces_the_binary_one(region, q, rank, extra):
+    n_points = rank + extra
+    # the median against the CCDF of one distance a step, taken as a float
+    median = _binary_bisect(
+        lambda d: nth_neighbor_ccdf(region, rank, n_points, d) > 0.5, np.zeros(()), np.full((), region.radius)
+    )
+    assert median_nth_distance(region, rank, n_points) == float(median)
+    if isinstance(region, LensRegion):
+        targets = np.arange(1, q) / q
+
+        def below(s):
+            return region.anchor_radial_mass(s) < targets
+
+        lo, hi = np.full(q - 1, region.inner_rho), np.full(q - 1, region.rho)
+        assert geometry._bisect(below, lo, hi).tolist() == _binary_bisect(below, lo, hi).tolist()
+
+
 def test_partition_rejects_single_band():
     with pytest.raises(DomainError):
         partition_region(LensRegion(radius=1.0), 1)

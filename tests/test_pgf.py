@@ -238,6 +238,173 @@ def test_auction_work_limit(builder, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the held family: slices and extensions of the last family built
+
+
+def fresh(build, *args, **kwargs):
+    """``build`` run with no family held, as on a first call."""
+    pgf._held = None
+    return build(*args, **kwargs)
+
+
+def same_series(a: TruncatedSeries, b: TruncatedSeries) -> bool:
+    return a.coeffs.tobytes() == b.coeffs.tobytes() and repr(a.tail_mass) == repr(b.tail_mass)
+
+
+# (protocol, fair coin, biased coin) of every law family
+_FAMILIES = [
+    ("sta", (0.5, 0.5), (0.3, 0.7)),
+    ("sta", (1 / 3,) * 3, (0.3, 0.2, 0.5)),
+    ("sta", (0.25,) * 4, (0.3, 0.1, 0.2, 0.4)),
+    ("auction", (0.5, 0.5), (0.3, 0.7)),
+    ("auction_skip", (0.5, 0.5), (0.3, 0.7)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(_FAMILIES),
+    biased=st.booleans(),
+    n=st.integers(0, 24),
+    k0=st.integers(1, 200),
+)
+def test_wider_builds_extend_narrower_ones_bit_for_bit(family, biased, n, k0):
+    protocol, fair, skewed = family
+    p = skewed if biased else fair
+    model = SplitModel(n, q=len(p), p=p)
+    # np.convolve sums a product of under pgf._SLICE_MIN coefficients in its
+    # own order, so the tree's prefix property starts at that many w terms
+    assume(protocol != "sta" or -(-k0 // len(p)) >= pgf._SLICE_MIN)
+    builder = sta_pgf_qary if protocol == "sta" else PROTOCOL_BUILDERS[protocol]
+    narrow = fresh(builder, model, k0)
+    for k in (2 * k0, 4 * k0):
+        wide = fresh(builder, model, k)
+        cut = wide.coeffs[: k0 + 1]
+        assert cut.tobytes() == narrow.coeffs.tobytes()
+        assert same_series(TruncatedSeries.from_coeffs(cut), narrow)
+        # and the held wide family serves the narrow request as its slice
+        assert same_series(builder(model, k0), narrow)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_FAMILIES),
+            st.booleans(),
+            st.integers(0, 20),
+            st.sampled_from([1e-6, 1e-9, 1e-12]),
+            st.sampled_from([5, 16, 40, 100, 128]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_build_order_does_not_change_any_series(calls):
+    # families mixed, n rising and falling, narrow and wide starts: every
+    # series equals the one built with nothing held
+    def call(family, biased, n, tail_tol, k_start):
+        protocol, fair, skewed = family
+        p = skewed if biased else fair
+        return build_pgf(protocol, SplitModel(n, q=len(p), p=p), tail_tol=tail_tol, k_start=k_start)
+
+    pgf._held = None
+    in_order = [call(*c) for c in calls]
+    for c, series in zip(calls, in_order):
+        assert same_series(series, fresh(call, *c))
+
+
+def test_a_request_under_the_slice_minimum_is_built_at_its_own_width():
+    # np.convolve's small-kernel path sums in its own order, so no wider
+    # family's prefix stands in for a series under pgf._SLICE_MIN w terms
+    model = SplitModel(6, q=4, p=(0.1, 0.2, 0.3, 0.4))
+    narrow = fresh(sta_pgf_qary, model, 40)
+    sta_pgf_qary(model, 400)
+    assert same_series(sta_pgf_qary(model, 40), narrow)
+    assert pgf._held.size == 10 < pgf._SLICE_MIN
+
+
+def test_only_the_last_family_is_held(monkeypatch):
+    import gc
+    import weakref
+
+    fresh(build_pgf, "sta", SplitModel(10, q=3))
+    first_levels = [weakref.ref(level) for level in pgf._held.levels]
+
+    def first_family_gone():
+        gc.collect()
+        return all(ref() is None for ref in first_levels)
+
+    # the first family is gone before the second builds its first level
+    real_row = pgf._binomial_row
+
+    def row(*args):
+        assert first_family_gone(), "two families held at once"
+        return real_row(*args)
+
+    monkeypatch.setattr(pgf, "_binomial_row", row)
+    build_pgf("auction", SplitModel(6, p=(0.3, 0.7)))
+    assert pgf._held.key == ("auction", (0.3, 0.7))
+    assert len(pgf._held.levels) == 7
+    assert first_family_gone()
+
+
+def test_builders_share_the_held_family_across_threads():
+    import threading
+
+    models = [("sta", SplitModel(n, q=q)) for q in (2, 3) for n in range(0, 14, 3)]
+    models += [(p, SplitModel(n, p=(0.3, 0.7))) for p in ("auction", "auction_skip") for n in range(0, 14, 3)]
+    expected = [fresh(build_pgf, protocol, model) for protocol, model in models]
+    failures = []
+
+    def worker(offset):
+        try:
+            for i in range(len(models)):
+                j = (i + offset) % len(models)
+                if not same_series(build_pgf(*models[j]), expected[j]):
+                    failures.append(models[j])
+        except Exception as exc:  # reported below: a thread's exception is lost otherwise
+            failures.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_held_family_keeps_every_work_limit_refusal(monkeypatch):
+    # an auction of n at 129 coefficients is charged (n-1)(n-2)/2 sums of
+    # 129 + 30,000: n = 20 fits a limit of 5.5e6 and n = 21 does not; a
+    # family held at 4,096 coefficients would charge n = 20 5.83e6
+    wide = 4095
+    fresh(auction_pgf, SplitModel(10), wide)
+    monkeypatch.setattr(pgf, "WORK_LIMIT", 5_500_000)
+    series = build_pgf("auction", SplitModel(20))
+    assert pgf._held.size == 129  # not extended at the held width, whose build is over the limit
+    assert same_series(series, fresh(build_pgf, "auction", SplitModel(20)))
+    with pytest.raises(ResourceLimitError):
+        build_pgf("auction", SplitModel(21))
+    # a level already held is refused as its direct build is
+    monkeypatch.undo()
+    fresh(auction_pgf, SplitModel(30), wide)
+    monkeypatch.setattr(pgf, "WORK_LIMIT", 5_500_000)
+    with pytest.raises(ResourceLimitError):
+        build_pgf("auction", SplitModel(25))
+
+
+def test_held_family_at_the_real_work_limit(capsys):
+    from relaysel.cli import EXIT_RESOURCE, cli_main
+
+    fresh(auction_pgf, SplitModel(8), 4095)
+    assert build_pgf("auction", SplitModel(632)).tail_mass < 1e-9
+    assert cli_main(["pmf", "--protocol", "auction", "--n", "633"]) == EXIT_RESOURCE
+    assert "over the limit" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # auction series
 
 
