@@ -41,7 +41,6 @@ from .geometry import (
     nth_neighbor_ccdf,
     nth_neighbor_pdf,
     partition_region,
-    region_from_spec,
     sample_topology,
 )
 from .simulator import (

@@ -42,6 +42,7 @@ from .experiments import (
     validate_agreement,
 )
 from .geometry import (
+    MAX_POINTS,
     LensRegion,
     SectorRegion,
     calibrate_sdr,
@@ -98,15 +99,24 @@ _flag = of_type(bool)  # a flag given on the command line is True
 
 
 def _range(value, name: str) -> tuple[int, ...]:
-    """'2..5' -> (2, 3, 4, 5); '2,4,7' or a JSON list of integers -> those."""
+    """'2..5' -> (2, 3, 4, 5); '2,4,7' or a JSON list of integers -> those.
+    A range longer than 0..MAX_POINTS is refused before it is built: it
+    holds a multiplicity below 0 or above ``MAX_POINTS``, which no command
+    takes."""
     if isinstance(value, list):
         return tuple(_int(n, name) for n in value)
     if isinstance(value, str):
         lo, dots, hi = value.partition("..")
         try:
-            return tuple(range(int(lo), int(hi) + 1)) if dots else tuple(int(n) for n in value.split(","))
+            if not dots:
+                return tuple(int(n) for n in value.split(","))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             pass
+        else:
+            if hi - lo > MAX_POINTS:
+                raise ResourceLimitError(f"{name} {value} spans more than {MAX_POINTS + 1} multiplicities")
+            return tuple(range(lo, hi + 1))
     raise DomainError(f"malformed multiplicity range {value!r} for {name}")
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, ResourceLimitError, check_fields
 from .geometry import (
+    MAX_POINTS,
     LensRegion,
     SectorRegion,
     calibrate_sdr,
@@ -41,6 +42,7 @@ DEFAULT_SEED = 12345
 DEFAULT_REPLICATIONS = 100_000
 ALPHA = 1e-3  # family-wise false-alarm probability of one table's statistical rows
 CUT_LEVEL = 0.999  # analytic slot-count masses are kept up to this quantile
+PRIORITY_ROUNDS = 3  # the iterated-priority families' lens rounds
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,6 @@ class ExperimentConfig:
     replications: int = DEFAULT_REPLICATIONS
     seed: int = DEFAULT_SEED
     skip: bool = False
-    rounds: int = 3
-    ranks: tuple[int, ...] | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -76,13 +76,16 @@ class ExperimentConfig:
             raise ResourceLimitError(f"{self.q} splitting groups exceed the limit of {K_CAP}")
         if not self.n_values:
             raise DomainError("empty multiplicity range")
-        # every family but the slot-count PMFs draws neighbour distances
-        if not self.experiment.startswith("cri_pmf") and min(self.n_values) < 1:
-            raise DomainError(f"{self.experiment} needs at least one relay per multiplicity")
-        # the distance-PDF tables rank the neighbours of the last multiplicity
-        for rank in self.ranks or ():
-            if not 1 <= rank <= self.n_values[-1]:
-                raise DomainError(f"rank {rank} outside [1, {self.n_values[-1]}]")
+        # every family but the slot-count PMFs draws neighbour distances, at
+        # most replications rows of at most the largest multiplicity's points
+        if not self.experiment.startswith("cri_pmf"):
+            if min(self.n_values) < 1:
+                raise DomainError(f"{self.experiment} needs at least one relay per multiplicity")
+            if self.replications * max(self.n_values) > MAX_POINTS:
+                raise ResourceLimitError(
+                    f"{self.replications} replications of {max(self.n_values)} relays exceed "
+                    f"the limit of {MAX_POINTS} points"
+                )
 
     def config_hash(self) -> str:
         blob = json.dumps(
@@ -181,15 +184,13 @@ def _ks_gate(samples: int, alpha: float) -> float:
 
 
 def _z_gate(alpha: float) -> float:
-    """Two-sided normal quantile: the z with erfc(z / sqrt 2) = alpha, by bisection."""
-    lo, hi = 0.0, 40.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid / math.sqrt(2.0)) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Two-sided normal quantile: the z with erfc(z / sqrt 2) = alpha.  Taken
+    from the lower tail, which keeps its precision where 1 - alpha / 2 rounds."""
+    # statistics is imported on first use: with fractions and decimal it
+    # costs ~5 ms of start-up
+    from statistics import NormalDist
+
+    return -NormalDist().inv_cdf(alpha / 2.0)
 
 
 class _Checks:
@@ -283,13 +284,12 @@ def _cri_pmf(cfg: ExperimentConfig, auction: bool) -> ResultTable:
 
 def _dist_pdf(cfg: ExperimentConfig, region, label: str) -> ResultTable:
     n_points = cfg.n_values[-1]
-    ranks = cfg.ranks or tuple(range(1, n_points + 1))
     rng = np.random.default_rng(_hash_seed(cfg.seed, f"dist:{label}"))
     sorted_d = sample_sorted_separations(region, n_points, cfg.replications, rng)
     grid = np.linspace(0.0, region.radius, 201)
     rows = []
     checks = _Checks()
-    for rank in ranks:
+    for rank in range(1, n_points + 1):
         distances = sorted_d[:, rank - 1]
         checks.ks(f"ks_rank{rank}", _ks_distance(region, rank, n_points, distances), cfg.replications)
         emp_pdf = _empirical_pdf(distances, region.radius, grid)
@@ -302,12 +302,12 @@ def _dist_pdf(cfg: ExperimentConfig, region, label: str) -> ResultTable:
 
 
 def _priority_rounds(cfg: ExperimentConfig) -> list:
-    """Round 0's calibrated sector, then the lens after 1..cfg.rounds priority
-    rounds, each the priority-1 band of the one before (see
+    """Round 0's calibrated sector, then the lens after 1..PRIORITY_ROUNDS
+    priority rounds, each the priority-1 band of the one before (see
     ``iterated_priority_region``)."""
     lens = cfg.lens()
     regions = [calibrate_sdr(lens)]
-    for t in range(cfg.rounds):
+    for t in range(PRIORITY_ROUNDS):
         regions.append(partition_region(regions[-1], cfg.q)[0] if t else lens)
     return regions
 
@@ -358,7 +358,7 @@ def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     if nearest:
         # nearest-relay progress grows with every extra priority round
         for n in cfg.n_values:
-            by_round = [means[f"cdr_round{t}", n] for t in range(1, cfg.rounds + 1)]
+            by_round = [means[f"cdr_round{t}", n] for t in range(1, PRIORITY_ROUNDS + 1)]
             checks.require(
                 all(b > a for a, b in zip(by_round, by_round[1:])), f"rounds not increasing at n={n}: {by_round}"
             )
@@ -437,6 +437,10 @@ def validate_agreement(
         raise DomainError("empty multiplicity range")
     if distance_n < 1:
         raise DomainError("the distance checks need at least one relay (distance_n >= 1)")
+    if replications * distance_n > MAX_POINTS:
+        raise ResourceLimitError(
+            f"{replications} replications of {distance_n} relays exceed the limit of {MAX_POINTS} points"
+        )
     lens = LensRegion(radius=r, rho=rho)
     sector = calibrate_sdr(lens)
     checks = _Checks()

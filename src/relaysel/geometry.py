@@ -48,9 +48,10 @@ _BISECT_LEVELS = 6
 # under glibc's 128 KB mmap threshold, so a block's ufuncs reuse heap memory
 # where whole-array temporaries would each map and fault in fresh pages
 _PLACE_BLOCK = 8192
-# No episode deploys, and no separation sample holds, more points than this:
-# 1024 placement blocks.  An episode's splitting tree peaks near 120 bytes
-# per relay (1.0 GB at the cap), and a sample holds 24 bytes per point whole.
+# No episode deploys more relays, no separation sample holds more points and
+# no batch runs more episodes than this: 1024 placement blocks.  An episode's
+# splitting tree peaks near 120 bytes per relay (1.0 GB at the cap), and a
+# sample holds 24 bytes per point whole.
 MAX_POINTS = 1024 * _PLACE_BLOCK
 # a region's radius: its square is a normal float, and so is (2 r)^2 finite
 _RADIUS_RANGE = (math.sqrt(sys.float_info.min), 0.5 * math.sqrt(sys.float_info.max))
@@ -218,9 +219,6 @@ class SectorRegion:
         out[:, 0] = self.center.x + r * np.cos(theta)
         out[:, 1] = self.center.y + r * np.sin(theta)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.place(rng.random(n), rng.random(n))
-
     def partition(self, q: int) -> list["SectorRegion"]:
         """Equal-mass annular bands by source distance, outermost first."""
         lo2, hi2 = self.inner_radius**2, self.radius**2
@@ -231,16 +229,6 @@ class SectorRegion:
             for j in range(q)
         ]
         return bands[::-1]
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "sector",
-            "center": [self.center.x, self.center.y],
-            "radius": self.radius,
-            "aperture": self.aperture,
-            "axis": list(self.axis),
-            "inner_radius": self.inner_radius,
-        }
 
 
 @dataclass(frozen=True)
@@ -385,10 +373,6 @@ class LensRegion:
         out[:, 0] = a.x + s * np.cos(phi)
         out[:, 1] = a.y + s * np.sin(phi)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """``n`` points uniform over the slice, by inverse transform."""
-        return self.place(rng.random(n), rng.random(n))
-
     def partition(self, q: int) -> list["LensRegion"]:
         """Equal-mass anchor-centred slices, the slice nearest the anchor first.
 
@@ -402,16 +386,6 @@ class LensRegion:
             LensRegion(self.source, self.radius, edges[j + 1], self.axis, edges[j])
             for j in range(q)
         ]
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": "lens",
-            "source": [self.source.x, self.source.y],
-            "radius": self.radius,
-            "rho": self.rho,
-            "axis": list(self.axis),
-            "inner_rho": self.inner_rho,
-        }
 
 
 Region = SectorRegion | LensRegion
@@ -428,27 +402,6 @@ def _place_in_blocks(place_block, u, v) -> np.ndarray:
         block = slice(start, start + _PLACE_BLOCK)
         place_block(flat_u[block], flat_v[block], flat_out[block])
     return out
-
-
-def region_from_spec(spec: dict) -> Region:
-    kind = spec.get("kind")
-    if kind == "sector":
-        return SectorRegion(
-            center=Point2(*spec.get("center", (0.0, 0.0))),
-            radius=spec["radius"],
-            aperture=spec["aperture"],
-            axis=tuple(spec.get("axis", (1.0, 0.0))),
-            inner_radius=spec.get("inner_radius", 0.0),
-        )
-    if kind == "lens":
-        return LensRegion(
-            source=Point2(*spec.get("source", (0.0, 0.0))),
-            radius=spec["radius"],
-            rho=spec.get("rho"),
-            axis=tuple(spec.get("axis", (1.0, 0.0))),
-            inner_rho=spec.get("inner_rho", 0.0),
-        )
-    raise DomainError(f"unknown region kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -687,15 +640,6 @@ class Topology:
         return list(self._eligible)
 
     @cached_property
-    def _positions(self) -> np.ndarray:
-        if not self.relays:
-            return np.empty((0, 2))
-        return np.array([[p.x, p.y] for p, _ in self.relays])
-
-    def positions(self) -> np.ndarray:
-        return self._positions
-
-    @cached_property
     def _separations(self) -> np.ndarray:
         sx, sy = self.source
         return np.array([math.hypot(p.x - sx, p.y - sy) for p, _ in self.relays])
@@ -703,17 +647,12 @@ class Topology:
     def separations(self) -> np.ndarray:
         return self._separations
 
-    def projection_of(self, relay_id: int) -> float:
-        """Progress of one relay along the source-destination axis."""
-        ux = self.destination.x - self.source.x
-        uy = self.destination.y - self.source.y
-        norm = math.hypot(ux, uy)
-        p = self.relays[relay_id][0]
-        return ((p.x - self.source.x) * ux + (p.y - self.source.y) * uy) / norm
-
     def projections(self) -> np.ndarray:
         """Progress of every relay along the source-destination axis."""
-        return np.array([self.projection_of(i) for i in range(len(self.relays))])
+        sx, sy = self.source
+        ux, uy = self.destination.x - sx, self.destination.y - sy
+        norm = math.hypot(ux, uy)
+        return np.array([((p.x - sx) * ux + (p.y - sy) * uy) / norm for p, _ in self.relays])
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -733,13 +672,13 @@ def sample_topology(
     if n < 0:
         raise DomainError("relay count must be >= 0")
     rng = as_generator(seed)
-    src = region.source if isinstance(region, LensRegion) else region.center
+    src = region.source
     if destination is None:
         destination = Point2(
             src.x + 3.0 * region.radius * region.axis[0],
             src.y + 3.0 * region.radius * region.axis[1],
         )
-    pts = region.sample(n, rng).tolist() if n else []
+    pts = region.place(rng.random(n), rng.random(n)).tolist()
     if awake_prob >= 1.0:
         awake = [True] * n
     else:
@@ -753,10 +692,11 @@ def sample_sorted_separations(
 ) -> np.ndarray:
     """(draws, n_points) source separations, row-sorted; bulk path for experiments.
 
-    The uniforms are drawn as ``region.sample`` draws them; the rows are
-    then placed, measured and sorted a block of about ``_PLACE_BLOCK``
-    points at a time, so no whole-size temporary is held.  More than
-    ``MAX_POINTS`` points in all are refused before any is drawn.
+    The uniforms are drawn as :func:`sample_topology` draws them, every
+    ``u`` and then every ``v``; the rows are then placed, measured and
+    sorted a block of about ``_PLACE_BLOCK`` points at a time, so no
+    whole-size temporary is held.  More than ``MAX_POINTS`` points in all
+    are refused before any is drawn.
     """
     if draws * n_points > MAX_POINTS:
         raise ResourceLimitError(f"{draws} draws of {n_points} points exceed the limit of {MAX_POINTS}")

@@ -69,10 +69,6 @@ class SplitModel:
         if abs(sum(self.p) - 1.0) > 1e-12:
             raise DomainError("group probabilities must sum to 1 within 1e-12")
 
-    @classmethod
-    def fair(cls, n: int, q: int = 2) -> "SplitModel":
-        return cls(n=n, q=q)
-
 
 @dataclass(frozen=True)
 class InversionParams:
@@ -139,11 +135,6 @@ class TruncatedSeries:
         if k < 0:
             raise DomainError("index must be non-negative")
         return float(self.coeffs[k]) if k <= self.k_max else 0.0
-
-    def support_min(self) -> int | None:
-        """Smallest index carrying positive mass, or None for an all-zero series."""
-        nz = np.flatnonzero(self.coeffs > COEFF_SLACK)
-        return int(nz[0]) if nz.size else None
 
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.coeffs)
@@ -564,14 +555,9 @@ def _builder_for(protocol: str):
     raise DomainError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
 
 
-def build_pgf(
-    protocol: str,
-    model: SplitModel,
-    tail_tol: float = 1e-9,
-    k_start: int = 128,
-    k_cap: int = K_CAP,
-) -> TruncatedSeries:
-    """Build a protocol PGF, doubling k_max until the tail mass clears ``tail_tol``.
+def build_pgf(protocol: str, model: SplitModel, tail_tol: float = 1e-9) -> TruncatedSeries:
+    """Build a protocol PGF, doubling k_max from 128 until the tail mass
+    clears ``tail_tol``, and giving up past ``K_CAP``.
 
     A coin with some p_j = 1 never splits a collision of two or more, so no
     series exists there; a lone contender still takes its one slot.
@@ -579,13 +565,13 @@ def build_pgf(
     builder = _builder_for(protocol)
     if model.n >= 2 and max(model.p) == 1.0:
         raise DomainError("a coin with some p_j = 1 never splits a collision")
-    k = k_start
+    k = 128
     while True:
         series = builder(model, k)
         if series.tail_mass < tail_tol:
             return series
-        if k >= k_cap:
+        if k >= K_CAP:
             raise TruncationError(
-                f"tail mass {series.tail_mass:.3e} still above {tail_tol} at k_max {k_cap}"
+                f"tail mass {series.tail_mass:.3e} still above {tail_tol} at k_max {K_CAP}"
             )
-        k = min(2 * k, k_cap)
+        k *= 2

@@ -27,7 +27,8 @@ and two engines run the same episodes:
 * the scalar replay walks one episode slot by slot, the tree depth first,
   and builds its :class:`CriRecord` with the feedback trace and the
   transmitters.  A :class:`RecordBatch` replays an episode only when it is
-  read.
+  read, and :func:`run_sta` and :func:`run_auction` walk the one episode
+  of a given :class:`Topology` through the same body.
 
 Both give the same values and record lines for every episode, exactly.
 """
@@ -72,7 +73,6 @@ class CriRecord:
     slots: int
     winner: int | None
     winner_distance: float
-    winner_progress: float
     winner_rank: int | None
     feedback_trace: tuple[SlotFeedback, ...]
     transmitters: tuple[tuple[int, ...], ...]
@@ -102,7 +102,6 @@ class CriRecord:
             slots=int(slots),
             winner=None,
             winner_distance=d,
-            winner_progress=float("nan"),
             winner_rank=None,
             feedback_trace=trace,
             transmitters=tuple(() for _ in trace),
@@ -272,13 +271,23 @@ def _walk_auction(eligible: tuple[int, ...], u, q: int, cuts, skip: bool):
             j += 1
 
 
-def _record(protocol, sent, eligible, winner, separations, projections, include_request_slot):
+def _episode(config: EpisodeConfig, eligible, key, u, separations, projections) -> CriRecord:
+    """One episode walked slot by slot: the splitting tree on the coins under
+    ``key`` or the auction on the anchor masses ``u``, over the ``eligible``
+    relays whose source ``separations`` and ``projections`` are given."""
+    q, protocol = config.q, config.protocol
+    cuts = _cuts(q, config.p)
+    if protocol == "sta":
+        sent = _walk_tree(eligible, key, q, cuts)
+        # the largest progress metric wins, the lowest id on ties
+        metric = separations if config.progress == "separation" else projections
+        winner = max(eligible, key=lambda rid: (metric[rid], -rid)) if eligible else None
+    else:
+        sent, winner = _walk_auction(eligible, u, q, cuts, protocol == "auction_skip")
     if winner is None:
-        dist = prog = float("nan")
-        rank = None
+        dist, rank = float("nan"), None
     else:
         dist = separations[winner]
-        prog = projections[winner]
         rank = 1 + sum(
             1
             for rid in eligible
@@ -287,22 +296,14 @@ def _record(protocol, sent, eligible, winner, separations, projections, include_
     return CriRecord(
         protocol=protocol,
         n=len(eligible),
-        slots=len(sent) + (1 if include_request_slot else 0),
+        slots=len(sent) + config.include_request_slot,
         winner=winner,
         winner_distance=dist,
-        winner_progress=prog,
         winner_rank=rank,
         feedback_trace=tuple(_FEEDBACK[min(len(who), 2)] for who in sent),
         transmitters=tuple(sent),
         backoff=winner is None,
     )
-
-
-def _sta_winner(eligible, separations, projections, progress: str):
-    if not eligible:
-        return None
-    metric = separations if progress == "separation" else projections
-    return max(eligible, key=lambda rid: (metric[rid], -rid))
 
 
 def run_sta(
@@ -319,19 +320,20 @@ def run_sta(
     and the sub-groups reply depth-first.  The election ends when every relay
     has transmitted alone, after which the source picks the relay with the
     largest progress metric (lowest id on ties).  The coins are those of
-    episode 0 under ``seed``.
+    episode 0 under ``seed``.  The arguments are checked as
+    :class:`EpisodeConfig` checks a batch's.
     """
-    if progress not in PROGRESS_METRICS:
-        raise DomainError(f"progress must be one of {PROGRESS_METRICS}")
     eligible = topology._eligible
     if len(eligible) != model.n:
         raise DomainError(f"topology has {len(eligible)} eligible relays, model says {model.n}")
+    config = EpisodeConfig(
+        "sta", len(topology.relays), topology.region, model.q, model.p,
+        progress=progress, include_request_slot=include_request_slot,
+    )
     key = int(episode_seeds(seed, 1)[0])
-    sent = _walk_tree(eligible, key, model.q, _cuts(model.q, model.p))
-    separations = topology.separations().tolist()
-    projections = topology.projections().tolist()
-    winner = _sta_winner(eligible, separations, projections, progress)
-    return _record("sta", sent, eligible, winner, separations, projections, include_request_slot)
+    return _episode(
+        config, eligible, key, None, topology.separations().tolist(), topology.projections().tolist()
+    )
 
 
 def run_auction(
@@ -356,31 +358,26 @@ def run_auction(
     colliding band the same way; an idle slot hands over to the rest of the
     field, either by cutting it at once (``skip``: the idle doubles as the
     regather slot) or by letting it regather and collide in an extra slot
-    first.  ``p`` is taken as checked, as :class:`EpisodeConfig` does once
-    per batch.  The auction draws no random numbers, so ``seed`` is unused.
+    first.  The auction draws no random numbers, so ``seed`` is unused.  The
+    arguments are checked as :class:`EpisodeConfig` checks a batch's.
 
     The ``progress`` argument is accepted for interface symmetry; the
     auction's winner is always the first solo replier.
     """
-    if progress not in PROGRESS_METRICS:
-        raise DomainError(f"progress must be one of {PROGRESS_METRICS}")
     region = topology.region
-    if not isinstance(region, LensRegion):
-        raise DomainError("the auction needs a lens decision region to form bands")
-    eligible = topology._eligible
+    config = EpisodeConfig(
+        "auction_skip" if skip else "auction", len(topology.relays), region, q, p,
+        progress=progress, include_request_slot=include_request_slot,
+    )
     ax, ay = region.anchor
     s = np.array([math.hypot(pos.x - ax, pos.y - ay) for pos, _ in topology.relays])
-    u = dict(enumerate(region.anchor_radial_mass(s).tolist()))
-    sent, winner = _walk_auction(eligible, u, q, _cuts(q, p), skip)
-    protocol = "auction_skip" if skip else "auction"
-    return _record(
-        protocol,
-        sent,
-        eligible,
-        winner,
+    return _episode(
+        config,
+        topology._eligible,
+        None,
+        region.anchor_radial_mass(s).tolist(),
         topology.separations().tolist(),
         topology.projections().tolist(),
-        include_request_slot,
     )
 
 
@@ -670,8 +667,6 @@ def _lines(config: EpisodeConfig, keys: np.ndarray, slots, distance) -> list[str
 def _replay(config: EpisodeConfig, keys: np.ndarray):
     """The block's episodes walked slot by slot, yielded as records."""
     dep = _Deployment(config, keys)
-    cuts = _cuts(config.q, config.p)
-    q, protocol = config.q, config.protocol
     ids = range(config.n)
     for key, awake, u, seps, projs in zip(
         keys.tolist(),
@@ -680,13 +675,7 @@ def _replay(config: EpisodeConfig, keys: np.ndarray):
         dep.separations.tolist(),
         dep.projections.tolist(),
     ):
-        eligible = tuple(rid for rid in ids if awake[rid])
-        if protocol == "sta":
-            sent = _walk_tree(eligible, key, q, cuts)
-            winner = _sta_winner(eligible, seps, projs, config.progress)
-        else:
-            sent, winner = _walk_auction(eligible, u, q, cuts, protocol == "auction_skip")
-        yield _record(protocol, sent, eligible, winner, seps, projs, config.include_request_slot)
+        yield _episode(config, tuple(rid for rid in ids if awake[rid]), key, u, seps, projs)
 
 
 def run_single_episode(config: EpisodeConfig, seed, episode: int = 0) -> CriRecord:
@@ -760,6 +749,8 @@ def run_episode_batch(
     """Episodes 0 .. replications - 1 under the master seed, run as columns."""
     if replications < 1:
         raise DomainError("need at least one replication")
+    if replications > MAX_POINTS:
+        raise ResourceLimitError(f"{replications} replications exceed the limit of {MAX_POINTS} per batch")
     seed = _master_seed(seed)
     blocks = [_columns(config, keys) for keys in _block_keys(seed, replications, config)]
     records = RecordBatch(config, seed, *(np.concatenate(col) for col in zip(*blocks)))

@@ -4,12 +4,14 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from datetime import timedelta
 from math import inf, nan
@@ -568,6 +570,46 @@ def test_relay_count_above_the_cap_is_refused_at_once(capsys):
     assert peak < 2_000_000  # the parser's own allocations, and no relay
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1.7M draws of 5 relays exceed the cap on points; the distance
+        # sample that meets the cap runs only after the batches
+        ["validate", "--n", "2..5", "--reps", "1700000"],
+        ["experiment", "--id", "progress_vs_cri_sta", "--n", "5", "--reps", "1700000"],
+        # a range's length is checked before its tuple is built
+        ["validate", "--n", "1..1000000000"],
+        ["experiment", "--id", "cri_pmf_sta", "--n", "0..1000000000"],
+        ["simulate", "--protocol", "sta", "--n", "2", "--reps", "1000000000000"],
+    ],
+)
+def test_oversize_work_is_refused_before_any_of_it(capsys, argv):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        elapsed = time.perf_counter() - start
+        tracemalloc.stop()
+    assert code == EXIT_RESOURCE
+    assert err.startswith("error:") and out == ""
+    assert elapsed < 1.0
+    assert peak < 2_000_000
+
+
+def test_every_traced_name_of_the_benchmark_resolves():
+    # bench/spans.py rebinds these by getattr with no default, so a name
+    # deleted here would break the traced benchmark
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module, attr, *_ in spans.TRACED:
+        assert callable(getattr(importlib.import_module(f"relaysel.{module}"), attr)), (module, attr)
+
+
 def test_each_subcommand_takes_exactly_its_table_entries():
     parser = build_parser()
     (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -581,7 +623,7 @@ def test_every_settable_experiment_field_has_exactly_one_config_key():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     keys = [opt.key for opt in options_of("experiment") if opt.key in fields]
     assert sorted(keys) == sorted(set(keys)) == sorted(CONFIG_KEYS)
-    assert fields - set(CONFIG_KEYS) == {"rounds", "ranks"}  # no option sets these
+    assert fields - set(CONFIG_KEYS) == set()  # an option sets every field
 
 
 def test_readme_lists_every_config_key_with_its_flag():

@@ -199,13 +199,6 @@ def test_distance_families_reject_zero_relays_before_any_work(experiment):
         ExperimentConfig(experiment=experiment, n_values=(0, 1, 2))
 
 
-@pytest.mark.parametrize("experiment", ["dist_pdf_sdr", "dist_pdf_cdr"])
-@pytest.mark.parametrize("ranks", [(5,), (0,), (1, 4)])
-def test_ranks_outside_the_last_multiplicity_are_rejected_when_built(experiment, ranks):
-    with pytest.raises(DomainError):
-        ExperimentConfig(experiment=experiment, n_values=(3,), ranks=ranks)
-
-
 def test_slot_count_families_and_validate_accept_zero_contenders(monkeypatch):
     table = run_experiment(ExperimentConfig(experiment="cri_pmf_sta", n_values=(0, 1), replications=200))
     assert table.passed, table.failures

@@ -25,7 +25,6 @@ from relaysel.geometry import (
     nth_neighbor_ccdf,
     nth_neighbor_pdf,
     partition_region,
-    region_from_spec,
     sample_sorted_separations,
     sample_topology,
 )
@@ -161,7 +160,7 @@ def test_lens_radial_mass_against_monte_carlo():
     lens = LensRegion(radius=1.0)
     rng = np.random.default_rng(99)
     total = 10_000_000
-    pts = lens.sample(total, rng)
+    pts = lens.place(rng.random(total), rng.random(total))
     d = np.hypot(pts[:, 0], pts[:, 1])
     p_hat = float((d <= 0.8).mean())
     se = math.sqrt(p_hat * (1.0 - p_hat) / total)
@@ -506,7 +505,7 @@ def test_partition_membership_matches_monte_carlo():
     band = partition_region(lens, 2)[0]
     rng = np.random.default_rng(31337)
     total = 1_000_000
-    pts = lens.sample(total, rng)
+    pts = lens.place(rng.random(total), rng.random(total))
     hits = sum(band.contains(Point2(float(x), float(y))) for x, y in pts[:100_000])
     n = 100_000
     se = math.sqrt(0.5 * 0.5 / n)
@@ -627,7 +626,7 @@ def test_sub_band_counts_follow_the_mass():
     band = partition_region(lens, 2)[0]
     rng = np.random.default_rng(11)
     draws, n = 100_000, 5
-    pts = lens.sample(draws * n, rng)
+    pts = lens.place(rng.random(draws * n), rng.random(draws * n))
     dax = np.hypot(pts[:, 0] - 1.0, pts[:, 1])  # anchor sits at (R, 0)
     count = float((dax <= band.rho).sum()) / draws
     se = math.sqrt(n * 0.5 * 0.5 / draws)
@@ -645,7 +644,8 @@ def test_thin_far_band_samples_inside_the_band():
     # 5e-4 of its anchor annulus lies in range, too little to sample by
     # rejection; inverse transform places every point exactly
     band = LensRegion(radius=1.0, rho=2.0, inner_rho=1.99999)
-    pts = band.sample(1000, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    pts = band.place(rng.random(1000), rng.random(1000))
     assert all(band.contains(Point2(x, y)) for x, y in pts.tolist())
 
 
@@ -754,19 +754,6 @@ def test_topology_rejects_out_of_range_relay():
             relays=((Point2(2.0, 0.0), True),),
             region=region,
         )
-
-
-def test_region_spec_round_trip():
-    for region in (
-        SectorRegion(radius=1.5, aperture=2.2),
-        LensRegion(radius=2.0, rho=1.4),
-        partition_region(LensRegion(radius=1.0), 2)[1],
-    ):
-        clone = region_from_spec(region.to_spec())
-        assert type(clone) is type(region)
-        assert clone.area() == pytest.approx(region.area(), rel=1e-12)
-    with pytest.raises(DomainError):
-        region_from_spec({"kind": "triangle"})
 
 
 def test_sorted_separations_refuse_more_points_than_the_cap_before_drawing():

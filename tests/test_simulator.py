@@ -175,6 +175,22 @@ def test_auction_needs_a_lens_region():
         run_auction(topo, seed=1)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda topo: run_auction(topo, seed=1, p=(0.6, 0.6)), id="auction-sum"),
+        pytest.param(lambda topo: run_auction(topo, q=3, seed=1, p=(0.5, 0.5)), id="auction-length"),
+        pytest.param(lambda topo: run_auction(topo, skip=True, seed=1, p=(0.0, 1.0)), id="skip-empty-top"),
+        pytest.param(lambda topo: run_auction(topo, seed=1, progress="closest"), id="auction-progress"),
+        # a coin with p_j = 1 never splits the pair's collision
+        pytest.param(lambda topo: run_sta(topo, SplitModel(2, p=(1.0, 0.0)), 1), id="sta-sure-coin"),
+    ],
+)
+def test_scalar_runs_check_their_coin_as_a_batch_does(run):
+    with pytest.raises(DomainError):
+        run(lens_topology([0.2, 0.7]))
+
+
 def test_auction_walkthrough_collision_then_single():
     # three bidders collide in the gating slot; the split that follows puts
     # the best one alone in the top band, so it replies alone and wins.

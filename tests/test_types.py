@@ -55,8 +55,7 @@ CASES = [
     }),
     (ExperimentConfig, {"experiment": "cri_pmf_sta"}, {
         "experiment": "str", "n_values": "ints", "q": "int", "p": "reals?", "r": "real", "rho": "real?",
-        "aperture": "real", "replications": "int", "seed": "int", "skip": "bool", "rounds": "int",
-        "ranks": "ints?",
+        "aperture": "real", "replications": "int", "seed": "int", "skip": "bool",
     }),
     (SectorRegion, {}, {"center": "reals", "radius": "real", "aperture": "real", "axis": "reals",
                         "inner_radius": "real"}),
