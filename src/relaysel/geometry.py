@@ -617,42 +617,23 @@ def iterated_priority_region(region: Region, rounds: int, q: int = 2) -> Region:
 
 @dataclass(frozen=True)
 class Topology:
-    """One sampled deployment: source, destination and candidate relays."""
+    """One sampled deployment: the source and its candidate relays."""
 
     source: Point2
-    destination: Point2
-    relays: tuple[tuple[Point2, bool], ...]
+    relays: tuple[Point2, ...]
     region: Region
 
     def __post_init__(self):
         r2 = self.region.radius**2 * (1.0 + 1e-9)
-        for pos, _ in self.relays:
+        for pos in self.relays:
             dx = pos.x - self.source.x
             dy = pos.y - self.source.y
             if dx * dx + dy * dy > r2:
                 raise DomainError("relay outside the source's transmission range")
 
-    @cached_property
-    def _eligible(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, awake) in enumerate(self.relays) if awake)
-
-    def eligible_ids(self) -> list[int]:
-        return list(self._eligible)
-
-    @cached_property
-    def _separations(self) -> np.ndarray:
-        sx, sy = self.source
-        return np.array([math.hypot(p.x - sx, p.y - sy) for p, _ in self.relays])
-
     def separations(self) -> np.ndarray:
-        return self._separations
-
-    def projections(self) -> np.ndarray:
-        """Progress of every relay along the source-destination axis."""
         sx, sy = self.source
-        ux, uy = self.destination.x - sx, self.destination.y - sy
-        norm = math.hypot(ux, uy)
-        return np.array([((p.x - sx) * ux + (p.y - sy) * uy) / norm for p, _ in self.relays])
+        return np.array([math.hypot(p.x - sx, p.y - sy) for p in self.relays])
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -661,30 +642,13 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_topology(
-    region: Region,
-    n: int,
-    seed,
-    awake_prob: float = 1.0,
-    destination: Point2 | None = None,
-) -> Topology:
+def sample_topology(region: Region, n: int, seed) -> Topology:
     """Draw ``n`` uniform relays on the region; deterministic given the seed."""
     if n < 0:
         raise DomainError("relay count must be >= 0")
     rng = as_generator(seed)
-    src = region.source
-    if destination is None:
-        destination = Point2(
-            src.x + 3.0 * region.radius * region.axis[0],
-            src.y + 3.0 * region.radius * region.axis[1],
-        )
     pts = region.place(rng.random(n), rng.random(n)).tolist()
-    if awake_prob >= 1.0:
-        awake = [True] * n
-    else:
-        awake = (rng.random(n) < awake_prob).tolist()
-    relays = tuple((Point2(x, y), a) for (x, y), a in zip(pts, awake))
-    return Topology(source=src, destination=destination, relays=relays, region=region)
+    return Topology(region.source, tuple(Point2(x, y) for x, y in pts), region)
 
 
 def sample_sorted_separations(

@@ -11,9 +11,9 @@ slot is excluded by default and can be re-added with ``include_request_slot``.
 Randomness is addressed by counter, in the manner of Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3" (SC 2011): every uniform is a
 pure function of (master seed, episode, stream, index), a SplitMix64 mix in
-64-bit integers.  A relay's placement is drawn at (relay, 0) and (relay, 1),
-its awake flag at (relay) and a splitting-tree coin at (contender, depth), a
-contender being in exactly one group per depth.  An episode's draws thus do
+64-bit integers.  A relay's placement is drawn at (relay, 0) and (relay, 1)
+and its splitting-tree coins at (relay, depth), a relay being in exactly one
+group per depth.  An episode's draws thus do
 not depend on which episodes run beside it, in what order or in what block,
 and two engines run the same episodes:
 
@@ -50,7 +50,6 @@ from .errors import DomainError, ResourceLimitError, check_fields
 from .geometry import MAX_POINTS, LensRegion, Region, Topology, as_generator
 from .pgf import SplitModel
 
-PROGRESS_METRICS = ("separation", "projection")
 PROTOCOLS = ("sta", "auction", "auction_skip")
 
 
@@ -64,8 +63,8 @@ class SlotFeedback(enum.Enum):
 class CriRecord:
     """Outcome of one simulated contention episode.
 
-    ``winner_rank`` is the winner's position among the episode's eligible
-    relays when ordered by source separation (1 = nearest).
+    ``winner_rank`` is the winner's position among the episode's relays
+    when ordered by source separation (1 = nearest).
     """
 
     protocol: str
@@ -122,7 +121,8 @@ _U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX
 _UNIT = 2.0**-53
 
 # an episode's streams; the tree's coins at depth d are stream _COIN + d
-_PLACE_U, _PLACE_V, _AWAKE, _COIN = 0, 1, 2, 3
+# (stream 2 held the relays' awake flags, and stays unused)
+_PLACE_U, _PLACE_V, _COIN = 0, 1, 3
 
 
 def _mix(z: int) -> int:
@@ -215,17 +215,17 @@ def _cuts(q: int, p) -> list[float]:
     return [j / q for j in range(q)] if p is None else list(accumulate(p[:-1], initial=0.0))
 
 
-def _walk_tree(eligible: tuple[int, ...], key: int, q: int, cuts) -> list[tuple[int, ...]]:
+def _walk_tree(relays: tuple[int, ...], key: int, q: int, cuts) -> list[tuple[int, ...]]:
     """Each slot's transmitters in the splitting tree, depth first.
 
-    All eligible relays reply in the gating slot; every collision splits the
+    All relays reply in the gating slot; every collision splits the
     colliding group by each member's coin at the group's depth, and the
     sub-groups reply in order, each one's subtree before the next.
     """
-    cap = _SLOT_CAP_PER_CONTENDER * (len(eligible) + 1)
-    sent = [eligible]
+    cap = _SLOT_CAP_PER_CONTENDER * (len(relays) + 1)
+    sent = [relays]
     inner = cuts[1:]
-    stack = [(eligible, 0)] if len(eligible) > 1 else []
+    stack = [(relays, 0)] if len(relays) > 1 else []
     while stack:
         group, depth = stack.pop()
         if depth:  # the root's slot is the gating one
@@ -243,14 +243,14 @@ def _walk_tree(eligible: tuple[int, ...], key: int, q: int, cuts) -> list[tuple[
     return sent
 
 
-def _walk_auction(eligible: tuple[int, ...], u, q: int, cuts, skip: bool):
+def _walk_auction(relays: tuple[int, ...], u, q: int, cuts, skip: bool):
     """(each slot's transmitters, winner or None) of the priority-band
     auction on anchor masses ``u``."""
-    sent = [eligible]  # the gating slot that fixes the contender set
-    if len(eligible) < 2:
-        return sent, (eligible[0] if eligible else None)
-    cap = _SLOT_CAP_PER_CONTENDER * (len(eligible) + 1)
-    active = eligible
+    sent = [relays]  # the gating slot that fixes the contender set
+    if len(relays) < 2:
+        return sent, (relays[0] if relays else None)
+    cap = _SLOT_CAP_PER_CONTENDER * (len(relays) + 1)
+    active = relays
     lo, hi, j = 0.0, 1.0, 0
     while True:
         if len(sent) >= cap:
@@ -271,31 +271,27 @@ def _walk_auction(eligible: tuple[int, ...], u, q: int, cuts, skip: bool):
             j += 1
 
 
-def _episode(config: EpisodeConfig, eligible, key, u, separations, projections) -> CriRecord:
+def _episode(config: EpisodeConfig, key, u, separations) -> CriRecord:
     """One episode walked slot by slot: the splitting tree on the coins under
-    ``key`` or the auction on the anchor masses ``u``, over the ``eligible``
-    relays whose source ``separations`` and ``projections`` are given."""
+    ``key`` or the auction on the anchor masses ``u``, over relays whose
+    source ``separations`` are given."""
     q, protocol = config.q, config.protocol
+    relays = tuple(range(config.n))
     cuts = _cuts(q, config.p)
     if protocol == "sta":
-        sent = _walk_tree(eligible, key, q, cuts)
-        # the largest progress metric wins, the lowest id on ties
-        metric = separations if config.progress == "separation" else projections
-        winner = max(eligible, key=lambda rid: (metric[rid], -rid)) if eligible else None
+        sent = _walk_tree(relays, key, q, cuts)
+        # the farthest relay wins, the lowest id on ties
+        winner = max(relays, key=lambda rid: (separations[rid], -rid)) if relays else None
     else:
-        sent, winner = _walk_auction(eligible, u, q, cuts, protocol == "auction_skip")
+        sent, winner = _walk_auction(relays, u, q, cuts, protocol == "auction_skip")
     if winner is None:
         dist, rank = float("nan"), None
     else:
         dist = separations[winner]
-        rank = 1 + sum(
-            1
-            for rid in eligible
-            if separations[rid] < dist or (separations[rid] == dist and rid < winner)
-        )
+        rank = 1 + sum(s < dist or (s == dist and rid < winner) for rid, s in enumerate(separations))
     return CriRecord(
         protocol=protocol,
-        n=len(eligible),
+        n=config.n,
         slots=len(sent) + config.include_request_slot,
         winner=winner,
         winner_distance=dist,
@@ -310,44 +306,37 @@ def run_sta(
     topology: Topology,
     model: SplitModel,
     seed=None,
-    progress: str = "separation",
     include_request_slot: bool = False,
 ) -> CriRecord:
-    """Simulate one splitting-tree election over the topology's eligible set.
+    """Simulate one splitting-tree election over the topology's relays.
 
-    All eligible relays reply in the first slot; every collision splits the
-    colliding group by an i.i.d. coin with the model's group probabilities,
-    and the sub-groups reply depth-first.  The election ends when every relay
-    has transmitted alone, after which the source picks the relay with the
-    largest progress metric (lowest id on ties).  The coins are those of
-    episode 0 under ``seed``.  The arguments are checked as
-    :class:`EpisodeConfig` checks a batch's.
+    All relays reply in the first slot; every collision splits the colliding
+    group by an i.i.d. coin with the model's group probabilities, and the
+    sub-groups reply depth-first.  The election ends when every relay has
+    transmitted alone, after which the source picks the farthest relay
+    (lowest id on ties).  The coins are those of episode 0 under ``seed``.
+    The arguments are checked as :class:`EpisodeConfig` checks a batch's.
     """
-    eligible = topology._eligible
-    if len(eligible) != model.n:
-        raise DomainError(f"topology has {len(eligible)} eligible relays, model says {model.n}")
+    n = len(topology.relays)
+    if n != model.n:
+        raise DomainError(f"topology has {n} relays, model says {model.n}")
     config = EpisodeConfig(
-        "sta", len(topology.relays), topology.region, model.q, model.p,
-        progress=progress, include_request_slot=include_request_slot,
+        "sta", n, topology.region, model.q, model.p, include_request_slot=include_request_slot
     )
     key = int(episode_seeds(seed, 1)[0])
-    return _episode(
-        config, eligible, key, None, topology.separations().tolist(), topology.projections().tolist()
-    )
+    return _episode(config, key, None, topology.separations().tolist())
 
 
 def run_auction(
     topology: Topology,
     q: int = 2,
     skip: bool = False,
-    seed=None,
-    progress: str = "separation",
     include_request_slot: bool = False,
     p: tuple[float, ...] | None = None,
 ) -> CriRecord:
     """Simulate one priority-band auction election.
 
-    Every eligible relay replies in the gating slot: an idle slot backs off
+    Every relay replies in the gating slot: an idle slot backs off
     and a single reply wins at once.  After a collision each relay's place
     in the lens is its anchor mass ``u``, the lens mass within its anchor
     distance, which is Uniform(0, 1) for a uniform relay.  The contenders'
@@ -358,27 +347,17 @@ def run_auction(
     colliding band the same way; an idle slot hands over to the rest of the
     field, either by cutting it at once (``skip``: the idle doubles as the
     regather slot) or by letting it regather and collide in an extra slot
-    first.  The auction draws no random numbers, so ``seed`` is unused.  The
-    arguments are checked as :class:`EpisodeConfig` checks a batch's.
-
-    The ``progress`` argument is accepted for interface symmetry; the
-    auction's winner is always the first solo replier.
+    first.  The auction draws no random numbers.  The arguments are checked
+    as :class:`EpisodeConfig` checks a batch's.
     """
     region = topology.region
     config = EpisodeConfig(
         "auction_skip" if skip else "auction", len(topology.relays), region, q, p,
-        progress=progress, include_request_slot=include_request_slot,
+        include_request_slot=include_request_slot,
     )
     ax, ay = region.anchor
-    s = np.array([math.hypot(pos.x - ax, pos.y - ay) for pos, _ in topology.relays])
-    return _episode(
-        config,
-        topology._eligible,
-        None,
-        region.anchor_radial_mass(s).tolist(),
-        topology.separations().tolist(),
-        topology.projections().tolist(),
-    )
+    s = np.array([math.hypot(pos.x - ax, pos.y - ay) for pos in topology.relays])
+    return _episode(config, None, region.anchor_radial_mass(s).tolist(), topology.separations().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +368,8 @@ def run_auction(
 class EpisodeConfig:
     """Everything one episode needs besides its seed.
 
-    ``n`` is the deployed relay count, at most ``MAX_POINTS``; the realized
-    conflict multiplicity is the number of relays that are awake (all of
-    them at the default ``awake_prob`` of 1).
+    ``n`` is the deployed relay count, at most ``MAX_POINTS``, and every
+    relay contends: ``n`` is the episode's conflict multiplicity.
     """
 
     protocol: str
@@ -399,8 +377,6 @@ class EpisodeConfig:
     region: Region
     q: int = 2
     p: tuple[float, ...] | None = None
-    awake_prob: float = 1.0
-    progress: str = "separation"
     include_request_slot: bool = False
 
     def __post_init__(self):
@@ -409,12 +385,8 @@ class EpisodeConfig:
             raise ResourceLimitError(f"{self.n} relays exceed the limit of {MAX_POINTS} per episode")
         if not isinstance(self.region, Region):
             raise DomainError(f"region must be a LensRegion or a SectorRegion, got {self.region!r}")
-        if not 0.0 <= self.awake_prob <= 1.0:
-            raise DomainError(f"awake_prob must lie in [0, 1], got {self.awake_prob}")
         if self.protocol not in PROTOCOLS:
             raise DomainError(f"unknown protocol {self.protocol!r}")
-        if self.progress not in PROGRESS_METRICS:
-            raise DomainError(f"progress must be one of {PROGRESS_METRICS}")
         if self.protocol != "sta" and not isinstance(self.region, LensRegion):
             raise DomainError("the auction needs a lens decision region to form bands")
         # check q and p once per batch rather than once per episode, and turn
@@ -424,6 +396,14 @@ class EpisodeConfig:
             raise DomainError("a coin with some p_j = 1 never splits a collision")
         if self.protocol == "auction_skip" and model.p[0] == 0.0:
             raise DomainError("auction_skip re-probes an empty top band forever when p_0 = 0")
+        if self.protocol == "auction_skip" and self.q > 2:
+            # after an idle it recuts the rest of the field, so it reads only p_0
+            raise DomainError("auction_skip is binary (q = 2): its idle recut reads only p_0")
+        if self.protocol == "sta" and self.n * self.q > 2 * MAX_POINTS:
+            # one episode's tree frontier counts the q sub-groups of up to n / 2 groups
+            raise ResourceLimitError(
+                f"{self.n} relays in {self.q} groups exceed the tree frontier's limit of {MAX_POINTS}"
+            )
 
 
 @dataclass
@@ -459,60 +439,43 @@ def _block_keys(seed, replications: int, config: EpisodeConfig):
 
 
 class _Deployment:
-    """A block of episodes' relays: (episodes, n) arrays from the awake draws
-    and the placement's first uniform ``u``, the lens relay's anchor mass.
+    """A block of episodes' relays as (episodes, n) arrays: ``u``, the
+    placement's first uniform and the lens relay's anchor mass, and the
+    source ``separations``.
 
-    The elections and their record lines read only these.  The relays are
-    placed when ``separations`` or ``projections`` is first read, each
-    block at most once.
+    The elections and their record lines read only ``u``.  Each array is
+    drawn when first read, each block at most once, so the record lines
+    place no relay.
     """
 
     def __init__(self, config: EpisodeConfig, keys: np.ndarray):
         self.region = config.region
         self.relay = np.arange(config.n, dtype=np.uint64)
         self.column = keys[:, None]
-        self.u = _uniforms(self.column, _PLACE_U, self.relay)
-        if config.awake_prob >= 1.0:
-            self.awake = np.ones(self.u.shape, dtype=bool)
-        else:
-            self.awake = _uniforms(self.column, _AWAKE, self.relay) < config.awake_prob
-        self.contenders = self.awake.sum(axis=1)
-        self.caps = _SLOT_CAP_PER_CONTENDER * (self.contenders + 1)
 
     @cached_property
-    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        pts = self.region.place(self.u, _uniforms(self.column, _PLACE_V, self.relay))
-        sx, sy = self.region.source
-        return pts[..., 0] - sx, pts[..., 1] - sy
+    def u(self) -> np.ndarray:
+        return _uniforms(self.column, _PLACE_U, self.relay)
 
     @cached_property
     def separations(self) -> np.ndarray:
-        return np.hypot(*self._offsets)
-
-    @cached_property
-    def projections(self) -> np.ndarray:
-        # progress along the axis towards a destination three ranges out
-        region = self.region
-        sx, sy = region.source
-        ux = (sx + 3.0 * region.radius * region.axis[0]) - sx
-        uy = (sy + 3.0 * region.radius * region.axis[1]) - sy
-        dx, dy = self._offsets
-        return (dx * ux + dy * uy) / math.hypot(ux, uy)
+        pts = self.region.place(self.u, _uniforms(self.column, _PLACE_V, self.relay))
+        sx, sy = self.region.source
+        return np.hypot(pts[..., 0] - sx, pts[..., 1] - sy)
 
 
-def _tree_slots(keys, dep: _Deployment, q: int, cuts):
-    """(slots, sizes) of the splitting tree: 1 + q slots per collision, the
-    collisions counted over a frontier of crowded groups split one depth at
-    a time.  ``sizes[d]`` holds the sizes of the q sub-groups of each crowded
-    group at depth d, in frontier order; the crowded ones, in that order,
-    are the groups at depth d + 1."""
+def _tree_slots(keys, n: int, q: int, cuts):
+    """(slots, sizes) of the splitting tree over n >= 2 relays: 1 + q slots
+    per collision, the collisions counted over a frontier of crowded groups
+    split one depth at a time.  ``sizes[d]`` holds the sizes of the q
+    sub-groups of each crowded group at depth d, in frontier order; the
+    crowded ones, in that order, are the groups at depth d + 1."""
     inner = np.array(cuts[1:])
-    crowded = dep.contenders >= 2
-    collisions = crowded.astype(np.int64)
-    ep, rid = np.nonzero(dep.awake & crowded[:, None])
-    relay = rid.astype(np.uint64)
-    group = np.cumsum(crowded)[ep] - 1  # one root group per crowded episode
-    group_ep = np.flatnonzero(crowded)
+    cap = _SLOT_CAP_PER_CONTENDER * (n + 1)
+    collisions = np.ones(keys.size, dtype=np.int64)
+    group = ep = np.repeat(np.arange(keys.size), n)  # one root group per episode
+    relay = np.tile(np.arange(n, dtype=np.uint64), keys.size)
+    group_ep = np.arange(keys.size)
     sizes = []
     depth = 0
     while ep.size:
@@ -523,9 +486,8 @@ def _tree_slots(keys, dep: _Deployment, q: int, cuts):
         kids = np.flatnonzero(crowd)
         group_ep = group_ep[kids // q]
         collisions += np.bincount(group_ep, minlength=collisions.size)
-        over = 1 + q * collisions > dep.caps
-        if over.any():
-            raise _unresolved(int(dep.caps[over][0]))
+        if 1 + q * int(collisions.max()) > cap:
+            raise _unresolved(cap)
         keep = crowd[child]
         group = (np.cumsum(crowd) - 1)[child[keep]]
         ep, relay = ep[keep], relay[keep]
@@ -534,7 +496,7 @@ def _tree_slots(keys, dep: _Deployment, q: int, cuts):
 
 
 def _tree_marks(sizes, q: int, roots: np.ndarray):
-    """(positions, sizes) of the sub-groups' slots depth by depth, the crowded
+    """(positions, sizes) of the sub-groups' slots depth by depth, the
     roots' slots being at ``roots`` and each subtree replying before the next."""
     # bottom up: a sub-group spans its own slot, plus its sub-groups' spans if crowded
     spans = [np.zeros(0, dtype=np.int64)]
@@ -551,29 +513,33 @@ def _tree_marks(sizes, q: int, roots: np.ndarray):
         at = at[size >= 2]
 
 
-def _auction_descent(dep: _Deployment, q: int, cuts, skip: bool):
-    """(slots, winner or -1, steps) of the auction, every crowded episode
-    descending its interval of anchor mass one slot per step; a step is noted
-    as (its rows, their slots' positions, their reply counts)."""
-    slots = np.ones(dep.contenders.size, dtype=np.int64)
-    winner = np.where(dep.contenders == 1, dep.awake.argmax(axis=1), -1)
-    rows = np.flatnonzero(dep.contenders >= 2)
-    active, u = dep.awake[rows], dep.u[rows]
-    lo, hi = np.zeros(rows.size), np.ones(rows.size)
-    j = np.zeros(rows.size, dtype=np.int64)
+def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool):
+    """(slots, winner, steps) of the auction over n >= 2 relays' anchor
+    masses ``u``, every unresolved episode descending its interval one slot
+    per step; a step is noted as (its rows, their slots' position, their
+    reply counts).  The unresolved episodes are all at the same slot."""
+    episodes, n = u.shape
+    cap = _SLOT_CAP_PER_CONTENDER * (n + 1)
+    slots = np.ones(episodes, dtype=np.int64)
+    winner = np.full(episodes, -1)
+    rows = np.arange(episodes)
+    active = np.ones(u.shape, dtype=bool)
+    lo, hi = np.zeros(episodes), np.ones(episodes)
+    j = np.zeros(episodes, dtype=np.int64)
     edge = np.array(list(cuts) + [1.0])  # the last entry stands in for hi
     steps = []
+    slot = 1
     while rows.size:
-        over = slots[rows] >= dep.caps[rows]
-        if over.any():
-            raise _unresolved(int(dep.caps[rows][over][0]))
+        if slot >= cap:
+            raise _unresolved(cap)
         width = hi - lo
         top = np.where(j == q - 1, hi, lo + edge[j + 1] * width)
         members = active & (u <= top[:, None])
         count = members.sum(axis=1)
-        steps.append((rows, slots[rows], count))
-        slots[rows] += 1
+        steps.append((rows, slot, count))
+        slot += 1
         won = count == 1
+        slots[rows[won]] = slot
         winner[rows[won]] = members[won].argmax(axis=1)
         crowd = count >= 2
         idle = count == 0
@@ -591,91 +557,62 @@ def _auction_descent(dep: _Deployment, q: int, cuts, skip: bool):
 
 
 def _elect(config: EpisodeConfig, keys: np.ndarray):
-    """(deployment, slots, winner or -1, marks) of a block of elections of
-    at least one relay, the request slot left out; ``marks(at)`` yields the
-    (positions, sizes) of every slot after the gating one, the episodes'
-    gating slots being at positions ``at``.  The tree's winner is None: it
-    is picked by the relays' places, which the election never reads."""
+    """(deployment, slots, winner, marks) of a block of elections of n >= 1
+    relays, the request slot left out; ``marks(at)`` yields the (positions,
+    sizes) of every slot after the gating one, the episodes' gating slots
+    being at positions ``at``.  The tree's winner is None: it is the
+    farthest relay, whose place the election never reads."""
     dep = _Deployment(config, keys)
-    cuts = _cuts(config.q, config.p)
+    q, cuts = config.q, _cuts(config.q, config.p)
+    if config.n == 1:  # the lone relay's gating reply wins
+        return dep, np.ones(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=np.int64), lambda at: ()
     if config.protocol == "sta":
-        slots, sizes = _tree_slots(keys, dep, config.q, cuts)
-        winner = None
-
-        def marks(at):
-            return _tree_marks(sizes, config.q, at[dep.contenders >= 2])
-
-    else:
-        slots, winner, steps = _auction_descent(dep, config.q, cuts, config.protocol == "auction_skip")
-
-        def marks(at):
-            return ((at[rows] + pos, count) for rows, pos, count in steps)
-
-    return dep, slots, winner, marks
+        slots, sizes = _tree_slots(keys, config.n, q, cuts)
+        return dep, slots, None, lambda at: _tree_marks(sizes, q, at)
+    slots, winner, steps = _auction_descent(dep.u, q, cuts, config.protocol == "auction_skip")
+    return dep, slots, winner, lambda at: ((at[rows] + pos, count) for rows, pos, count in steps)
 
 
 def _columns(config: EpisodeConfig, keys: np.ndarray) -> tuple[np.ndarray, ...]:
     """(slots, winner, winner_rank, winner_distance) of a block of episodes;
     no winner is -1, rank 0 and distance NaN."""
+    size = keys.size
     if config.n == 0:  # nobody replies in the gating slot: the source backs off
-        size = keys.size
         slots = np.full(size, 1 + config.include_request_slot)
         return slots, np.full(size, -1), np.zeros(size, dtype=np.int64), np.full(size, np.nan)
     dep, slots, winner, _ = _elect(config, keys)
+    seps = dep.separations
     if winner is None:
-        metric = dep.separations if config.progress == "separation" else dep.projections
-        # the largest metric wins, the lowest id on ties, as argmax picks
-        winner = np.where(dep.contenders > 0, np.where(dep.awake, metric, -np.inf).argmax(axis=1), -1)
-    has = winner >= 0
-    w = np.where(has, winner, 0)
-    dist = dep.separations[np.arange(w.size), w]
-    ids = np.arange(config.n)
-    ahead = dep.awake & (
-        (dep.separations < dist[:, None])
-        | ((dep.separations == dist[:, None]) & (ids < w[:, None]))
-    )
-    rank = np.where(has, 1 + ahead.sum(axis=1), 0)
-    if config.include_request_slot:
-        slots = slots + 1
-    return slots, winner, rank, np.where(has, dist, np.nan)
+        winner = seps.argmax(axis=1)  # the farthest wins, the lowest id on ties, as argmax picks
+    dist = seps[np.arange(size), winner]
+    ahead = (seps < dist[:, None]) | ((seps == dist[:, None]) & (np.arange(config.n) < winner[:, None]))
+    return slots + config.include_request_slot, winner, 1 + ahead.sum(axis=1), dist
 
 
 def _lines(config: EpisodeConfig, keys: np.ndarray, slots, distance) -> list[str]:
     """Each episode's record line, given the block's slots and winner
-    distances: its elections are run again for the contender counts and the
-    marks, whose symbols are scattered into one byte buffer of traces."""
+    distances: its elections are run again for the marks, whose symbols are
+    scattered into one byte buffer of traces."""
     length = slots - config.include_request_slot
     at = np.cumsum(length) - length
-    if config.n == 0:
-        contenders, marks = np.zeros(keys.size, dtype=np.int64), ()
-    else:
-        dep, _, _, marks = _elect(config, keys)
-        contenders, marks = dep.contenders, marks(at)
     trace = np.empty(int(length.sum()), dtype=np.uint8)
-    trace[at] = _SYMBOLS[np.minimum(contenders, 2)]
+    trace[at] = _SYMBOLS[min(config.n, 2)]
+    marks = _elect(config, keys)[3](at) if config.n else ()
     for pos, size in marks:
         trace[pos] = _SYMBOLS[np.minimum(size, 2)]
     text = trace.tobytes().decode("ascii")
+    head = f"{config.protocol} {config.n}"
     return [
-        f"{config.protocol} {n} {k} {d!r} {text[a:a + m]}"
-        for n, k, d, a, m in zip(
-            contenders.tolist(), slots.tolist(), distance.tolist(), at.tolist(), length.tolist()
-        )
+        f"{head} {k} {d!r} {text[a:a + m]}"
+        for k, d, a, m in zip(slots.tolist(), distance.tolist(), at.tolist(), length.tolist())
     ]
 
 
 def _replay(config: EpisodeConfig, keys: np.ndarray):
     """The block's episodes walked slot by slot, yielded as records."""
     dep = _Deployment(config, keys)
-    ids = range(config.n)
-    for key, awake, u, seps, projs in zip(
-        keys.tolist(),
-        dep.awake.tolist(),
-        dep.u.tolist(),
-        dep.separations.tolist(),
-        dep.projections.tolist(),
-    ):
-        yield _episode(config, tuple(rid for rid in ids if awake[rid]), key, u, seps, projs)
+    for key, u, seps in zip(keys.tolist(), dep.u.tolist(), dep.separations.tolist()):
+        yield _episode(config, key, u, seps)
 
 
 def run_single_episode(config: EpisodeConfig, seed, episode: int = 0) -> CriRecord:

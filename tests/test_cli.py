@@ -447,7 +447,8 @@ RECORDS_GOLDEN = [
      "cd1bd14d4339eec39d0e7d661ce4a3c76b090c0bd0189a67cb3d67e6b80471b1"),
     ("auction-skip", 4, 3000, [],
      "3846a890b87b1f47c49d7f6965ad8dbae04f030099cc6c55fdfd0e0eb9ac7d50"),
-    ("auction-skip", 5, 2000, ["--q", "3"],
+    # the digest of the refused --q 3: the idle recut reads only p_0 = 1/3
+    ("auction-skip", 5, 2000, ["--p", "0.3333333333333333,0.6666666666666667"],
      "01910310944b32ff986a716e21903c8d83ec35ff241488063fb7722834490b56"),
     ("auction-skip", 5, 2000, ["--p", "0.3,0.7"],
      "0740e10f210ac6203b31e423255335b8940eda19b3c41957d7f73d963ce2b5ac"),
@@ -596,6 +597,37 @@ def test_oversize_work_is_refused_before_any_of_it(capsys, argv):
     assert err.startswith("error:") and out == ""
     assert elapsed < 1.0
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [
+        # the skip auction's idle recut reads only p_0, so q > 2 has no model
+        (["simulate", "--protocol", "auction-skip", "--n", "5", "--q", "3", "--p", "0.3,0.35,0.35"], EXIT_USAGE),
+        # one episode's tree frontier would count 16,384 sub-groups of up to n / 2 groups
+        (["simulate", "--protocol", "sta", "--n", "8388608", "--q", "16384"], EXIT_RESOURCE),
+    ],
+)
+def test_episodes_outside_the_model_are_refused_before_any_work(capsys, argv, exit_code):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        elapsed = time.perf_counter() - start
+        tracemalloc.stop()
+    assert code == exit_code
+    assert err.startswith("error:") and out == ""
+    assert elapsed < 1.0
+    assert peak < 2_000_000
+
+
+def test_every_episode_field_is_set_by_a_simulate_option():
+    # a field that no option sets is a dimension of the model nobody can reach
+    fields = {f.name for f in dataclasses.fields(simulator.EpisodeConfig)} - {"region"}
+    keys = {opt.key for opt in options_of("simulate")}
+    assert fields <= keys, fields - keys
 
 
 def test_every_traced_name_of_the_benchmark_resolves():

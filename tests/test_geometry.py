@@ -604,7 +604,7 @@ def test_priority_rounds_push_mass_outward():
 def test_sample_topology_empty():
     topo = sample_topology(LensRegion(radius=1.0), 0, 7)
     assert topo.relays == ()
-    assert topo.eligible_ids() == []
+    assert topo.separations().size == 0
 
 
 def test_sample_topology_is_deterministic():
@@ -617,7 +617,7 @@ def test_sample_topology_is_deterministic():
 def test_sampled_points_lie_in_region():
     for region in (LensRegion(radius=1.0), SectorRegion(radius=1.0, aperture=2.1)):
         topo = sample_topology(region, 200, 5)
-        for pos, _ in topo.relays:
+        for pos in topo.relays:
             assert region.contains(pos)
 
 
@@ -631,13 +631,6 @@ def test_sub_band_counts_follow_the_mass():
     count = float((dax <= band.rho).sum()) / draws
     se = math.sqrt(n * 0.5 * 0.5 / draws)
     assert abs(count - n * 0.5) <= 3.0 * se
-
-
-def test_awake_probability_filters_eligibility():
-    topo = sample_topology(LensRegion(radius=1.0), 400, 3, awake_prob=0.5)
-    eligible = len(topo.eligible_ids())
-    assert 120 < eligible < 280
-    assert all(topo.relays[i][1] for i in topo.eligible_ids())
 
 
 def test_thin_far_band_samples_inside_the_band():
@@ -748,12 +741,7 @@ def test_sorted_separations_hold_no_whole_size_temporary():
 def test_topology_rejects_out_of_range_relay():
     region = LensRegion(radius=1.0)
     with pytest.raises(DomainError):
-        Topology(
-            source=Point2(0.0, 0.0),
-            destination=Point2(3.0, 0.0),
-            relays=((Point2(2.0, 0.0), True),),
-            region=region,
-        )
+        Topology(source=Point2(0.0, 0.0), relays=(Point2(2.0, 0.0),), region=region)
 
 
 def test_sorted_separations_refuse_more_points_than_the_cap_before_drawing():

@@ -43,19 +43,10 @@ LENS = LensRegion(radius=1.0)
 SECTOR = SectorRegion(radius=1.0)
 
 
-def lens_topology(anchor_distances, awake=None, region=LENS):
+def lens_topology(anchor_distances, region=LENS):
     """Relays placed on the source->anchor axis at given anchor distances."""
-    if awake is None:
-        awake = [True] * len(anchor_distances)
-    relays = tuple(
-        (Point2(region.radius - a, 0.0), up) for a, up in zip(anchor_distances, awake)
-    )
-    return Topology(
-        source=Point2(0.0, 0.0),
-        destination=Point2(3.0, 0.0),
-        relays=relays,
-        region=region,
-    )
+    relays = tuple(Point2(region.radius - a, 0.0) for a in anchor_distances)
+    return Topology(source=Point2(0.0, 0.0), relays=relays, region=region)
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +117,6 @@ def test_sta_winner_maximizes_separation():
     assert rec.winner_distance == pytest.approx(float(seps.max()))
 
 
-def test_sta_projection_metric_changes_the_winner_rule():
-    relays = (
-        (Point2(0.1, 0.85), True),   # large separation, small forward progress
-        (Point2(0.6, 0.0), True),    # smaller separation, all of it forward
-    )
-    topo = Topology(Point2(0, 0), Point2(3.0, 0.0), relays, SECTOR)
-    by_sep = run_sta(topo, SplitModel(2), 5, progress="separation")
-    by_proj = run_sta(topo, SplitModel(2), 5, progress="projection")
-    assert by_sep.winner == 0
-    assert by_proj.winner == 1
-
-
 def test_request_slot_accounting_flag():
     topo = sample_topology(SECTOR, 1, 3)
     rec = run_sta(topo, SplitModel(1), 4, include_request_slot=True)
@@ -151,7 +130,7 @@ def test_request_slot_accounting_flag():
 
 def test_auction_empty_field_backs_off():
     topo = sample_topology(LENS, 0, 3)
-    rec = run_auction(topo, seed=4)
+    rec = run_auction(topo)
     assert rec.slots == 1
     assert rec.feedback_trace == (SlotFeedback.IDLE,)
     assert rec.backoff
@@ -163,7 +142,7 @@ def test_auction_lone_relay_wins_in_one_slot(skip):
     # the gating slot's single reply is already a win, as in the splitting
     # tree and the auction's slot-count law
     topo = sample_topology(LENS, 1, 3)
-    rec = run_auction(topo, skip=skip, seed=4)
+    rec = run_auction(topo, skip=skip)
     assert rec.slots == 1
     assert rec.feedback_trace == (SlotFeedback.SINGLE,)
     assert rec.winner == 0
@@ -172,16 +151,16 @@ def test_auction_lone_relay_wins_in_one_slot(skip):
 def test_auction_needs_a_lens_region():
     topo = sample_topology(SECTOR, 2, 3)
     with pytest.raises(DomainError):
-        run_auction(topo, seed=1)
+        run_auction(topo)
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        pytest.param(lambda topo: run_auction(topo, seed=1, p=(0.6, 0.6)), id="auction-sum"),
-        pytest.param(lambda topo: run_auction(topo, q=3, seed=1, p=(0.5, 0.5)), id="auction-length"),
-        pytest.param(lambda topo: run_auction(topo, skip=True, seed=1, p=(0.0, 1.0)), id="skip-empty-top"),
-        pytest.param(lambda topo: run_auction(topo, seed=1, progress="closest"), id="auction-progress"),
+        pytest.param(lambda topo: run_auction(topo, p=(0.6, 0.6)), id="auction-sum"),
+        pytest.param(lambda topo: run_auction(topo, q=3, p=(0.5, 0.5)), id="auction-length"),
+        pytest.param(lambda topo: run_auction(topo, skip=True, p=(0.0, 1.0)), id="skip-empty-top"),
+        pytest.param(lambda topo: run_auction(topo, q=3, skip=True), id="skip-three-bands"),
         # a coin with p_j = 1 never splits the pair's collision
         pytest.param(lambda topo: run_sta(topo, SplitModel(2, p=(1.0, 0.0)), 1), id="sta-sure-coin"),
     ],
@@ -196,7 +175,7 @@ def test_auction_walkthrough_collision_then_single():
     # the best one alone in the top band, so it replies alone and wins.
     # ids: 0 = "87", 1 = "21", 2 = "55".
     topo = lens_topology([0.2, 0.7, 0.8])
-    rec = run_auction(topo, seed=1)
+    rec = run_auction(topo)
     assert rec.feedback_trace == (SlotFeedback.COLLISION, SlotFeedback.SINGLE)
     assert rec.winner == 0
     assert rec.slots == 2
@@ -206,7 +185,7 @@ def test_auction_prunes_lower_band_after_collision():
     # a fourth bidder sits in the low-priority band; it hears the gating
     # collision, then the high band's collision, and never transmits again
     topo = lens_topology([0.2, 0.5, 0.6, 0.9])
-    rec = run_auction(topo, seed=1)
+    rec = run_auction(topo)
     assert rec.feedback_trace == (
         SlotFeedback.COLLISION,  # gating reply of all four
         SlotFeedback.COLLISION,  # high-priority band {0, 1, 2}
@@ -222,13 +201,11 @@ def test_auction_winner_is_closest_to_the_anchor():
         topo = sample_topology(LENS, 5, seed)
         anchor = LENS.anchor
         best = min(
-            topo.eligible_ids(),
-            key=lambda rid: math.hypot(
-                topo.relays[rid][0].x - anchor.x, topo.relays[rid][0].y - anchor.y
-            ),
+            range(len(topo.relays)),
+            key=lambda rid: math.hypot(topo.relays[rid].x - anchor.x, topo.relays[rid].y - anchor.y),
         )
         for skip in (False, True):
-            rec = run_auction(topo, skip=skip, seed=seed)
+            rec = run_auction(topo, skip=skip)
             assert rec.winner == best
 
 
@@ -237,13 +214,13 @@ def test_auction_idle_handling_differs_between_variants():
     # idle of the high band; without skip the field regathers (one extra
     # collision), with skip the refreshed partition answers at once
     topo = lens_topology([0.8, 0.9])
-    plain = run_auction(topo, skip=False, seed=1)
+    plain = run_auction(topo, skip=False)
     assert plain.feedback_trace[:3] == (
         SlotFeedback.COLLISION,
         SlotFeedback.IDLE,
         SlotFeedback.COLLISION,
     )
-    skipped = run_auction(topo, skip=True, seed=1)
+    skipped = run_auction(topo, skip=True)
     assert skipped.feedback_trace[0] is SlotFeedback.COLLISION
     assert skipped.feedback_trace[1] is SlotFeedback.IDLE
     # after the idle the refreshed top band holds the better bidder alone
@@ -282,7 +259,7 @@ def test_auction_three_band_descent():
     inside_middle = 0.5 * (bands[1].inner_rho + bands[1].rho)
     inside_low = 0.5 * (bands[2].inner_rho + bands[2].rho)
     topo = lens_topology([inside_middle, inside_low])
-    rec = run_auction(topo, q=3, seed=1)
+    rec = run_auction(topo, q=3)
     assert rec.feedback_trace == (
         SlotFeedback.COLLISION,
         SlotFeedback.IDLE,
@@ -346,23 +323,21 @@ BIASED = {2: (0.3, 0.7), 3: (0.3, 0.35, 0.35)}
 @pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
 def test_replay_equals_the_columnar_engine_exactly(protocol, n, q):
     region = SECTOR if protocol == "sta" else LENS
+    if protocol == "auction_skip" and q > 2:  # refused: its idle recut reads only p_0
+        with pytest.raises(DomainError, match="binary"):
+            EpisodeConfig(protocol=protocol, n=n, region=region, q=q, p=BIASED[q])
+        return
     for p in (None, BIASED[q]):
-        for awake_prob in (1.0, 0.6):
-            for progress in ("separation", "projection"):
-                cfg = EpisodeConfig(
-                    protocol=protocol, n=n, region=region, q=q, p=p,
-                    awake_prob=awake_prob, progress=progress,
-                )
-                records, _ = run_episode_batch(cfg, 150, 97)
-                assert [_outcome(r) for r in records] == _column_outcomes(records)
+        cfg = EpisodeConfig(protocol=protocol, n=n, region=region, q=q, p=p)
+        records, _ = run_episode_batch(cfg, 150, 97)
+        assert [_outcome(r) for r in records] == _column_outcomes(records)
 
 
 @pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
 def test_replayed_transmitters_stay_within_the_gating_set(protocol):
     # gated access: nobody outside the first slot's repliers ever transmits
-    cfg = EpisodeConfig(
-        protocol=protocol, n=6, region=SECTOR if protocol == "sta" else LENS, q=3, awake_prob=0.7
-    )
+    q = 2 if protocol == "auction_skip" else 3
+    cfg = EpisodeConfig(protocol=protocol, n=6, region=SECTOR if protocol == "sta" else LENS, q=q)
     records, _ = run_episode_batch(cfg, 400, 23)
     for rec in records:
         gating = set(rec.transmitters[0])
@@ -374,13 +349,11 @@ def test_replayed_transmitters_stay_within_the_gating_set(protocol):
 @given(
     protocol=st.sampled_from(["sta", "auction", "auction_skip"]),
     n=st.integers(0, 8),
-    awake_prob=st.sampled_from([1.0, 0.6]),
     seed=st.integers(0, 2**70),
     cuts=st.lists(st.integers(1, 59), max_size=6),
 )
-def test_episode_outcomes_do_not_depend_on_the_block(protocol, n, awake_prob, seed, cuts):
-    cfg = EpisodeConfig(protocol=protocol, n=n, region=SECTOR if protocol == "sta" else LENS,
-                        awake_prob=awake_prob)
+def test_episode_outcomes_do_not_depend_on_the_block(protocol, n, seed, cuts):
+    cfg = EpisodeConfig(protocol=protocol, n=n, region=SECTOR if protocol == "sta" else LENS)
     keys = episode_seeds(seed, 60)
     whole = _columns(cfg, keys)
     edges = [0, *sorted(set(cuts)), 60]
@@ -395,21 +368,21 @@ def test_lines_from_the_columns_equal_the_replayed_lines(monkeypatch, protocol, 
     # blocks of 40 relays put several block seams in every batch
     monkeypatch.setattr(simulator, "_BLOCK_RELAYS", 40)
     region = SECTOR if protocol == "sta" else LENS
+    if protocol == "auction_skip" and q > 2:  # refused: its idle recut reads only p_0
+        with pytest.raises(DomainError, match="binary"):
+            EpisodeConfig(protocol=protocol, n=5, region=region, q=q)
+        return
     for p in (None, BIASED[q]):
-        for awake_prob in (1.0, 0.6):
-            for n in (0, 1, 2, 5, 8):
-                for progress, request in (("separation", False), ("projection", True)):
-                    cfg = EpisodeConfig(
-                        protocol=protocol, n=n, region=region, q=q, p=p, awake_prob=awake_prob,
-                        progress=progress, include_request_slot=request,
-                    )
-                    records, _ = run_episode_batch(cfg, 45, 313)
-                    assert list(records.lines()) == [r.to_line() for r in records]
+        for n in (0, 1, 2, 5, 8):
+            for request in (False, True):
+                cfg = EpisodeConfig(protocol=protocol, n=n, region=region, q=q, p=p, include_request_slot=request)
+                records, _ = run_episode_batch(cfg, 45, 313)
+                assert list(records.lines()) == [r.to_line() for r in records]
 
 
 @pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
 def test_record_lines_place_no_relay(monkeypatch, protocol):
-    # the traces need the awake flags and the anchor masses, not the places
+    # the traces need the tree's coins and the auction's anchor masses, not the places
     region = SECTOR if protocol == "sta" else LENS
     records, _ = run_episode_batch(EpisodeConfig(protocol=protocol, n=5, region=region), 300, 29)
 
@@ -422,8 +395,7 @@ def test_record_lines_place_no_relay(monkeypatch, protocol):
 
 @pytest.mark.parametrize("protocol", ["sta", "auction"])
 def test_lines_from_the_columns_cross_a_full_block(protocol):
-    cfg = EpisodeConfig(protocol=protocol, n=8, region=SECTOR if protocol == "sta" else LENS,
-                        awake_prob=0.8)
+    cfg = EpisodeConfig(protocol=protocol, n=8, region=SECTOR if protocol == "sta" else LENS)
     block = _block_size(cfg.n, cfg.q)
     reps = block + 40
     records, _ = run_episode_batch(cfg, reps, 71)
@@ -439,19 +411,17 @@ def test_lines_from_the_columns_cross_a_full_block(protocol):
     n=st.integers(0, 9),
     q=st.integers(2, 4),
     coin=st.lists(st.integers(1, 20), min_size=4, max_size=4),
-    awake_prob=st.sampled_from([1.0, 0.8, 0.5]),
     request=st.booleans(),
     seed=st.integers(0, 2**64),
 )
-def test_record_lines_round_trip_and_keep_the_tree_shape(
-    protocol, n, q, coin, awake_prob, request, seed
-):
+def test_record_lines_round_trip_and_keep_the_tree_shape(protocol, n, q, coin, request, seed):
     # every line parses back to itself; a splitting tree's trace is a full
     # q-ary tree whose leaves are its n solo replies and idle sub-groups
+    q = 2 if protocol == "auction_skip" else q
     p = tuple(c / sum(coin[:q]) for c in coin[:q])
     cfg = EpisodeConfig(
         protocol=protocol, n=n, region=SECTOR if protocol == "sta" else LENS, q=q, p=p,
-        awake_prob=awake_prob, include_request_slot=request,
+        include_request_slot=request,
     )
     records, _ = run_episode_batch(cfg, 30, seed)
     for line in records.lines():
@@ -494,7 +464,7 @@ def test_winner_distance_follows_the_furthest_neighbor_law():
 
 def test_record_line_round_trip():
     topo = sample_topology(LENS, 3, 17)
-    rec = run_auction(topo, seed=18)
+    rec = run_auction(topo)
     line = rec.to_line()
     parsed = CriRecord.from_line(line)
     assert parsed.protocol == "auction"
@@ -506,7 +476,7 @@ def test_record_line_round_trip():
 
 def test_backoff_record_line_round_trip():
     topo = sample_topology(LENS, 0, 17)
-    rec = run_auction(topo, seed=18)
+    rec = run_auction(topo)
     parsed = CriRecord.from_line(rec.to_line())
     assert math.isnan(parsed.winner_distance)
     assert parsed.backoff
@@ -538,12 +508,15 @@ def test_batch_summary_rank_means_cover_all_ranks():
 
 
 def test_relay_counts_above_the_cap_are_refused_before_any_allocation():
+    # a splitting tree's frontier counts the q sub-groups of up to n / 2 groups
     assert EpisodeConfig(protocol="sta", n=MAX_POINTS, region=LENS).n == MAX_POINTS
+    assert EpisodeConfig(protocol="sta", n=MAX_POINTS // 8, region=LENS, q=16).q == 16
+    assert EpisodeConfig(protocol="auction", n=MAX_POINTS, region=LENS, q=3).q == 3
     tracemalloc.start()
     try:
-        for n in (MAX_POINTS + 1, 10**8, 10**30):
+        for n, q in [(MAX_POINTS + 1, 2), (10**8, 2), (10**30, 2), (MAX_POINTS, 3), (MAX_POINTS // 8 + 1, 16)]:
             with pytest.raises(ResourceLimitError):
-                EpisodeConfig(protocol="sta", n=n, region=LENS)
+                EpisodeConfig(protocol="sta", n=n, region=LENS, q=q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -51,7 +51,7 @@ CASES = [
     (InversionParams, {}, {"r": "real?", "gamma": "real"}),
     (EpisodeConfig, EPISODE, {
         "protocol": "str", "n": "int", "region": "region", "q": "int", "p": "reals?",
-        "awake_prob": "real", "progress": "str", "include_request_slot": "bool",
+        "include_request_slot": "bool",
     }),
     (ExperimentConfig, {"experiment": "cri_pmf_sta"}, {
         "experiment": "str", "n_values": "ints", "q": "int", "p": "reals?", "r": "real", "rho": "real?",
@@ -92,7 +92,7 @@ def test_every_field_of_every_constructor_is_covered():
         lambda: SplitModel(3, p=0.5),
         lambda: SplitModel(n=2.5),
         lambda: EpisodeConfig("sta", "3", LensRegion()),
-        lambda: EpisodeConfig("sta", 3, LensRegion(), awake_prob="x"),
+        lambda: EpisodeConfig("sta", 3, LensRegion(), include_request_slot="x"),
         lambda: ExperimentConfig("cri_pmf_sta", replications="x"),
         lambda: ExperimentConfig("cri_pmf_sta", n_values=3),
         lambda: ExperimentConfig("cri_pmf_sta", seed="a"),
