@@ -29,6 +29,7 @@ from .geometry import (
     LensRegion,
     SectorRegion,
     calibrate_sdr,
+    check_binomials,
     expected_nth_distance,
     nth_neighbor_ccdf,
     nth_neighbor_pdf,
@@ -86,6 +87,12 @@ class ExperimentConfig:
                     f"{self.replications} replications of {max(self.n_values)} relays exceed "
                     f"the limit of {MAX_POINTS} points"
                 )
+            # the largest binomial of the family's laws, refused before any sampling:
+            # the dist_pdf and iter_gain families take the last multiplicity only
+            n = self.n_values[-1] if self.experiment.startswith(("dist_pdf", "iter_gain")) else max(self.n_values)
+            check_binomials(1 if self.experiment.endswith("nearest") else n, n)
+            if self.experiment == "dist_pdf_sdr":  # every rank's sector density
+                check_binomials(min(n, n // 2 + 1), n, density=True)
 
     def config_hash(self) -> str:
         blob = json.dumps(
@@ -441,6 +448,7 @@ def validate_agreement(
         raise ResourceLimitError(
             f"{replications} replications of {distance_n} relays exceed the limit of {MAX_POINTS} points"
         )
+    check_binomials(distance_n, distance_n)
     lens = LensRegion(radius=r, rho=rho)
     sector = calibrate_sdr(lens)
     checks = _Checks()

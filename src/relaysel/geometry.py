@@ -37,14 +37,17 @@ _SIN_TAIL = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
 _GL_NODES = 32
 _GL_TOL = 1e-14
 _GL_MAX_PANELS = 256
-# lens placement: a start interpolated in a table of this many anchor
-# distances, then Newton steps to rounding
-_PLACEMENT_TABLE_POINTS = 4097
-_PLACEMENT_NEWTON_STEPS = 3
+# lens placement: the anchor distance is tabled at w = sqrt(anchor mass) =
+# j / _PLACEMENT_GRID, where it is smooth up to rho < 2R however the mass
+# goes flat at the ends; a point starts on the cubic Hermite through its two
+# nodes and their slopes, then takes one Newton step, and up to this many in
+# all where a step's second-order term is still above rounding
+_PLACEMENT_GRID = 1024
+_PLACEMENT_NEWTON_STEPS = 8
 # bisection: levels of each interval's bisection tree taken per call of the
 # crossing test, 2**6 - 1 points an interval, so ~9 calls instead of ~54
 _BISECT_LEVELS = 6
-# points are placed this many at a time: each float64 temporary is 64 KB,
+# points are placed or measured this many at a time: each float64 temporary is 64 KB,
 # under glibc's 128 KB mmap threshold, so a block's ufuncs reuse heap memory
 # where whole-array temporaries would each map and fault in fresh pages
 _PLACE_BLOCK = 8192
@@ -55,6 +58,7 @@ _PLACE_BLOCK = 8192
 MAX_POINTS = 1024 * _PLACE_BLOCK
 # a region's radius: its square is a normal float, and so is (2 r)^2 finite
 _RADIUS_RANGE = (math.sqrt(sys.float_info.min), 0.5 * math.sqrt(sys.float_info.max))
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class Point2(NamedTuple):
@@ -209,15 +213,26 @@ class SectorRegion:
         points come back with a trailing axis of (x, y).  Uniform ``u`` and
         ``v`` give points uniform over the sector.
         """
-        return _place_in_blocks(self._place_block, u, v)
+        return _in_blocks(self._place_block, u, v, 2)
+
+    def separations(self, u, v) -> np.ndarray:
+        """Source distances of :meth:`place`'s points, of the shape of ``u``:
+        the radius alone, so ``v`` is not read."""
+        return _in_blocks(self._separation_block, u, v)
 
     def _place_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         base = math.atan2(self.axis[1], self.axis[0])
-        lo2 = self.inner_radius**2
-        r = np.sqrt(lo2 + u * (self.radius**2 - lo2))
+        r = self._radii(u)
         theta = base + (v - 0.5) * self.aperture
         out[:, 0] = self.center.x + r * np.cos(theta)
         out[:, 1] = self.center.y + r * np.sin(theta)
+
+    def _separation_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+        out[:] = self._radii(u)
+
+    def _radii(self, u: np.ndarray) -> np.ndarray:
+        lo2 = self.inner_radius**2
+        return np.sqrt(lo2 + u * (self.radius**2 - lo2))
 
     def partition(self, q: int) -> list["SectorRegion"]:
         """Equal-mass annular bands by source distance, outermost first."""
@@ -314,64 +329,125 @@ class LensRegion:
             return False
         return da > self.inner_rho or self.inner_rho == 0.0
 
-    def _disk_overlap(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Area of the range disk within anchor distance ``s``, and its
-        derivative in ``s``, by numpy's ufuncs.
+    def _disk_overlap(self, s: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Area of the range disk within anchor distance ``s``, by numpy's
+        ufuncs, with its derivative in ``s`` and half the size of its second
+        as a ratio ``bend / root``.
 
         With the centres ``R`` apart and ``t = s / 2R`` the two-circle area
-        reduces to ``R^2 (2 asin t + 4 t^2 acos t - 2 t sqrt(1 - t^2))``, and
-        its derivative is the arc length ``2 s acos t``.  Placement only: the
-        laws use :func:`circle_intersection_area`'s half-angle formula.
+        reduces to ``2 R^2 (asin t + t (2 t acos t - sqrt(1 - t^2)))``, its
+        derivative is the arc length ``2 s acos t``, and half the second
+        derivative is ``acos t - t / sqrt(1 - t^2)``.  The root is taken of
+        ``(1 - t)(1 + t)``, which keeps its digits as t nears 1.  Placement
+        only: the laws use :func:`circle_intersection_area`'s half-angle formula.
         """
         t = np.minimum(s / (2.0 * self.radius), 1.0)
         half_arc = np.arccos(t)
-        area = self.radius**2 * (
-            2.0 * np.arcsin(t) + 4.0 * t * t * half_arc - 2.0 * t * np.sqrt(1.0 - t * t)
-        )
-        return area, 2.0 * s * half_arc
+        root = np.sqrt((1.0 - t) * (1.0 + t))
+        area = (2.0 * self.radius**2) * (np.arcsin(t) + t * (2.0 * t * half_arc - root))
+        return area, 2.0 * s * half_arc, np.abs(half_arc * root - t), root
+
+    def _settle(self, s: np.ndarray, target: np.ndarray, tol: float) -> np.ndarray:
+        """Newton steps from the anchor distances ``s`` toward the areas
+        ``target``: one on every point, then more only on the points whose
+        last step left them loose, at most ``_PLACEMENT_NEWTON_STEPS`` in all."""
+        s, loose = self._newton_step(s, target, tol)
+        todo = np.flatnonzero(loose)
+        for _ in range(_PLACEMENT_NEWTON_STEPS - 1):
+            if not todo.size:
+                break
+            s[todo], loose = self._newton_step(s[todo], target[todo], tol)
+            todo = todo[loose]
+        return s
+
+    def _newton_step(self, s: np.ndarray, target: np.ndarray, tol: float):
+        """(new s, loose): one Newton step of the anchor distances ``s``
+        toward the areas ``target``, and where the step ``h`` left an error
+        ``|A''| h^2 / 2`` above ``tol``, clear of rounding."""
+        area, slope, bend, root = self._disk_overlap(s)
+        area -= target
+        step = np.divide(area, slope, out=np.zeros_like(s), where=slope > 0.0)
+        return np.clip(s - step, self.inner_rho, self.rho), bend * (step * step) > tol * root
 
     @cached_property
-    def _placement_table(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        # Chebyshev-spaced anchor distances crowd both ends, where the mass
-        # goes flat (as s^2 at s = 0, as 1 - (2R - s)^1.5 at s = 2R) and a
-        # linear start would cost Newton its quadratic convergence.
-        k = np.arange(_PLACEMENT_TABLE_POINTS)
-        frac = 0.5 * (1.0 - np.cos(np.pi * k / (_PLACEMENT_TABLE_POINTS - 1)))
+    def _placement_table(self) -> tuple[np.ndarray, float, float, float]:
+        """(coefficients, lo, span, tol): the cubic in f of the anchor
+        distance at w = sqrt(anchor mass) = (j + f) / _PLACEMENT_GRID, one
+        column per node j (the last node's a constant, for u = 1); the area
+        ``lo`` within ``inner_rho``, the slice's area ``span``, and the
+        Newton tolerance, rounding of the area within ``rho``.
+
+        The nodes settle from a linear start on Chebyshev-spaced anchor
+        distances, which crowd both ends where the mass goes flat.  A node's
+        slope is ds/dw = 2 w span / (dA/ds), or where dA/ds vanishes (s = 0
+        and s = 2R) that of the chord to its neighbour.
+        """
+        grid = _PLACEMENT_GRID
+        frac = 0.5 * (1.0 - np.cos(np.pi * np.arange(grid + 1) / grid))
         s = self.inner_rho + (self.rho - self.inner_rho) * frac
-        overlap, _ = self._disk_overlap(s)
-        lo, span = float(overlap[0]), float(overlap[-1] - overlap[0])
-        return s, (overlap - lo) / span, lo, span
+        area = self._disk_overlap(s)[0]
+        lo, span = float(area[0]), float(area[-1] - area[0])
+        tol = 2.0**-53 * float(area[-1])
+        w = np.arange(grid + 1) / grid
+        s = self._settle(np.interp(w, np.sqrt((area - lo) / span), s), lo + w * w * span, tol)
+        slope = self._disk_overlap(s)[1]
+        rise = np.diff(s)
+        chord = rise * grid
+        m = np.divide(2.0 * w * span, slope, out=np.append(chord[:1], chord), where=slope > 0.0) / grid
+        coeffs = np.zeros((4, grid + 1))
+        coeffs[0] = s
+        coeffs[1:, :-1] = m[:-1], 3.0 * rise - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * rise
+        return coeffs, lo, span, tol
+
+    def _anchor_distance(self, u: np.ndarray) -> np.ndarray:
+        """The anchor distance whose anchor mass is ``u``: a Hermite start
+        looked up by ``sqrt(u)``, settled by :meth:`_settle`."""
+        coeffs, lo, span, tol = self._placement_table
+        x = np.sqrt(u) * _PLACEMENT_GRID
+        j = x.astype(np.intp)
+        f = x - j
+        c0, c1, c2, c3 = np.take(coeffs, j, axis=1)
+        return self._settle(c0 + f * (c1 + f * (c2 + f * c3)), lo + u * span, tol)
+
+    def _polar(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(s, psi / 2): the anchor distance of mass ``u`` and half the angle
+        at fraction ``v`` of the arc ``|psi| <= acos(s / 2R)``, measured at
+        the anchor from the anchor-to-source direction."""
+        s = self._anchor_distance(u)
+        return s, (v - 0.5) * np.arccos(np.minimum(s / (2.0 * self.radius), 1.0))
 
     def place(self, u, v) -> np.ndarray:
         """Points whose anchor mass is ``u``, at arc fraction ``v``.
 
-        The anchor distance ``s`` solves ``anchor_radial_mass(s) = u``: a start
-        interpolated in a table of the slice's mass, then Newton steps.  The
-        angle is uniform on the arc ``|phi| <= acos(s / 2R)`` of the anchor
-        circle inside the range disk, measured from the anchor-to-source
-        direction; the arc is the same for every slice.  ``u`` and ``v`` are
-        arrays of uniforms in [0, 1) of one shape, and uniform ``u`` and ``v``
-        give points uniform over the slice, with ``u`` their anchor mass.
+        The anchor distance ``s`` solves ``anchor_radial_mass(s) = u``
+        (:meth:`_anchor_distance`).  The angle is uniform on the arc
+        ``|psi| <= acos(s / 2R)`` of the anchor circle inside the range disk,
+        measured from the anchor-to-source direction; the arc is the same for
+        every slice.  ``u`` and ``v`` are arrays of uniforms in [0, 1) of one
+        shape, and uniform ``u`` and ``v`` give points uniform over the
+        slice, with ``u`` their anchor mass.
         """
-        return _place_in_blocks(self._place_block, u, v)
+        return _in_blocks(self._place_block, u, v, 2)
+
+    def separations(self, u, v) -> np.ndarray:
+        """Source distances of :meth:`place`'s points, of the shape of ``u``,
+        by the law of cosines in its half-angle form
+        ``sqrt((R - s)^2 + 4 R s sin^2(psi / 2))``: a sum of two terms >= 0,
+        so nothing cancels, and no point is built."""
+        return _in_blocks(self._separation_block, u, v)
 
     def _place_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-        table_s, table_mass, lo, span = self._placement_table
-        target = lo + u * span
-        # interp looks each key up from the last one's index: in key order
-        # the lookups walk the table once instead of jumping about it
-        order = np.argsort(u)
-        s = np.empty_like(u)
-        s[order] = np.interp(u[order], table_mass, table_s)
-        for _ in range(_PLACEMENT_NEWTON_STEPS):
-            area, slope = self._disk_overlap(s)
-            step = np.divide(area - target, slope, out=np.zeros_like(s), where=slope > 0.0)
-            s = np.clip(s - step, self.inner_rho, self.rho)
-        half_arc = np.arccos(np.minimum(s / (2.0 * self.radius), 1.0))
-        phi = math.atan2(-self.axis[1], -self.axis[0]) + (2.0 * v - 1.0) * half_arc
+        s, half = self._polar(u, v)
+        phi = math.atan2(-self.axis[1], -self.axis[0]) + 2.0 * half
         a = self.anchor
         out[:, 0] = a.x + s * np.cos(phi)
         out[:, 1] = a.y + s * np.sin(phi)
+
+    def _separation_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+        s, half = self._polar(u, v)
+        sine = np.sin(half)
+        big_r = self.radius
+        np.sqrt((big_r - s) ** 2 + (4.0 * big_r) * s * (sine * sine), out=out)
 
     def partition(self, q: int) -> list["LensRegion"]:
         """Equal-mass anchor-centred slices, the slice nearest the anchor first.
@@ -391,21 +467,47 @@ class LensRegion:
 Region = SectorRegion | LensRegion
 
 
-def _place_in_blocks(place_block, u, v) -> np.ndarray:
-    """Points of uniforms ``u`` and ``v`` of one shape, with a trailing axis
-    of (x, y): ``place_block(u, v, out)`` fills ``out`` for flat blocks of
-    at most ``_PLACE_BLOCK`` uniforms."""
+def _in_blocks(fill, u, v, *point: int) -> np.ndarray:
+    """``fill(u, v, out)`` over flat blocks of at most ``_PLACE_BLOCK`` of
+    the uniforms ``u`` and ``v`` (of one shape), into an array of their shape
+    with the trailing axes ``point``: (2,) for (x, y), none for a distance."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    out = np.empty(u.shape + (2,))
-    flat_u, flat_v, flat_out = u.reshape(-1), v.reshape(-1), out.reshape(-1, 2)
+    out = np.empty(u.shape + point)
+    flat_u, flat_v, flat_out = u.reshape(-1), v.reshape(-1), out.reshape(-1, *point)
     for start in range(0, flat_u.size, _PLACE_BLOCK):
         block = slice(start, start + _PLACE_BLOCK)
-        place_block(flat_u[block], flat_v[block], flat_out[block])
+        fill(flat_u[block], flat_v[block], flat_out[block])
     return out
 
 
 # ---------------------------------------------------------------------------
 # module-level operations
+
+
+def check_binomials(rank: int, n_points: int, density: bool = False) -> None:
+    """Refuse, with a ``ResourceLimitError``, the law of the rank-th nearest
+    of ``n_points`` whose float sums would meet a binomial coefficient
+    beyond the float range, where Python's int times a float overflows:
+    C(n, k) for every k < rank in the CCDF and the laws built on it, or
+    rank * C(n, rank) in the sector's closed-form density."""
+    k, factor = (rank, rank) if density else (min(rank - 1, n_points // 2), 1)
+    if not _fits_float(factor, n_points, k):
+        raise ResourceLimitError(
+            f"the rank-{rank} law of {n_points} points needs a binomial coefficient beyond the float range"
+        )
+
+
+def _fits_float(factor: int, n: int, k: int) -> bool:
+    """Whether ``factor * C(n, k)`` converts to a float: by lgamma where its
+    logarithm is clear of the limit, else from the exact int."""
+    log = math.log(factor) + math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    if abs(log - _LOG_FLOAT_MAX) > 1.0:
+        return log < _LOG_FLOAT_MAX
+    try:
+        float(factor * math.comb(n, k))
+    except OverflowError:
+        return False
+    return True
 
 
 def nth_neighbor_ccdf(region: Region, rank: int, n_points: int, d):
@@ -416,6 +518,7 @@ def nth_neighbor_ccdf(region: Region, rank: int, n_points: int, d):
     """
     if not 1 <= rank <= n_points:
         raise DomainError(f"rank {rank} outside [1, {n_points}]")
+    check_binomials(rank, n_points)
     return _as_float(np.clip(_fewer_than(rank, n_points, region.source_radial_mass(d)), 0.0, 1.0))
 
 
@@ -440,6 +543,7 @@ def nth_neighbor_pdf(region: Region, rank: int, n_points: int, d):
         raise DomainError(f"rank {rank} outside [1, {n_points}]")
     deriv = getattr(region, "source_radial_mass_derivative", None)
     if deriv is not None:
+        check_binomials(rank, n_points, density=True)
         p = region.source_radial_mass(d)
         dens = (
             rank
@@ -471,6 +575,7 @@ def expected_nth_distance(region: Region, rank: int, n_points: int) -> float:
     """
     if not 1 <= rank <= n_points:
         raise DomainError(f"rank {rank} outside [1, {n_points}]")
+    check_binomials(rank, n_points)
     nodes, weights = _gauss_legendre()
     big_r = region.radius
     edges = np.array(sorted({0.0, big_r, *(k for k in region.kinks() if 0.0 < k < big_r)}))
@@ -519,6 +624,7 @@ def median_nth_distance(region: Region, rank: int, n_points: int) -> float:
     bisection down to adjacent floats."""
     if not 1 <= rank <= n_points:
         raise DomainError(f"rank {rank} outside [1, {n_points}]")
+    check_binomials(rank, n_points)
 
     def above_half(d):
         # the masses as one array, the binomial sums point by point in floats
@@ -656,11 +762,11 @@ def sample_sorted_separations(
 ) -> np.ndarray:
     """(draws, n_points) source separations, row-sorted; bulk path for experiments.
 
-    The uniforms are drawn as :func:`sample_topology` draws them, every
-    ``u`` and then every ``v``; the rows are then placed, measured and
-    sorted a block of about ``_PLACE_BLOCK`` points at a time, so no
-    whole-size temporary is held.  More than ``MAX_POINTS`` points in all
-    are refused before any is drawn.
+    Every ``u`` is drawn and then every ``v``, as :func:`sample_topology`
+    draws its uniforms; the rows are then measured by the region's
+    ``separations``, with no point built, and sorted a block of about
+    ``_PLACE_BLOCK`` points at a time, so no whole-size temporary is held.
+    More than ``MAX_POINTS`` points in all are refused before any is drawn.
     """
     if draws * n_points > MAX_POINTS:
         raise ResourceLimitError(f"{draws} draws of {n_points} points exceed the limit of {MAX_POINTS}")
@@ -668,10 +774,8 @@ def sample_sorted_separations(
     v = rng.random(draws * n_points).reshape(draws, n_points)
     out = np.empty((draws, n_points))
     rows = max(1, _PLACE_BLOCK // max(n_points, 1))
-    src = region.source
     for start in range(0, draws, rows):
         block = slice(start, start + rows)
-        pts = region.place(u[block], v[block])
-        np.hypot(pts[..., 0] - src.x, pts[..., 1] - src.y, out=out[block])
+        out[block] = region.separations(u[block], v[block])
         out[block].sort(axis=1)
     return out

@@ -441,11 +441,12 @@ def _block_keys(seed, replications: int, config: EpisodeConfig):
 class _Deployment:
     """A block of episodes' relays as (episodes, n) arrays: ``u``, the
     placement's first uniform and the lens relay's anchor mass, and the
-    source ``separations``.
+    source ``separations``, which the region measures from ``u`` and the
+    second uniform without placing any relay.
 
     The elections and their record lines read only ``u``.  Each array is
     drawn when first read, each block at most once, so the record lines
-    place no relay.
+    measure no relay.
     """
 
     def __init__(self, config: EpisodeConfig, keys: np.ndarray):
@@ -459,9 +460,7 @@ class _Deployment:
 
     @cached_property
     def separations(self) -> np.ndarray:
-        pts = self.region.place(self.u, _uniforms(self.column, _PLACE_V, self.relay))
-        sx, sy = self.region.source
-        return np.hypot(pts[..., 0] - sx, pts[..., 1] - sy)
+        return self.region.separations(self.u, _uniforms(self.column, _PLACE_V, self.relay))
 
 
 def _tree_slots(keys, n: int, q: int, cuts):

@@ -212,3 +212,31 @@ def circle_intersection_area_exact(r1: float, r2: float, d: float) -> float:
             r * r * mpmath.acos(x / r) - x * mpmath.sqrt(r * r - x * x) for r, x in ((a, x1), (b, x2))
         )
         return float(sum(segments))
+
+
+def _anchor_overlap_exact(radius, s):
+    """Area of the range disk within anchor distance s, the centres radius
+    apart, as an mpf: R^2 (2 asin t + 4 t^2 acos t - 2 t sqrt(1 - t^2)) with
+    t = s / 2R, which the working digits keep from cancelling."""
+    big_r = mpmath.mpf(radius)
+    t = min(mpmath.mpf(s) / (2 * big_r), mpmath.mpf(1))
+    return big_r**2 * (2 * mpmath.asin(t) + 4 * t * t * mpmath.acos(t) - 2 * t * mpmath.sqrt(1 - t * t))
+
+
+def anchor_mass_exact(lens, s: float):
+    """The lens slice's anchor mass within anchor distance ``s``, an mpf of
+    40 significant digits."""
+    with mpmath.workdps(40):
+        lo = _anchor_overlap_exact(lens.radius, lens.inner_rho)
+        return (_anchor_overlap_exact(lens.radius, s) - lo) / (_anchor_overlap_exact(lens.radius, lens.rho) - lo)
+
+
+def lens_separation_exact(radius: float, s: float, v: float):
+    """Source distance of the point at anchor distance ``s`` and arc fraction
+    ``v``, an mpf of 40 digits: the law of cosines in the triangle source,
+    anchor, point, whose sides at the anchor are R and s and whose angle
+    there is psi = (2v - 1) acos(s / 2R)."""
+    with mpmath.workdps(40):
+        big_r, s = mpmath.mpf(radius), mpmath.mpf(s)
+        psi = (2 * mpmath.mpf(v) - 1) * mpmath.acos(min(s / (2 * big_r), mpmath.mpf(1)))
+        return mpmath.sqrt(big_r**2 + s**2 - 2 * big_r * s * mpmath.cos(psi))

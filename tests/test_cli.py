@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -35,6 +36,7 @@ from relaysel.cli import (
     options_of,
 )
 from relaysel.experiments import EXPERIMENT_IDS, ExperimentConfig
+from relaysel.geometry import LensRegion, SectorRegion
 
 
 def run_cli(capsys, *argv):
@@ -413,62 +415,123 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
 
 
 # sha256 of `simulate --format records --seed 31` as the per-episode replay
-# wrote it: (protocol, n, reps, extra flags, digest)
+# wrote it: (protocol, n, reps, extra flags, digest, digest of the elections
+# alone, and the digest the case was first pinned under, which names it).
+# The elections' digest strips each record's distance field: the distances
+# moved in their last bits when separations stopped going through placed
+# points (CHANGES.md lists every moved digest), and the elections did not.
 RECORDS_GOLDEN = [
     ("sta", 4, 3000, [],
+     "d777b2fdc84225560c98b60801c66f029a9f9e3a6a36236b660324472e463872",
+     "3d8df1ee43fa053f8cfa5e0a88c1cbbc6b3dac0773c827a644213e7f0b42eed0",
      "6fee5a2cedbb6c15ad3436bbdc57708b55c6449ae3f18a14927f993324642bd7"),
     ("sta", 4, 3000, ["--region", "sdr"],
+     "860e67e0e5ad2618b9f3120d7469fea085538accc9319eb589ca953ced774f21",
+     "3d8df1ee43fa053f8cfa5e0a88c1cbbc6b3dac0773c827a644213e7f0b42eed0",
      "4e49dd46a720532f6cd14a3dde68eece088639ba052d41703063f608294a80f7"),
     ("sta", 5, 2000, ["--q", "3"],
+     "cda1b8d8da543a1c12ade91f5efa29d66a038dd58e92a0eab61fa0e5946222be",
+     "78114c90bdd45f8faf9d4a817ee9121f64ac74ff2a3277aa2b0476a00d108a32",
      "e3a2b4d0823e17be063b55777a953d4d80175d71bad8467d430f33643d6760a9"),
     ("sta", 5, 2000, ["--p", "0.3,0.7"],
+     "15db9352ac2198725ce5977615b0fcbea54bd898cf092f24d09fd08eaa73de9d",
+     "2cbd0bb3782d4eebdeb8db709af738175961a844ad486b3efeeae99a05dfde3f",
      "f98c20ca301e96ac1977bf636b83bb9995716f9c53697c3325bec2848f9dcdc8"),
     ("sta", 3, 2000, ["--count-request-slot"],
+     "12fab42b8483d145538b2822988e52281303352833e4999eb07af1b1565961fc",
+     "255dc48fb9059fc454afc7cdb086e202a5db10a00a4f5db53f4a7a6108ac2b9d",
      "b30ddc776c74f5362235a2f2120e3c3c41411b73aecd1ad380c0cfdff3a36ac7"),
     ("sta", 8, 9000, ["--region", "sdr"],
+     "5d27dbc563e658a63ec85607a22cb0431c0d19eef65bcf66613746fc61e68017",
+     "df8d1691e557e4f64fc99200b65b195d611cf25ed9965fdf15d59762763eb8e9",
      "4e1f8f1a3d3bc300bee2f58b385db6208557e5caae674b3b1532d542ef984d7a"),
     ("sta", 0, 50, [],
+     "6cfc4a565cfa73095104c536e3d64b2ff3b41791ec5e3a14e40199b7a431655b",
+     "709f02539f6ea4dd110a7a7c99c1c07985867dc69e54ca78d682b19dec9e72c2",
      "6cfc4a565cfa73095104c536e3d64b2ff3b41791ec5e3a14e40199b7a431655b"),
     ("sta", 1, 200, [],
+     "e78d980906fe598b5c76b703adfecec244ba336fea4d525730a4a52e0534417e",
+     "3fb29ba7221ea2eeb56452b3719617f124289c6c7a86b0f63a786836a1a58fea",
      "6551e8b1303956c427a85d58e648c0274f4eea325091c2f10569571b2fa88b6b"),
     ("auction", 4, 3000, [],
+     "311fbe22dd6f15d015a4b1658148ed9bc6d3c22e915d019c066c6c8a5db4db33",
+     "eaf50d805bc03918b12e9ea59dd903dfaa0ea20d290b3b5fea9c4696c35b61d3",
      "239a94d012de54caef74c5a1c03a76e4eddda921a9ebd7b687b83d9f4abfee98"),
     ("auction", 5, 2000, ["--q", "3"],
+     "7c0d9606dc8b7ab4a622030f71b68278bdf2aee77ba752eeca16cd09891019e4",
+     "212d647ecab91dcb210f1f6073c7cad2235cdf4a67f7cab6b9f90bf47f2c41d4",
      "159d008ec05393fff2cb166dd2291f214d87e90289e726fd71d9c2dbdedc4807"),
     ("auction", 5, 2000, ["--p", "0.3,0.7"],
+     "b732660d98ab0922c8bfebf04cdf271c2a8a1cb02652b87eb7a8d344898a3705",
+     "adbb2c267fb02f224192049b75c7ee6032e4d014d8efcb830ad1da4a7c6cf7ef",
      "6b191dc6f12761631360f17ca12e63eb94433569836720015f9193770a2c1338"),
     ("auction", 3, 2000, ["--count-request-slot"],
+     "ceb0ce84c406b9ff70291b83c207b186838a196bc2f8ab7c9c07c7111c53bed6",
+     "61f27584a43b329a67843e7dbba35020700654c50c20f7f88156937a1a174e78",
      "82d5992554c82cf7f7b2f6b96a09fddb470b673fa937cc98945d17b0e45b7122"),
     ("auction", 8, 9000, [],
+     "56ecffdb803b2aef3c54936095a0d33da4e904ff39a5199d181c25529534cc69",
+     "c033ef1a2f1ac8aa9164abff05e044ee868e0857f4e745b42892af66f653de35",
      "2bc2d1d263418f3d5169459b704523457d084cad58ab7644522b15063c125a9e"),
     ("auction", 0, 50, [],
+     "6893f68c3b6e9500ebf4f399ec209eee2056340dafbbd23ce315f3314ab915eb",
+     "15f21220319bcd292b38898c93b4deeb82d70939458f7245c8cb385572e57ce1",
      "6893f68c3b6e9500ebf4f399ec209eee2056340dafbbd23ce315f3314ab915eb"),
     ("auction", 1, 200, [],
+     "d3c8753a9b07bb48b935db20390404888aa39fe617c843138547bfce3a076a47",
+     "a16f1cff163cbcb59e7d23fe8c9ce10255a1d937336a710cba28200b58f965a2",
      "cd1bd14d4339eec39d0e7d661ce4a3c76b090c0bd0189a67cb3d67e6b80471b1"),
     ("auction-skip", 4, 3000, [],
+     "24f3a5682828f235b248d77cde4c1e5609aeea08fb4a024bad801ab0e4e316d6",
+     "10fe2140358a476956aaedae766ba309da7b5b0698a16327ac2315a532dad770",
      "3846a890b87b1f47c49d7f6965ad8dbae04f030099cc6c55fdfd0e0eb9ac7d50"),
     # the digest of the refused --q 3: the idle recut reads only p_0 = 1/3
     ("auction-skip", 5, 2000, ["--p", "0.3333333333333333,0.6666666666666667"],
+     "e2c183cf6e65e49f3ec848b889158e403ea5e4b0b6d49795b711ea408e29a229",
+     "b7b85698b41b57a6159316eaf0cba2a15cd60bc51311449e1f231d27cbb56ec7",
      "01910310944b32ff986a716e21903c8d83ec35ff241488063fb7722834490b56"),
     ("auction-skip", 5, 2000, ["--p", "0.3,0.7"],
+     "36e4986c507515c64023cf5ecbccaf59d8bb6a1548b77194fae99dd7c91b473f",
+     "47141b1b8565aeeae631172fe8a4efeddeb983640b5837ab2a988d49ead9b8dc",
      "0740e10f210ac6203b31e423255335b8940eda19b3c41957d7f73d963ce2b5ac"),
     ("auction-skip", 3, 2000, ["--count-request-slot"],
+     "4ba7887730f23675860fc0d5f1d6ff64beeaf0310d909b231a3fede3379cc1c0",
+     "3c7bf16cdfad58e625b02a40da888b35a1b5ee8928709b3550c5c6a88f5a6b1f",
      "5f1afa824a6fb7337dbbb0afcf586f5edc3c90e5cedfb078e5e776d782b5d6e3"),
     ("auction-skip", 0, 50, [],
+     "09126b37402cbdfca5960ed4531d428412e4b3f730841a0ca84480f4e1f5138b",
+     "7badd03a1051c698be32a9416c9b0d5a085b895f93ee5e39ad95e0916aa3e42f",
      "09126b37402cbdfca5960ed4531d428412e4b3f730841a0ca84480f4e1f5138b"),
     ("auction-skip", 1, 200, [],
+     "6f0d94ab7db6804e224ef159eb9a2b9f55e20fe1687d1c3be2f0a1b473ba025c",
+     "bf38da292651d629291186405b23d053cc521ce1228cb2641f47a8b834fff143",
      "34ef648c15c0672017e4ea3df26451c59723ddc61934c0cd1a18825c252a7f70"),
 ]
 
 
-@pytest.mark.parametrize("protocol,n,reps,extra,digest", RECORDS_GOLDEN)
-def test_simulate_records_match_the_golden_digests(capsys, protocol, n, reps, extra, digest):
+def _without_distances(records: str) -> str:
+    """Record lines with their fourth field, the winner's distance, removed."""
+    return "".join(
+        line if line.startswith("#") else re.sub(r"^(\S+ \S+ \S+) \S+ ", r"\1 ", line)
+        for line in records.splitlines(keepends=True)
+    )
+
+
+@pytest.mark.parametrize(
+    "protocol,n,reps,extra,digest,elections",
+    [row[:6] for row in RECORDS_GOLDEN],
+    ids=[f"{p}-{n}-{reps}-extra{i}-{first}" for i, (p, n, reps, _, _, _, first) in enumerate(RECORDS_GOLDEN)],
+)
+def test_simulate_records_match_the_golden_digests(capsys, protocol, n, reps, extra, digest, elections):
     code, out, _ = run_cli(
         capsys, "simulate", "--protocol", protocol, "--n", str(n), "--reps", str(reps),
         "--seed", "31", "--format", "records", *extra,
     )
     assert code == EXIT_OK
+    assert hashlib.sha256(_without_distances(out).encode()).hexdigest() == elections
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 
 
 def test_simulate_records_never_replay_an_episode(capsys, monkeypatch):
@@ -484,6 +547,63 @@ def test_simulate_records_never_replay_an_episode(capsys, monkeypatch):
         )
         assert code == EXIT_OK
         assert len(out.splitlines()) == 52
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--n", "2", "--reps", "300"],
+        ["experiment", "--id", "dist_pdf_cdr", "--n", "3", "--reps", "300"],
+        ["simulate", "--protocol", "sta", "--n", "4", "--reps", "50", "--format", "records"],
+        ["simulate", "--protocol", "auction", "--n", "4", "--reps", "50", "--format", "records"],
+        ["simulate", "--protocol", "sta", "--region", "sdr", "--n", "4", "--reps", "50", "--format", "records"],
+    ],
+)
+def test_distances_are_measured_without_placing_a_point(capsys, monkeypatch, argv):
+    def place(*args):
+        raise AssertionError("a point was placed to measure a distance")
+
+    monkeypatch.setattr(LensRegion, "place", place)
+    monkeypatch.setattr(SectorRegion, "place", place)
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # C(1200, 599) and 600 C(1200, 600) exceed the float range: the float
+        # sums of the distance laws would overflow converting them
+        *(["distance", "--region", region, "--rank", "600", "--of", "1200", "--stat", stat]
+          for region in ("sdr", "cdr") for stat in ("ccdf", "pdf", "mean")),
+        ["distance", "--region", "sdr", "--rank", "1000", "--of", "2000", "--stat", "median"],
+        ["distance", "--region", "cdr", "--rank", "1000", "--of", "2000", "--stat", "median"],
+        ["experiment", "--id", "dist_pdf_cdr", "--n", "1200", "--reps", "10"],
+        ["experiment", "--id", "dist_pdf_sdr", "--n", "1200", "--reps", "10"],
+        ["experiment", "--id", "exp_dist_furthest", "--n", "1100", "--reps", "10"],
+        ["validate", "--n", "2", "--distance-n", "1200", "--reps", "10"],
+    ],
+)
+def test_a_binomial_beyond_the_float_range_is_refused_before_any_work(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_RESOURCE
+    assert err.startswith("error:") and "float range" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the largest of each law's binomials still converts: these run as before
+        ["distance", "--region", "sdr", "--rank", "1", "--of", "1200", "--stat", "ccdf", "--d", "0.5"],
+        ["distance", "--region", "sdr", "--rank", "1029", "--of", "1030", "--stat", "pdf", "--d", "0.5"],
+        ["experiment", "--id", "exp_dist_nearest", "--n", "1200", "--reps", "10"],
+    ],
+)
+def test_a_binomial_within_the_float_range_is_admitted(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION), err
 
 
 # ---------------------------------------------------------------------------

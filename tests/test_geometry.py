@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,13 @@ from relaysel.geometry import (
     sample_topology,
 )
 
-from oracles import anchor_mass_by_quadrature, circle_intersection_area_exact, lens_mass_by_quadrature
+from oracles import (
+    anchor_mass_by_quadrature,
+    anchor_mass_exact,
+    circle_intersection_area_exact,
+    lens_mass_by_quadrature,
+    lens_separation_exact,
+)
 
 LENS_AREA_RHO_EQ_R = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0
 
@@ -662,9 +669,28 @@ def test_placed_points_lie_in_the_region_at_their_anchor_mass(region, uv):
             assert abs(anchor_mass_by_quadrature(region, s) - mass) <= 1e-12
 
 
+def _whole_array_polar(region, u):
+    """The lens's anchor distance of mass ``u`` over the whole array: the
+    Hermite start in one lookup, then Newton steps on every point whose
+    previous step left it loose, the settled points masked out."""
+    coeffs, lo, span, tol = region._placement_table
+    x = np.sqrt(u) * geometry._PLACEMENT_GRID
+    j = x.astype(np.intp)
+    f = x - j
+    c0, c1, c2, c3 = coeffs[:, j]
+    s = c0 + f * (c1 + f * (c2 + f * c3))
+    target = lo + u * span
+    live = np.ones(u.shape, dtype=bool)
+    for _ in range(geometry._PLACEMENT_NEWTON_STEPS):
+        area, slope, bend, root = region._disk_overlap(s)
+        step = np.divide(area - target, slope, out=np.zeros_like(s), where=slope > 0.0)
+        s = np.where(live, np.clip(s - step, region.inner_rho, region.rho), s)
+        live &= bend * (step * step) > tol * root
+    return s
+
+
 def _whole_array_place(region, u, v) -> np.ndarray:
-    """The placement formulas over whole arrays, the lens start in one
-    ``np.interp`` call in the keys' own order: the reference that blocked
+    """The placement formulas over whole arrays: the reference that blocked
     placement must match byte for byte."""
     if isinstance(region, SectorRegion):
         base = math.atan2(region.axis[1], region.axis[0])
@@ -674,23 +700,25 @@ def _whole_array_place(region, u, v) -> np.ndarray:
         return np.stack(
             (region.center.x + r * np.cos(theta), region.center.y + r * np.sin(theta)), axis=-1
         )
-    table_s, table_mass, lo, span = region._placement_table
-    target = lo + u * span
-    s = np.interp(u, table_mass, table_s)
-    for _ in range(geometry._PLACEMENT_NEWTON_STEPS):
-        area, slope = region._disk_overlap(s)
-        step = np.divide(area - target, slope, out=np.zeros_like(s), where=slope > 0.0)
-        s = np.clip(s - step, region.inner_rho, region.rho)
-    half_arc = np.arccos(np.minimum(s / (2.0 * region.radius), 1.0))
-    phi = math.atan2(-region.axis[1], -region.axis[0]) + (2.0 * v - 1.0) * half_arc
+    s = _whole_array_polar(region, u)
+    half = (v - 0.5) * np.arccos(np.minimum(s / (2.0 * region.radius), 1.0))
+    phi = math.atan2(-region.axis[1], -region.axis[0]) + 2.0 * half
     a = region.anchor
     return np.stack((a.x + s * np.cos(phi), a.y + s * np.sin(phi)), axis=-1)
 
 
 def _whole_array_separations(region, n_points, draws, rng) -> np.ndarray:
-    """Sorted separations from one whole-array placement of every point."""
-    pts = _whole_array_place(region, rng.random(draws * n_points), rng.random(draws * n_points))
-    d = np.hypot(pts[:, 0] - region.source.x, pts[:, 1] - region.source.y)
+    """Sorted separations from one whole-array pass over every point: the
+    sector's radius, the lens's half-angle law of cosines."""
+    u, v = rng.random(draws * n_points), rng.random(draws * n_points)
+    if isinstance(region, SectorRegion):
+        lo2 = region.inner_radius**2
+        d = np.sqrt(lo2 + u * (region.radius**2 - lo2))
+    else:
+        big_r = region.radius
+        s = _whole_array_polar(region, u)
+        sine = np.sin((v - 0.5) * np.arccos(np.minimum(s / (2.0 * big_r), 1.0)))
+        d = np.sqrt((big_r - s) ** 2 + (4.0 * big_r) * s * (sine * sine))
     d = d.reshape(draws, n_points)
     d.sort(axis=1)
     return d
@@ -705,7 +733,7 @@ def test_blocked_placement_equals_the_whole_array_formulas(region, seed):
     rng = np.random.default_rng(seed)
     for shape in [(0,), (1,), (_B - 1,), (_B,), (_B + 1,), (3, _B + 5)]:
         u, v = rng.random(shape), rng.random(shape)
-        u.flat[::97] = 0.5  # ties in the lens start's key order
+        u.flat[::97] = 0.5  # repeated uniforms
         pts = region.place(u, v)
         assert pts.shape == shape + (2,)
         assert pts.tobytes() == _whole_array_place(region, u, v).tobytes()
@@ -722,6 +750,53 @@ def test_blocked_separations_equal_the_whole_array_pipeline(region, seed):
         want = _whole_array_separations(region, n_points, draws, np.random.default_rng(seed))
         assert got.shape == (draws, n_points)
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    region=regions(),
+    uv=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0)), min_size=1, max_size=20),
+)
+def test_separations_are_the_source_distances_of_the_placed_points(region, uv):
+    u, v = np.array(uv).T
+    pts = region.place(u, v)
+    d = np.hypot(pts[:, 0] - region.source.x, pts[:, 1] - region.source.y)
+    assert np.all(np.abs(region.separations(u, v) - d) <= 1e-13 * region.radius)
+
+
+# u: 300 uniforms and the ends of [0, 1).  Per region, the worst residual
+# |anchor mass(s(u)) - u| over them of the earlier inversion (a start
+# interpolated in a Chebyshev table, then three Newton steps), which the
+# inversion must not exceed.  The thin far band's is set by measuring a
+# sliver of ~8e-8 R^2 as the difference of two areas near pi R^2, not by
+# the inversion.
+_ORACLE_U = [
+    *np.random.default_rng(21).random(300).tolist(),
+    0.0, 1e-300, 1e-15, 1e-9, 1 - 1e-9, 1 - 1e-15, math.nextafter(1.0, 0.0),
+]
+_ORACLE_REGIONS = [
+    (LensRegion(), 4.9e-16),
+    (iterated_priority_region(LensRegion(), 3), 5.2e-16),
+    (LensRegion(rho=1.7), 5.6e-16),
+    (LensRegion(rho=2.0), 7.0e-15),
+    (LensRegion(rho=2.0, inner_rho=1.99999), 1.1e-6),
+]
+
+
+@pytest.mark.parametrize("region,worst", _ORACLE_REGIONS, ids=["full", "nested2", "rho1.7", "rho2", "thin"])
+def test_lens_inversion_and_separations_against_a_40_digit_oracle(region, worst):
+    u = np.array(_ORACLE_U)
+    v = np.random.default_rng(22).random(u.size)
+    s = region._anchor_distance(u)
+    d = region.separations(u, v)
+    with mpmath.workdps(40):
+        residual = max(abs(anchor_mass_exact(region, si) - ui) for si, ui in zip(s.tolist(), u.tolist()))
+        error = max(
+            abs(di / lens_separation_exact(region.radius, si, vi) - 1)
+            for di, si, vi in zip(d.tolist(), s.tolist(), v.tolist())
+        )
+    assert residual <= worst
+    assert error <= 1e-15
 
 
 def test_sorted_separations_hold_no_whole_size_temporary():
