@@ -15,6 +15,7 @@ given is not passed, so the callee's own default applies.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -52,7 +53,7 @@ from .geometry import (
     nth_neighbor_pdf,
 )
 from .pgf import InversionParams, SplitModel, build_pgf, invert_fourier
-from .simulator import EpisodeConfig, run_episode_batch
+from .simulator import EpisodeConfig, RecordBatch, run_episode_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -296,11 +297,12 @@ def _cmd_distance(opts):
 def _cmd_simulate(opts):
     episode = _take(opts, "protocol", "n", "q", "p", "include_request_slot")
     config = EpisodeConfig(region=_build_region(opts), **episode)
-    seed = opts["seed"]
-    records, summary = run_episode_batch(config, opts.get("replications", DEFAULT_REPLICATIONS), seed)
-    if opts["format"] == "records":
+    seed, replications = opts["seed"], opts.get("replications", DEFAULT_REPLICATIONS)
+    if opts["format"] == "records":  # the lines need no summary: one election per block
+        lines = RecordBatch(config, replications, seed).lines()
         head = f"# toolkit_version = {__version__}\n# seed = {seed}\n"
-        return head + "".join(f"{line}\n" for line in records.lines()), EXIT_OK
+        return head + "".join(f"{line}\n" for line in lines), EXIT_OK
+    _, summary = run_episode_batch(config, replications, seed)
     rows = [(k, v) for k, v in summary.pmf.items()]
     rows.append(("mean", summary.mean_slots))
     rows.append(("variance", summary.var_slots))
@@ -341,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"relaysel {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (run, text) in COMMANDS.items():
+    for command, (_, text) in COMMANDS.items():
         sub = subs.add_parser(command, help=text)
-        sub.set_defaults(run=run)
         for opt in options_of(command):
             store = {"action": "store_const", "const": True} if opt.convert is _flag else {"type": _Text}
             sub.add_argument(opt.flag, dest=opt.key, default=opt.default, required=opt.required, help=opt.help,
@@ -351,15 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as it was built."""
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         opts = _options(args)
         out = opts.pop("out", None)
-        text, code = args.run(opts)
+        text, code = COMMANDS[args.command][0](opts)  # looked up per call, so a rebound command is reached
         if out:
             with open(out, "w", newline="\n") as fh:
                 fh.write(text)

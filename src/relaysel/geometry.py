@@ -215,10 +215,10 @@ class SectorRegion:
         """
         return _in_blocks(self._place_block, u, v, 2)
 
-    def separations(self, u, v) -> np.ndarray:
+    def separations(self, u, v=None) -> np.ndarray:
         """Source distances of :meth:`place`'s points, of the shape of ``u``:
-        the radius alone, so ``v`` is not read."""
-        return _in_blocks(self._separation_block, u, v)
+        the radius alone, so ``v`` is not read and need not be drawn."""
+        return _in_blocks(self._separation_block, u, u)
 
     def _place_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         base = math.atan2(self.axis[1], self.axis[0])
@@ -227,7 +227,7 @@ class SectorRegion:
         out[:, 0] = self.center.x + r * np.cos(theta)
         out[:, 1] = self.center.y + r * np.sin(theta)
 
-    def _separation_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    def _separation_block(self, u: np.ndarray, _, out: np.ndarray) -> None:
         out[:] = self._radii(u)
 
     def _radii(self, u: np.ndarray) -> np.ndarray:
@@ -762,20 +762,22 @@ def sample_sorted_separations(
 ) -> np.ndarray:
     """(draws, n_points) source separations, row-sorted; bulk path for experiments.
 
-    Every ``u`` is drawn and then every ``v``, as :func:`sample_topology`
-    draws its uniforms; the rows are then measured by the region's
-    ``separations``, with no point built, and sorted a block of about
+    Every ``u`` is drawn and then, on a lens, every ``v``, as
+    :func:`sample_topology` draws its uniforms (a sector's separation is its
+    radius alone, so its ``v`` is never drawn); the rows are then measured
+    by the region's ``separations``, with no point built, and sorted a block of about
     ``_PLACE_BLOCK`` points at a time, so no whole-size temporary is held.
     More than ``MAX_POINTS`` points in all are refused before any is drawn.
     """
     if draws * n_points > MAX_POINTS:
         raise ResourceLimitError(f"{draws} draws of {n_points} points exceed the limit of {MAX_POINTS}")
     u = rng.random(draws * n_points).reshape(draws, n_points)
-    v = rng.random(draws * n_points).reshape(draws, n_points)
+    lens = isinstance(region, LensRegion)
+    v = rng.random(draws * n_points).reshape(draws, n_points) if lens else None
     out = np.empty((draws, n_points))
     rows = max(1, _PLACE_BLOCK // max(n_points, 1))
     for start in range(0, draws, rows):
         block = slice(start, start + rows)
-        out[block] = region.separations(u[block], v[block])
+        out[block] = region.separations(u[block], v[block] if lens else None)
         out[block].sort(axis=1)
     return out

@@ -17,13 +17,14 @@ group per depth.  An episode's draws thus do
 not depend on which episodes run beside it, in what order or in what block,
 and two engines run the same episodes:
 
-* the columnar engine behind :func:`run_episode_batch` runs blocks of
-  episodes as arrays (the tree as a frontier of groups split depth by depth,
-  the auction as an interval descent on the relays' anchor masses) and
-  yields each episode's slots, winner, winner rank and distance, and backoff.
-  The frontier notes every sub-group's size and the descent every step's
-  reply count, from which :meth:`RecordBatch.lines` places each slot's
-  feedback symbol in the episode's trace and writes the record lines;
+* the columnar engine behind :class:`RecordBatch` runs blocks of episodes
+  as arrays (the tree as a frontier of groups split depth by depth, the
+  auction as an interval descent on the relays' anchor masses).  A column
+  is measured when first read: the slots from the elections, and the
+  winner, its rank and its distance from the relays' separations.  The
+  frontier notes every sub-group's size and the descent every step's reply
+  count, from which :meth:`RecordBatch.lines` places each slot's feedback
+  symbol in the episode's trace and writes the record lines;
 * the scalar replay walks one episode slot by slot, the tree depth first,
   and builds its :class:`CriRecord` with the feedback trace and the
   transmitters.  A :class:`RecordBatch` replays an episode only when it is
@@ -173,11 +174,19 @@ def _uniform(stream_key: int, index: int) -> float:
     return (_mix((stream_key + (index + 1) * _GAMMA) & _MASK) >> 11) * _UNIT
 
 
+def _stream_keys(keys: np.ndarray, stream: int) -> np.ndarray:
+    return _mix_array(keys + np.uint64(((stream + 1) * _GAMMA) & _MASK))
+
+
+def _draw(stream_keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) at the stream keys' Weyl ``steps``, (index + 1) * gamma."""
+    z = _mix_array(stream_keys + steps)
+    return (z >> np.uint64(11)).astype(np.float64) * _UNIT
+
+
 def _uniforms(keys: np.ndarray, stream: int, index: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) at (key, stream, index), broadcast over keys and index."""
-    stream_keys = _mix_array(keys + np.uint64(((stream + 1) * _GAMMA) & _MASK))
-    z = _mix_array(stream_keys + (index + np.uint64(1)) * _U_GAMMA)
-    return (z >> np.uint64(11)).astype(np.float64) * _UNIT
+    return _draw(_stream_keys(keys, stream), (index + np.uint64(1)) * _U_GAMMA)
 
 
 def episode_seeds(master_seed, replications: int, start: int = 0) -> np.ndarray:
@@ -408,15 +417,12 @@ class EpisodeConfig:
 
 @dataclass
 class BatchSummary:
-    protocol: str
-    n: int
-    replications: int
+    """What a batch's slot counts give: their relative frequencies, mean
+    and variance."""
+
     pmf: dict[int, float]
     mean_slots: float
     var_slots: float
-    backoff_rate: float
-    mean_winner_distance: float
-    mean_winner_distance_by_rank: dict[int, float]
 
 
 # Episodes run in blocks of about this many relays, so a block's arrays stay
@@ -441,12 +447,12 @@ def _block_keys(seed, replications: int, config: EpisodeConfig):
 class _Deployment:
     """A block of episodes' relays as (episodes, n) arrays: ``u``, the
     placement's first uniform and the lens relay's anchor mass, and the
-    source ``separations``, which the region measures from ``u`` and the
-    second uniform without placing any relay.
+    source ``separations``, which the region measures from ``u`` (and, on a
+    lens, the second uniform) without placing any relay.
 
-    The elections and their record lines read only ``u``.  Each array is
-    drawn when first read, each block at most once, so the record lines
-    measure no relay.
+    Only the auction's election reads ``u``, and no election reads the
+    separations.  Each array is drawn when first read, each block at most
+    once, so an election measures no relay.
     """
 
     def __init__(self, config: EpisodeConfig, keys: np.ndarray):
@@ -460,7 +466,9 @@ class _Deployment:
 
     @cached_property
     def separations(self) -> np.ndarray:
-        return self.region.separations(self.u, _uniforms(self.column, _PLACE_V, self.relay))
+        # a sector's separation is its radius alone: its second uniform is never drawn
+        lens = isinstance(self.region, LensRegion)
+        return self.region.separations(self.u, _uniforms(self.column, _PLACE_V, self.relay) if lens else None)
 
 
 def _tree_slots(keys, n: int, q: int, cuts):
@@ -472,13 +480,15 @@ def _tree_slots(keys, n: int, q: int, cuts):
     inner = np.array(cuts[1:])
     cap = _SLOT_CAP_PER_CONTENDER * (n + 1)
     collisions = np.ones(keys.size, dtype=np.int64)
-    group = ep = np.repeat(np.arange(keys.size), n)  # one root group per episode
-    relay = np.tile(np.arange(n, dtype=np.uint64), keys.size)
+    group = np.repeat(np.arange(keys.size), n)  # one root group per episode
+    step = np.tile((np.arange(n, dtype=np.uint64) + np.uint64(1)) * _U_GAMMA, keys.size)
     group_ep = np.arange(keys.size)
     sizes = []
     depth = 0
-    while ep.size:
-        coin = np.searchsorted(inner, _uniforms(keys[ep], _COIN + depth, relay), side="right")
+    while group.size:
+        # a group's relays share its episode's coin stream at this depth: one key per group
+        coins = _draw(_stream_keys(keys[group_ep], _COIN + depth)[group], step)
+        coin = np.searchsorted(inner, coins, side="right")
         child = group * q + coin
         sizes.append(np.bincount(child, minlength=group_ep.size * q))
         crowd = sizes[-1] >= 2
@@ -489,7 +499,7 @@ def _tree_slots(keys, n: int, q: int, cuts):
             raise _unresolved(cap)
         keep = crowd[child]
         group = (np.cumsum(crowd) - 1)[child[keep]]
-        ep, relay = ep[keep], relay[keep]
+        step = step[keep]
         depth += 1
     return 1 + q * collisions, sizes
 
@@ -556,48 +566,48 @@ def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool):
 
 
 def _elect(config: EpisodeConfig, keys: np.ndarray):
-    """(deployment, slots, winner, marks) of a block of elections of n >= 1
-    relays, the request slot left out; ``marks(at)`` yields the (positions,
-    sizes) of every slot after the gating one, the episodes' gating slots
-    being at positions ``at``.  The tree's winner is None: it is the
-    farthest relay, whose place the election never reads."""
+    """(deployment, slots, winner, marks) of a block of elections, the
+    request slot counted if the config counts it; ``marks(at)`` yields the
+    (positions, sizes) of every slot after the gating one, the episodes'
+    gating slots being at positions ``at``.  The winner is the auction's;
+    it is None where the election does not pick it: for the tree, whose
+    winner is the farthest relay, and for fewer than two relays, where the
+    gating slot alone ends the election."""
     dep = _Deployment(config, keys)
-    q, cuts = config.q, _cuts(config.q, config.p)
-    if config.n == 1:  # the lone relay's gating reply wins
-        return dep, np.ones(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=np.int64), lambda at: ()
+    q, cuts, request = config.q, _cuts(config.q, config.p), config.include_request_slot
+    if config.n < 2:
+        return dep, np.full(keys.size, 1 + request), None, lambda at: ()
     if config.protocol == "sta":
         slots, sizes = _tree_slots(keys, config.n, q, cuts)
-        return dep, slots, None, lambda at: _tree_marks(sizes, q, at)
+        return dep, slots + request, None, lambda at: _tree_marks(sizes, q, at)
     slots, winner, steps = _auction_descent(dep.u, q, cuts, config.protocol == "auction_skip")
-    return dep, slots, winner, lambda at: ((at[rows] + pos, count) for rows, pos, count in steps)
+    return dep, slots + request, winner, lambda at: ((at[rows] + pos, count) for rows, pos, count in steps)
 
 
-def _columns(config: EpisodeConfig, keys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(slots, winner, winner_rank, winner_distance) of a block of episodes;
-    no winner is -1, rank 0 and distance NaN."""
-    size = keys.size
-    if config.n == 0:  # nobody replies in the gating slot: the source backs off
-        slots = np.full(size, 1 + config.include_request_slot)
-        return slots, np.full(size, -1), np.zeros(size, dtype=np.int64), np.full(size, np.nan)
-    dep, slots, winner, _ = _elect(config, keys)
+def _winner_distance(dep: _Deployment, winner) -> tuple[np.ndarray, np.ndarray]:
+    """(winner, winner_distance) of a block, measured on its deployment;
+    an elected ``winner`` is kept, else the farthest relay wins, the lowest
+    id on ties, as argmax picks.  No winner is -1 at distance NaN."""
     seps = dep.separations
+    size, n = seps.shape
+    if n == 0:  # nobody replies in the gating slot: the source backs off
+        return np.full(size, -1), np.full(size, np.nan)
     if winner is None:
-        winner = seps.argmax(axis=1)  # the farthest wins, the lowest id on ties, as argmax picks
-    dist = seps[np.arange(size), winner]
-    ahead = (seps < dist[:, None]) | ((seps == dist[:, None]) & (np.arange(config.n) < winner[:, None]))
-    return slots + config.include_request_slot, winner, 1 + ahead.sum(axis=1), dist
+        winner = seps.argmax(axis=1)
+    return winner, seps[np.arange(size), winner]
 
 
-def _lines(config: EpisodeConfig, keys: np.ndarray, slots, distance) -> list[str]:
-    """Each episode's record line, given the block's slots and winner
-    distances: its elections are run again for the marks, whose symbols are
-    scattered into one byte buffer of traces."""
+def _lines(config: EpisodeConfig, keys: np.ndarray) -> list[str]:
+    """Each episode's record line from one election of the block: the
+    slots and the marks, whose symbols are scattered into one byte buffer
+    of traces, and the winners' distances on the same deployment."""
+    dep, slots, winner, marks = _elect(config, keys)
+    distance = _winner_distance(dep, winner)[1]
     length = slots - config.include_request_slot
     at = np.cumsum(length) - length
     trace = np.empty(int(length.sum()), dtype=np.uint8)
     trace[at] = _SYMBOLS[min(config.n, 2)]
-    marks = _elect(config, keys)[3](at) if config.n else ()
-    for pos, size in marks:
+    for pos, size in marks(at):
         trace[pos] = _SYMBOLS[np.minimum(size, 2)]
     text = trace.tobytes().decode("ascii")
     head = f"{config.protocol} {config.n}"
@@ -621,26 +631,83 @@ def run_single_episode(config: EpisodeConfig, seed, episode: int = 0) -> CriReco
 
 
 class RecordBatch(Sequence):
-    """A batch's episodes as columns.
+    """Episodes 0 .. replications - 1 under the master seed, as columns over
+    the episodes.
 
-    ``slots``, ``winner`` (-1 for none), ``winner_rank`` (0 for none),
-    ``winner_distance`` (NaN for none) and ``backoff`` are arrays over the
-    episodes.  :meth:`lines` writes the record lines without a replay.
-    Reading an item replays that episode into a :class:`CriRecord`, the one
-    source of its transmitters; iterating replays the batch block by block.
+    Every draw is addressed by (seed, episode, stream, index), so each
+    column is a pure function of the batch and is measured block by block
+    when first read:
+
+    * ``slots`` from the elections;
+    * ``winner`` (-1 for none), ``winner_rank`` (0 for none) and
+      ``winner_distance`` (NaN for none) from the relays' separations, the
+      auction's winner from its election;
+    * ``backoff``, where there is no winner.
+
+    Reading a column whose election never ends raises the election's
+    ``ResourceLimitError``.  :meth:`lines` writes the record lines from one
+    election per block, without a replay.  Reading an item replays that
+    episode into a :class:`CriRecord`, the one source of its transmitters;
+    iterating replays the batch block by block.
     """
 
-    def __init__(self, config: EpisodeConfig, seed, slots, winner, winner_rank, winner_distance):
+    def __init__(self, config: EpisodeConfig, replications: int, seed):
+        if replications < 1:
+            raise DomainError("need at least one replication")
+        if replications > MAX_POINTS:
+            raise ResourceLimitError(f"{replications} replications exceed the limit of {MAX_POINTS} per batch")
         self.config = config
-        self.seed = seed
-        self.slots = slots
-        self.winner = winner
-        self.winner_rank = winner_rank
-        self.winner_distance = winner_distance
-        self.backoff = winner < 0
+        self.seed = _master_seed(seed)
+        _seed_key(self.seed)  # a bad seed is refused before any work
+        self._replications = replications
 
     def __len__(self) -> int:
-        return self.slots.size
+        return self._replications
+
+    def _blocks(self):
+        return _block_keys(self.seed, len(self), self.config)
+
+    @cached_property
+    def _election(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(slots, the elected winners or None) of every block's elections."""
+        slots, winners = zip(*(_elect(self.config, keys)[1:3] for keys in self._blocks()))
+        return np.concatenate(slots), None if winners[0] is None else np.concatenate(winners)
+
+    @cached_property
+    def _outcomes(self) -> tuple[np.ndarray, ...]:
+        """(winner, winner_rank, winner_distance), measured a block at a
+        time; a rank counts the relays nearer the source, ties by id."""
+        elected = None if self.config.protocol == "sta" else self._election[1]
+        blocks, start = [], 0
+        for keys in self._blocks():
+            dep = _Deployment(self.config, keys)
+            end = start + keys.size
+            winner, dist = _winner_distance(dep, None if elected is None else elected[start:end])
+            seps, dist_col = dep.separations, dist[:, None]
+            ahead = (seps < dist_col) | ((seps == dist_col) & (np.arange(self.config.n) < winner[:, None]))
+            blocks.append((winner, np.where(winner < 0, 0, 1 + ahead.sum(axis=1)), dist))
+            start = end
+        return tuple(np.concatenate(col) for col in zip(*blocks))
+
+    @property
+    def slots(self) -> np.ndarray:
+        return self._election[0]
+
+    @property
+    def winner(self) -> np.ndarray:
+        return self._outcomes[0]
+
+    @property
+    def winner_rank(self) -> np.ndarray:
+        return self._outcomes[1]
+
+    @property
+    def winner_distance(self) -> np.ndarray:
+        return self._outcomes[2]
+
+    @property
+    def backoff(self) -> np.ndarray:
+        return self.winner < 0
 
     def __getitem__(self, i: int) -> CriRecord:
         i = operator.index(i)
@@ -651,17 +718,15 @@ class RecordBatch(Sequence):
         return run_single_episode(self.config, self.seed, i)
 
     def __iter__(self):
-        for keys in _block_keys(self.seed, len(self), self.config):
+        for keys in self._blocks():
             yield from _replay(self.config, keys)
 
     def lines(self):
-        """Each episode's ``to_line()``, from the columns and the traces of
-        the blocks' elections: no episode is replayed."""
-        start = 0
-        for keys in _block_keys(self.seed, len(self), self.config):
-            end = start + keys.size
-            yield from _lines(self.config, keys, self.slots[start:end], self.winner_distance[start:end])
-            start = end
+        """Each episode's ``to_line()``, every block elected once for its
+        slots, trace and winners' distances: no episode is replayed and no
+        column is read or kept."""
+        for keys in self._blocks():
+            yield from _lines(self.config, keys)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RecordBatch):
@@ -682,36 +747,13 @@ class RecordBatch(Sequence):
 def run_episode_batch(
     config: EpisodeConfig, replications: int, seed
 ) -> tuple[RecordBatch, BatchSummary]:
-    """Episodes 0 .. replications - 1 under the master seed, run as columns."""
-    if replications < 1:
-        raise DomainError("need at least one replication")
-    if replications > MAX_POINTS:
-        raise ResourceLimitError(f"{replications} replications exceed the limit of {MAX_POINTS} per batch")
-    seed = _master_seed(seed)
-    blocks = [_columns(config, keys) for keys in _block_keys(seed, replications, config)]
-    records = RecordBatch(config, seed, *(np.concatenate(col) for col in zip(*blocks)))
-
-    won = ~records.backoff
-    dist = records.winner_distance[won]
-    ranks = records.winner_rank[won]
-    rank_sums = np.bincount(ranks, weights=dist)
-    rank_counts = np.bincount(ranks)
+    """Episodes 0 .. replications - 1 under the master seed, and the summary
+    of their slot counts, the one column it measures."""
+    records = RecordBatch(config, replications, seed)
     slots = records.slots.astype(float)
-    summary = BatchSummary(
-        protocol=config.protocol,
-        n=config.n,
-        replications=replications,
-        pmf=empirical_pmf(records),
-        mean_slots=float(slots.mean()),
-        var_slots=float(slots.var()),
-        backoff_rate=int(records.backoff.sum()) / replications,
-        mean_winner_distance=float(dist.mean()) if dist.size else float("nan"),
-        mean_winner_distance_by_rank={
-            rank: float(rank_sums[rank] / rank_counts[rank])
-            for rank in np.flatnonzero(rank_counts).tolist()
-        },
+    return records, BatchSummary(
+        pmf=empirical_pmf(records), mean_slots=float(slots.mean()), var_slots=float(slots.var())
     )
-    return records, summary
 
 
 def empirical_pmf(records) -> dict[int, float]:

@@ -235,11 +235,13 @@ def test_coin_that_never_splits_has_no_law(capsys, command, protocol):
 
 @pytest.mark.parametrize("protocol", ["sta", "auction", "auction-skip"])
 def test_nearly_degenerate_coin_is_resource_exit(capsys, protocol):
-    code, _, err = run_cli(
-        capsys, "simulate", "--protocol", protocol, "--n", "3", "--p", "0.9999999", "--reps", "1"
-    )
-    assert code == EXIT_RESOURCE
-    assert "slots" in err
+    for output in ("csv", "records"):
+        code, out, err = run_cli(
+            capsys, "simulate", "--protocol", protocol, "--n", "3", "--p", "0.9999999", "--reps", "1",
+            "--format", output,
+        )
+        assert code == EXIT_RESOURCE
+        assert "slots" in err and out == ""
 
 
 @pytest.mark.parametrize("protocol", ["auction", "auction-skip"])
@@ -549,6 +551,89 @@ def test_simulate_records_never_replay_an_episode(capsys, monkeypatch):
         assert len(out.splitlines()) == 52
 
 
+@pytest.mark.parametrize("output", ["csv", "records"])
+def test_simulate_refuses_zero_replications_before_any_election(capsys, monkeypatch, output):
+    def elect(*args):
+        raise AssertionError("elected before the replications were checked")
+
+    monkeypatch.setattr(simulator, "_elect", elect)
+    code, out, err = run_cli(
+        capsys, "simulate", "--protocol", "sta", "--n", "3", "--reps", "0", "--format", output
+    )
+    assert code == EXIT_USAGE
+    assert "replication" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["simulate", "--protocol", protocol, "--n", "5", "--reps", "300"]
+          for protocol in ("sta", "auction", "auction-skip")),
+        ["simulate", "--protocol", "sta", "--region", "sdr", "--n", "5", "--reps", "300"],
+        ["experiment", "--id", "cri_pmf_auction", "--n", "2..4", "--reps", "300"],
+        ["experiment", "--id", "cri_pmf_sta", "--n", "0..4", "--reps", "300"],
+    ],
+)
+def test_slot_counts_are_summarized_without_measuring_a_separation(capsys, monkeypatch, argv):
+    def separations(*args):
+        raise AssertionError("a slot-only command measured a separation")
+
+    monkeypatch.setattr(LensRegion, "separations", separations)
+    monkeypatch.setattr(SectorRegion, "separations", separations)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK, err
+
+
+@pytest.mark.parametrize("protocol", ["sta", "auction", "auction-skip"])
+def test_simulate_records_elect_each_block_once(capsys, monkeypatch, protocol):
+    # blocks of 40 relays hold 10 episodes of 4 relays: 35 episodes are 4 blocks
+    monkeypatch.setattr(simulator, "_BLOCK_RELAYS", 40)
+    calls = {"elections": 0, "separations": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(simulator, "_elect", counted("elections", simulator._elect))
+    for region in (LensRegion, SectorRegion):
+        monkeypatch.setattr(region, "separations", counted("separations", region.separations))
+    code, out, _ = run_cli(
+        capsys, "simulate", "--protocol", protocol, "--n", "4", "--reps", "35", "--format", "records"
+    )
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 2 + 35
+    assert calls == {"elections": 4, "separations": 4}
+
+
+def test_consecutive_calls_print_what_each_prints_alone(capsys, monkeypatch):
+    # one parser serves every call of the process: no flag of one call leaks into the next
+    argvs = [
+        ["simulate", "--protocol", "sta", "--n", "3", "--reps", "40", "--count-request-slot", "--format", "records"],
+        ["simulate", "--protocol", "sta", "--n", "3", "--reps", "40", "--format", "records"],
+        ["pmf", "--protocol", "auction", "--n", "3", "--min-prob", "0.01"],
+        ["pmf", "--protocol", "auction", "--n", "3"],
+        ["experiment", "--id", "cri_pmf_auction", "--n", "2", "--reps", "200", "--skip"],
+        ["experiment", "--id", "cri_pmf_auction", "--n", "2", "--reps", "200"],
+        ["distance", "--rank", "1", "--of", "3", "--d", "0.5"],
+    ]
+    together = [run_cli(capsys, *argv) for argv in argvs]
+    env = {**os.environ, "PYTHONPATH": str(Path(relaysel.__file__).resolve().parent.parent)}
+    for argv, (code, out, err) in zip(argvs, together):
+        alone = subprocess.run(
+            [sys.executable, "-m", "relaysel", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+
+    def pmf(opts):
+        return "rebound\n", EXIT_OK
+
+    monkeypatch.setitem(cli.COMMANDS, "pmf", (pmf, "rebound"))
+    assert run_cli(capsys, "pmf", "--protocol", "sta", "--n", "2") == (EXIT_OK, "rebound\n", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -702,6 +787,7 @@ def test_relay_count_above_the_cap_is_refused_at_once(capsys):
         ["validate", "--n", "1..1000000000"],
         ["experiment", "--id", "cri_pmf_sta", "--n", "0..1000000000"],
         ["simulate", "--protocol", "sta", "--n", "2", "--reps", "1000000000000"],
+        ["simulate", "--protocol", "sta", "--n", "2", "--reps", "1000000000000", "--format", "records"],
     ],
 )
 def test_oversize_work_is_refused_before_any_of_it(capsys, argv):

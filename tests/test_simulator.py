@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,15 +20,16 @@ from relaysel.geometry import (
     Topology,
     nth_neighbor_ccdf,
     partition_region,
+    sample_sorted_separations,
     sample_topology,
 )
 from relaysel.pgf import SplitModel, build_pgf, moments
 from relaysel.simulator import (
     CriRecord,
     EpisodeConfig,
+    RecordBatch,
     SlotFeedback,
     _block_size,
-    _columns,
     empirical_pmf,
     episode_seeds,
     run_auction,
@@ -345,21 +347,28 @@ def test_replayed_transmitters_stay_within_the_gating_set(protocol):
         assert all(set(who) <= gating for who in rec.transmitters)
 
 
+def _columns(records):
+    return (records.slots, records.winner, records.winner_rank, records.winner_distance)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     protocol=st.sampled_from(["sta", "auction", "auction_skip"]),
     n=st.integers(0, 8),
     seed=st.integers(0, 2**70),
-    cuts=st.lists(st.integers(1, 59), max_size=6),
+    cuts=st.lists(st.integers(1, 59), max_size=3),
 )
 def test_episode_outcomes_do_not_depend_on_the_block(protocol, n, seed, cuts):
+    # a batch in blocks of c episodes has a seam at every multiple of c
     cfg = EpisodeConfig(protocol=protocol, n=n, region=SECTOR if protocol == "sta" else LENS)
-    keys = episode_seeds(seed, 60)
-    whole = _columns(cfg, keys)
-    edges = [0, *sorted(set(cuts)), 60]
-    parts = [_columns(cfg, keys[a:b]) for a, b in zip(edges, edges[1:])]
-    for column, pieces in zip(whole, zip(*parts)):
-        assert np.array_equal(column, np.concatenate(pieces), equal_nan=column.dtype.kind == "f")
+    assert _block_size(n, cfg.q) >= 60
+    whole = _columns(RecordBatch(cfg, 60, seed))
+    for c in cuts:
+        with mock.patch.object(simulator, "_BLOCK_RELAYS", c * max(n, 1)):
+            assert _block_size(n, cfg.q) == c
+            parts = _columns(RecordBatch(cfg, 60, seed))
+        for column, joined in zip(whole, parts):
+            assert np.array_equal(column, joined, equal_nan=column.dtype.kind == "f")
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -376,8 +385,15 @@ def test_lines_from_the_columns_equal_the_replayed_lines(monkeypatch, protocol, 
         for n in (0, 1, 2, 5, 8):
             for request in (False, True):
                 cfg = EpisodeConfig(protocol=protocol, n=n, region=region, q=q, p=p, include_request_slot=request)
-                records, _ = run_episode_batch(cfg, 45, 313)
-                assert list(records.lines()) == [r.to_line() for r in records]
+                replayed = list(RecordBatch(cfg, 45, 313))
+                outcomes, lines = [_outcome(r) for r in replayed], [r.to_line() for r in replayed]
+                # the columns read before the lines, and after them
+                first = RecordBatch(cfg, 45, 313)
+                assert _column_outcomes(first) == outcomes
+                assert list(first.lines()) == lines
+                after = RecordBatch(cfg, 45, 313)
+                assert list(after.lines()) == lines
+                assert _column_outcomes(after) == outcomes
 
 
 @pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
@@ -497,14 +513,74 @@ def test_empirical_pmf_and_total_variation_helpers():
     assert total_variation({1: 1.0}, {2: 1.0}) == 1.0
 
 
-def test_batch_summary_rank_means_cover_all_ranks():
-    _, summary = run_episode_batch(
+def test_batch_winner_ranks_cover_all_ranks():
+    records, summary = run_episode_batch(
         EpisodeConfig(protocol="auction", n=4, region=LENS), 2000, 6
     )
-    assert set(summary.mean_winner_distance_by_rank) <= {1, 2, 3, 4}
-    assert summary.backoff_rate == 0.0
+    assert set(records.winner_rank.tolist()) <= {1, 2, 3, 4}
+    assert not records.backoff.any()
     total = sum(summary.pmf.values())
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "protocol,region",
+    [("sta", SECTOR), ("sta", LENS), ("auction", LENS), ("auction_skip", LENS)],
+    ids=["sta-sector", "sta-lens", "auction", "auction_skip"],
+)
+def test_batch_summaries_measure_no_separation(monkeypatch, protocol, region):
+    def separations(*args):
+        raise AssertionError("a slot-only caller measured a separation")
+
+    monkeypatch.setattr(LensRegion, "separations", separations)
+    monkeypatch.setattr(SectorRegion, "separations", separations)
+    for n in (0, 1, 5):
+        records, summary = run_episode_batch(EpisodeConfig(protocol=protocol, n=n, region=region), 300, 41)
+        assert sum(summary.pmf.values()) == pytest.approx(1.0)
+        assert len(records) == 300
+        with pytest.raises(AssertionError, match="measured a separation"):
+            records.winner_distance.size
+
+
+def test_a_batch_is_refused_before_any_election(monkeypatch):
+    def elect(*args):
+        raise AssertionError("elected before the batch was checked")
+
+    monkeypatch.setattr(simulator, "_elect", elect)
+    cfg = EpisodeConfig(protocol="sta", n=2, region=SECTOR)
+    with pytest.raises(DomainError):
+        RecordBatch(cfg, 0, 1)
+    with pytest.raises(ResourceLimitError):
+        RecordBatch(cfg, MAX_POINTS + 1, 1)
+    with pytest.raises(DomainError, match="non-negative"):
+        RecordBatch(cfg, 10, -1)
+    assert len(RecordBatch(cfg, 10, 1)) == 10  # the length runs no election
+
+
+def test_a_sector_draws_no_second_uniform(monkeypatch):
+    # the sector's separation is its radius alone, so v is never drawn
+    draws, n = 300, 4
+    rng = np.random.default_rng(5)
+    sample_sorted_separations(SECTOR, n, draws, rng)
+    fresh = np.random.default_rng(5)
+    fresh.random(draws * n)
+    assert rng.random() == fresh.random()
+
+    streams = []
+    uniforms = simulator._uniforms
+
+    def spy(keys, stream, index):
+        streams.append(stream)
+        return uniforms(keys, stream, index)
+
+    monkeypatch.setattr(simulator, "_uniforms", spy)
+    records, _ = run_episode_batch(EpisodeConfig(protocol="sta", n=n, region=SECTOR), draws, 5)
+    assert records.winner_distance.size == draws
+    assert streams == [simulator._PLACE_U]
+    streams.clear()
+    records, _ = run_episode_batch(EpisodeConfig(protocol="sta", n=n, region=LENS), draws, 5)
+    assert records.winner_distance.size == draws
+    assert streams == [simulator._PLACE_U, simulator._PLACE_V]
 
 
 def test_relay_counts_above_the_cap_are_refused_before_any_allocation():
