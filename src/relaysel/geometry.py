@@ -621,17 +621,10 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 def median_nth_distance(region: Region, rank: int, n_points: int) -> float:
     """Distance at which the rank-th neighbour CCDF crosses one half, by
-    bisection down to adjacent floats."""
-    if not 1 <= rank <= n_points:
-        raise DomainError(f"rank {rank} outside [1, {n_points}]")
-    check_binomials(rank, n_points)
+    bisection on the array CCDF down to adjacent floats."""
 
-    def above_half(d):
-        # the masses as one array, the binomial sums point by point in floats
-        # as nth_neighbor_ccdf sums them for one distance: numpy's power of an
-        # array can differ in the last bit from libm's power of a float
-        masses = region.source_radial_mass(d).tolist()
-        return [_fewer_than(rank, n_points, p) > 0.5 for p in masses]
+    def above_half(d):  # its first call checks the rank and the binomials
+        return nth_neighbor_ccdf(region, rank, n_points, d) > 0.5
 
     return float(_bisect(above_half, np.zeros(()), np.full((), region.radius)))
 

@@ -19,12 +19,13 @@ and two engines run the same episodes:
 
 * the columnar engine behind :class:`RecordBatch` runs blocks of episodes
   as arrays (the tree as a frontier of groups split depth by depth, the
-  auction as an interval descent on the relays' anchor masses).  A column
-  is measured when first read: the slots from the elections, and the
-  winner, its rank and its distance from the relays' separations.  The
-  frontier notes every sub-group's size and the descent every step's reply
-  count, from which :meth:`RecordBatch.lines` places each slot's feedback
-  symbol in the episode's trace and writes the record lines;
+  auction as an interval descent on each episode's two least anchor masses).
+  A column is measured when first read: the slots from the elections, and
+  the winner (the tree's farthest relay, the auction's least anchor mass),
+  its rank and its distance from the deployment alone.  The frontier notes
+  every sub-group's size and the descent every step's reply count, from
+  which :meth:`RecordBatch.lines` places each slot's feedback symbol in the
+  episode's trace and writes the record lines;
 * the scalar replay walks one episode slot by slot, the tree depth first,
   and builds its :class:`CriRecord` with the feedback trace and the
   transmitters.  A :class:`RecordBatch` replays an episode only when it is
@@ -450,13 +451,15 @@ class _Deployment:
     source ``separations``, which the region measures from ``u`` (and, on a
     lens, the second uniform) without placing any relay.
 
-    Only the auction's election reads ``u``, and no election reads the
-    separations.  Each array is drawn when first read, each block at most
-    once, so an election measures no relay.
+    The auction's election and winner read ``u``; the tree's winner, and
+    every winner's rank and distance, read the separations, which no
+    election reads.  Each array is drawn when first read, each block at
+    most once, so an election measures no relay.
     """
 
     def __init__(self, config: EpisodeConfig, keys: np.ndarray):
         self.region = config.region
+        self.protocol = config.protocol
         self.relay = np.arange(config.n, dtype=np.uint64)
         self.column = keys[:, None]
 
@@ -469,6 +472,20 @@ class _Deployment:
         # a sector's separation is its radius alone: its second uniform is never drawn
         lens = isinstance(self.region, LensRegion)
         return self.region.separations(self.u, _uniforms(self.column, _PLACE_V, self.relay) if lens else None)
+
+    @cached_property
+    def winner(self) -> np.ndarray:
+        """Each episode's winner, -1 for none: the tree's is the farthest
+        relay, the auction's the one of least anchor mass, which its descent
+        always elects; the lowest id on ties, as argmax and argmin pick."""
+        if not self.relay.size:  # nobody replies in the gating slot: the source backs off
+            return np.full(self.column.shape[0], -1)
+        return self.separations.argmax(axis=1) if self.protocol == "sta" else self.u.argmin(axis=1)
+
+    def distance(self) -> np.ndarray:
+        """The winners' source separations, NaN where nobody won."""
+        seps = self.separations
+        return seps[np.arange(seps.shape[0]), self.winner] if self.relay.size else np.full(seps.shape[0], np.nan)
 
 
 def _tree_slots(keys, n: int, q: int, cuts):
@@ -523,16 +540,19 @@ def _tree_marks(sizes, q: int, roots: np.ndarray):
 
 
 def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool):
-    """(slots, winner, steps) of the auction over n >= 2 relays' anchor
-    masses ``u``, every unresolved episode descending its interval one slot
-    per step; a step is noted as (its rows, their slots' position, their
-    reply counts).  The unresolved episodes are all at the same slot."""
+    """(slots, steps) of the auction over n >= 2 relays' anchor masses
+    ``u``, every unresolved episode descending its interval one slot per
+    step; a step is noted as (its rows, their slots' position, their reply
+    counts, 2 for a collision).  The unresolved episodes are all at the
+    same slot.  A band's repliers are the contenders at or below its top,
+    and every collision keeps the two least masses in contention, so a slot
+    is idle, single or a collision as none, one or both of them lie at or
+    below the top: only they are read, and the least of them wins."""
     episodes, n = u.shape
     cap = _SLOT_CAP_PER_CONTENDER * (n + 1)
     slots = np.ones(episodes, dtype=np.int64)
-    winner = np.full(episodes, -1)
     rows = np.arange(episodes)
-    active = np.ones(u.shape, dtype=bool)
+    least = np.partition(u, 1, axis=1)[:, :2].T.copy()  # each episode's two least masses, a column
     lo, hi = np.zeros(episodes), np.ones(episodes)
     j = np.zeros(episodes, dtype=np.int64)
     edge = np.array(list(cuts) + [1.0])  # the last entry stands in for hi
@@ -543,14 +563,12 @@ def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool):
             raise _unresolved(cap)
         width = hi - lo
         top = np.where(j == q - 1, hi, lo + edge[j + 1] * width)
-        members = active & (u <= top[:, None])
-        count = members.sum(axis=1)
+        count = (least <= top).sum(axis=0)
         steps.append((rows, slot, count))
         slot += 1
         won = count == 1
         slots[rows[won]] = slot
-        winner[rows[won]] = members[won].argmax(axis=1)
-        crowd = count >= 2
+        crowd = count == 2
         idle = count == 0
         lo = np.where(crowd, lo + edge[j] * width, lo)
         if skip:
@@ -559,50 +577,33 @@ def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool):
             j = j + idle
         hi = np.where(crowd, top, hi)
         j = np.where(crowd, 0, j)
-        active = np.where(crowd[:, None], members, active)
         go = ~won
-        rows, active, u, lo, hi, j = rows[go], active[go], u[go], lo[go], hi[go], j[go]
-    return slots, winner, steps
+        rows, lo, hi, j, least = rows[go], lo[go], hi[go], j[go], np.compress(go, least, axis=1)
+    return slots, steps
 
 
 def _elect(config: EpisodeConfig, keys: np.ndarray):
-    """(deployment, slots, winner, marks) of a block of elections, the
-    request slot counted if the config counts it; ``marks(at)`` yields the
-    (positions, sizes) of every slot after the gating one, the episodes'
-    gating slots being at positions ``at``.  The winner is the auction's;
-    it is None where the election does not pick it: for the tree, whose
-    winner is the farthest relay, and for fewer than two relays, where the
-    gating slot alone ends the election."""
+    """(deployment, slots, marks) of a block of elections, the request slot
+    counted if the config counts it; ``marks(at)`` yields the (positions,
+    sizes) of every slot after the gating one, the episodes' gating slots
+    being at positions ``at``.  The winners are the deployment's."""
     dep = _Deployment(config, keys)
     q, cuts, request = config.q, _cuts(config.q, config.p), config.include_request_slot
     if config.n < 2:
-        return dep, np.full(keys.size, 1 + request), None, lambda at: ()
+        return dep, np.full(keys.size, 1 + request), lambda at: ()
     if config.protocol == "sta":
         slots, sizes = _tree_slots(keys, config.n, q, cuts)
-        return dep, slots + request, None, lambda at: _tree_marks(sizes, q, at)
-    slots, winner, steps = _auction_descent(dep.u, q, cuts, config.protocol == "auction_skip")
-    return dep, slots + request, winner, lambda at: ((at[rows] + pos, count) for rows, pos, count in steps)
-
-
-def _winner_distance(dep: _Deployment, winner) -> tuple[np.ndarray, np.ndarray]:
-    """(winner, winner_distance) of a block, measured on its deployment;
-    an elected ``winner`` is kept, else the farthest relay wins, the lowest
-    id on ties, as argmax picks.  No winner is -1 at distance NaN."""
-    seps = dep.separations
-    size, n = seps.shape
-    if n == 0:  # nobody replies in the gating slot: the source backs off
-        return np.full(size, -1), np.full(size, np.nan)
-    if winner is None:
-        winner = seps.argmax(axis=1)
-    return winner, seps[np.arange(size), winner]
+        return dep, slots + request, lambda at: _tree_marks(sizes, q, at)
+    slots, steps = _auction_descent(dep.u, q, cuts, config.protocol == "auction_skip")
+    return dep, slots + request, lambda at: ((at[rows] + pos, count) for rows, pos, count in steps)
 
 
 def _lines(config: EpisodeConfig, keys: np.ndarray) -> list[str]:
     """Each episode's record line from one election of the block: the
     slots and the marks, whose symbols are scattered into one byte buffer
     of traces, and the winners' distances on the same deployment."""
-    dep, slots, winner, marks = _elect(config, keys)
-    distance = _winner_distance(dep, winner)[1]
+    dep, slots, marks = _elect(config, keys)
+    distance = dep.distance()
     length = slots - config.include_request_slot
     at = np.cumsum(length) - length
     trace = np.empty(int(length.sum()), dtype=np.uint8)
@@ -640,13 +641,14 @@ class RecordBatch(Sequence):
 
     * ``slots`` from the elections;
     * ``winner`` (-1 for none), ``winner_rank`` (0 for none) and
-      ``winner_distance`` (NaN for none) from the relays' separations, the
-      auction's winner from its election;
+      ``winner_distance`` (NaN for none) from the deployment alone: the
+      tree's winner from the relays' separations, the auction's from their
+      anchor masses;
     * ``backoff``, where there is no winner.
 
-    Reading a column whose election never ends raises the election's
-    ``ResourceLimitError``.  :meth:`lines` writes the record lines from one
-    election per block, without a replay.  Reading an item replays that
+    Only ``slots`` and :meth:`lines`, which writes the record lines from one
+    election per block without a replay, run an election; where it never
+    ends they raise its ``ResourceLimitError``.  Reading an item replays that
     episode into a :class:`CriRecord`, the one source of its transmitters;
     iterating replays the batch block by block.
     """
@@ -668,30 +670,21 @@ class RecordBatch(Sequence):
         return _block_keys(self.seed, len(self), self.config)
 
     @cached_property
-    def _election(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(slots, the elected winners or None) of every block's elections."""
-        slots, winners = zip(*(_elect(self.config, keys)[1:3] for keys in self._blocks()))
-        return np.concatenate(slots), None if winners[0] is None else np.concatenate(winners)
+    def slots(self) -> np.ndarray:
+        return np.concatenate([_elect(self.config, keys)[1] for keys in self._blocks()])
 
     @cached_property
     def _outcomes(self) -> tuple[np.ndarray, ...]:
-        """(winner, winner_rank, winner_distance), measured a block at a
-        time; a rank counts the relays nearer the source, ties by id."""
-        elected = None if self.config.protocol == "sta" else self._election[1]
-        blocks, start = [], 0
+        """(winner, winner_rank, winner_distance) off each block's
+        deployment; a rank counts the relays nearer the source, ties by id."""
+        blocks = []
         for keys in self._blocks():
             dep = _Deployment(self.config, keys)
-            end = start + keys.size
-            winner, dist = _winner_distance(dep, None if elected is None else elected[start:end])
-            seps, dist_col = dep.separations, dist[:, None]
+            seps, winner, dist = dep.separations, dep.winner, dep.distance()
+            dist_col = dist[:, None]
             ahead = (seps < dist_col) | ((seps == dist_col) & (np.arange(self.config.n) < winner[:, None]))
             blocks.append((winner, np.where(winner < 0, 0, 1 + ahead.sum(axis=1)), dist))
-            start = end
         return tuple(np.concatenate(col) for col in zip(*blocks))
-
-    @property
-    def slots(self) -> np.ndarray:
-        return self._election[0]
 
     @property
     def winner(self) -> np.ndarray:

@@ -321,7 +321,7 @@ BIASED = {2: (0.3, 0.7), 3: (0.3, 0.35, 0.35)}
 
 
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 64])
 @pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
 def test_replay_equals_the_columnar_engine_exactly(protocol, n, q):
     region = SECTOR if protocol == "sta" else LENS
@@ -540,6 +540,22 @@ def test_batch_summaries_measure_no_separation(monkeypatch, protocol, region):
         assert len(records) == 300
         with pytest.raises(AssertionError, match="measured a separation"):
             records.winner_distance.size
+
+
+@pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
+def test_reading_outcomes_runs_no_election(monkeypatch, protocol):
+    # every protocol's winner is read off the deployment: the farthest
+    # relay, or the one of least anchor mass
+    def elect(*args):
+        raise AssertionError("an outcome column ran an election")
+
+    monkeypatch.setattr(simulator, "_elect", elect)
+    region = SECTOR if protocol == "sta" else LENS
+    for n in (0, 1, 5):
+        records = RecordBatch(EpisodeConfig(protocol=protocol, n=n, region=region), 300, 41)
+        for column in (records.winner, records.winner_rank, records.winner_distance, records.backoff):
+            assert column.shape == (300,)
+        assert records.backoff.all() == (n == 0)
 
 
 def test_a_batch_is_refused_before_any_election(monkeypatch):
