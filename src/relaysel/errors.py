@@ -43,17 +43,16 @@ def as_real(value, name: str) -> float:
     raise DomainError(f"{name} must be a finite real, got {value!r}")
 
 
-def _each(check, size: int | None = None):
-    """The check that a value is a sequence, of ``size`` items if given, each passing ``check``."""
+def _each(check):
+    """The check that a value is a sequence, each item passing ``check``."""
 
     def check_all(values, name: str) -> tuple:
         try:
             items = None if isinstance(values, str) else tuple(values)
         except TypeError:
             items = None
-        if items is None or size not in (None, len(items)):
-            count = f"{size} " if size else ""
-            raise DomainError(f"{name} must be a sequence of {count}numbers, got {values!r}")
+        if items is None:
+            raise DomainError(f"{name} must be a sequence of numbers, got {values!r}")
         return tuple(check(x, name) for x in items)
 
     return check_all
@@ -70,7 +69,7 @@ def of_type(kind: type):
     return check
 
 
-# a field's check by its annotation; a point is an (x, y) pair of reals
+# a field's check by its annotation
 _CHECKS = {
     "int": as_int,
     "float": as_real,
@@ -78,8 +77,6 @@ _CHECKS = {
     "str": of_type(str),
     "tuple[int, ...]": _each(as_int),
     "tuple[float, ...]": _each(as_real),
-    "tuple[float, float]": _each(as_real, 2),
-    "Point2": _each(as_real, 2),
 }
 
 

@@ -6,6 +6,10 @@ Two region families are supported, both subsets of the source's range disk:
 * a convex lens formed by intersecting the range disk with a disk centred on
   an anchor placed one transmission range along the source-destination axis.
 
+Every region lives in the source's frame: the source is the origin and the
+destination lies along +x, so the lens's anchor is (R, 0).  Every law
+depends on distances alone, so no other frame is needed.
+
 Points are placed by a binomial point process (a fixed count, uniform over
 the region).  Everything distance-related reduces to the region's radial
 mass function p(d) = P(uniform point lies within d of the source), which for
@@ -138,25 +142,17 @@ def _check_radius(radius: float) -> None:
         raise DomainError(f"radius must lie in [{lo:.4g}, {hi:.4g}], got {radius}")
 
 
-def _unit(v: tuple[float, float]) -> tuple[float, float]:
-    norm = math.hypot(v[0], v[1])
-    if norm == 0.0 or not math.isfinite(norm):
-        raise DomainError("axis vector must be non-zero and finite")
-    return (v[0] / norm, v[1] / norm)
-
-
 @dataclass(frozen=True)
 class SectorRegion:
-    """Circular sector of the range disk, opened symmetrically about ``axis``.
+    """Circular sector of the range disk about the source at the origin,
+    opened symmetrically about +x, the direction of the destination.
 
     ``inner_radius`` is zero for the full sector; partition bands reuse the
     class with a non-trivial annular bound.
     """
 
-    center: Point2 = Point2(0.0, 0.0)
     radius: float = 1.0
     aperture: float = math.pi
-    axis: tuple[float, float] = (1.0, 0.0)
     inner_radius: float = 0.0
 
     def __post_init__(self):
@@ -166,14 +162,8 @@ class SectorRegion:
             raise DomainError("aperture must lie in (0, 2*pi]")
         if not 0.0 <= self.inner_radius < self.radius:
             raise DomainError("inner radius must lie in [0, radius)")
-        object.__setattr__(self, "center", Point2(*self.center))
-        object.__setattr__(self, "axis", _unit(self.axis))
 
     # -- region protocol ---------------------------------------------------
-
-    @property
-    def source(self) -> Point2:
-        return self.center
 
     def area(self) -> float:
         return 0.5 * self.aperture * (self.radius**2 - self.inner_radius**2)
@@ -186,6 +176,9 @@ class SectorRegion:
         return _as_float(np.maximum(mass, 0.0))
 
     def source_radial_mass_derivative(self, d):
+        """Density of the radial mass at source distance ``d``, checked as
+        :meth:`source_radial_mass` checks it."""
+        _check_distance(d, self.radius)
         inside = (d >= self.inner_radius) & (d <= self.radius)
         return 2.0 * d / (self.radius**2 - self.inner_radius**2) * inside
 
@@ -194,17 +187,14 @@ class SectorRegion:
         return (self.inner_radius,)
 
     def contains(self, p: Point2) -> bool:
-        dx, dy = p[0] - self.center.x, p[1] - self.center.y
-        r = math.hypot(dx, dy)
+        r = math.hypot(p[0], p[1])
         # the same rounding slack at the rim as the lens: place(u, v) with u
         # just below 1 lands on it
         if r > self.radius * (1.0 + 1e-12) or (r <= self.inner_radius and self.inner_radius > 0.0):
             return False
         if r == 0.0:
             return True
-        ang = abs(math.atan2(self.axis[0] * dy - self.axis[1] * dx,
-                             self.axis[0] * dx + self.axis[1] * dy))
-        return ang <= 0.5 * self.aperture + 1e-12
+        return abs(math.atan2(p[1], p[0])) <= 0.5 * self.aperture + 1e-12
 
     def place(self, u, v) -> np.ndarray:
         """Points at area-uniform radius fraction ``u`` and angle fraction ``v``.
@@ -221,11 +211,10 @@ class SectorRegion:
         return _in_blocks(self._separation_block, u, u)
 
     def _place_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-        base = math.atan2(self.axis[1], self.axis[0])
         r = self._radii(u)
-        theta = base + (v - 0.5) * self.aperture
-        out[:, 0] = self.center.x + r * np.cos(theta)
-        out[:, 1] = self.center.y + r * np.sin(theta)
+        theta = (v - 0.5) * self.aperture
+        out[:, 0] = r * np.cos(theta)
+        out[:, 1] = r * np.sin(theta)
 
     def _separation_block(self, u: np.ndarray, _, out: np.ndarray) -> None:
         out[:] = self._radii(u)
@@ -240,7 +229,7 @@ class SectorRegion:
         inner = [math.sqrt(lo2 + (j / q) * (hi2 - lo2)) for j in range(1, q)]
         edges = [self.inner_radius, *inner, self.radius]  # exact ends, even where r^2 underflows
         bands = [
-            SectorRegion(self.center, edges[j + 1], self.aperture, self.axis, edges[j])
+            SectorRegion(radius=edges[j + 1], aperture=self.aperture, inner_radius=edges[j])
             for j in range(q)
         ]
         return bands[::-1]
@@ -250,16 +239,15 @@ class SectorRegion:
 class LensRegion:
     """Convex lens: range disk intersected with a disk around the anchor.
 
-    The anchor sits one transmission range from the source along the
-    destination axis, so the separation between the two disc centres is
-    always ``radius``.  ``inner_rho`` > 0 selects the annular slice between
-    two anchor-centred radii, which is how priority bands are represented.
+    The source sits at the origin and the anchor one transmission range
+    along +x, toward the destination, so the separation between the two
+    disc centres is always ``radius``.  ``inner_rho`` > 0 selects the
+    annular slice between two anchor-centred radii, which is how priority
+    bands are represented.
     """
 
-    source: Point2 = Point2(0.0, 0.0)
     radius: float = 1.0
     rho: float | None = None
-    axis: tuple[float, float] = (1.0, 0.0)
     inner_rho: float = 0.0
 
     def __post_init__(self):
@@ -271,17 +259,12 @@ class LensRegion:
             raise DomainError("rho must lie in (0, 2*radius]")
         if not 0.0 <= self.inner_rho < self.rho:
             raise DomainError("inner rho must lie in [0, rho)")
-        object.__setattr__(self, "source", Point2(*self.source))
-        object.__setattr__(self, "axis", _unit(self.axis))
         if self.area() <= 0.0:
             raise InfeasibleRegionError("lens slice has no area")
 
-    @cached_property
+    @property
     def anchor(self) -> Point2:
-        return Point2(
-            self.source.x + self.radius * self.axis[0],
-            self.source.y + self.radius * self.axis[1],
-        )
+        return Point2(self.radius, 0.0)
 
     def _overlap(self, r_source, s_anchor):
         # disk(source, r) with disk(anchor, s); the centres are radius apart
@@ -320,11 +303,9 @@ class LensRegion:
         return (self._overlap(self.radius, s) - self._inner_overlap) / self._area
 
     def contains(self, p: Point2) -> bool:
-        dxs, dys = p[0] - self.source.x, p[1] - self.source.y
-        if dxs * dxs + dys * dys > self.radius**2 * (1.0 + 1e-12):
+        if not p[0] * p[0] + p[1] * p[1] <= self.radius**2 * (1.0 + 1e-12):  # NaN is outside
             return False
-        a = self.anchor
-        da = math.hypot(p[0] - a.x, p[1] - a.y)
+        da = math.hypot(p[0] - self.radius, p[1])
         if da > self.rho * (1.0 + 1e-12):
             return False
         return da > self.inner_rho or self.inner_rho == 0.0
@@ -438,10 +419,10 @@ class LensRegion:
 
     def _place_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         s, half = self._polar(u, v)
-        phi = math.atan2(-self.axis[1], -self.axis[0]) + 2.0 * half
-        a = self.anchor
-        out[:, 0] = a.x + s * np.cos(phi)
-        out[:, 1] = a.y + s * np.sin(phi)
+        # psi = 2 * half turns from the anchor-to-source direction, -x at angle -pi
+        phi = 2.0 * half - math.pi
+        out[:, 0] = self.radius + s * np.cos(phi)
+        out[:, 1] = s * np.sin(phi)
 
     def _separation_block(self, u: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
         s, half = self._polar(u, v)
@@ -458,10 +439,7 @@ class LensRegion:
         targets, ones = np.arange(1, q) / q, np.ones(q - 1)
         inner = _bisect(lambda s: self.anchor_radial_mass(s) < targets, self.inner_rho * ones, self.rho * ones)
         edges = [self.inner_rho, *inner.tolist(), self.rho]
-        return [
-            LensRegion(self.source, self.radius, edges[j + 1], self.axis, edges[j])
-            for j in range(q)
-        ]
+        return [LensRegion(radius=self.radius, rho=edges[j + 1], inner_rho=edges[j]) for j in range(q)]
 
 
 Region = SectorRegion | LensRegion
@@ -667,7 +645,7 @@ def _bisect(below, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def calibrate_sdr(lens: LensRegion) -> SectorRegion:
-    """Sector with the same source, range and area as ``lens``.
+    """Sector with the same range and area as ``lens``.
 
     Matching areas equalises the chance of finding nodes inside the two
     decision-region designs.
@@ -675,12 +653,7 @@ def calibrate_sdr(lens: LensRegion) -> SectorRegion:
     aperture = 2.0 * lens.area() / lens.radius**2
     if aperture > _TWO_PI + 1e-9:
         raise DomainError("required aperture exceeds a full circle")
-    return SectorRegion(
-        center=lens.source,
-        radius=lens.radius,
-        aperture=min(aperture, _TWO_PI),
-        axis=lens.axis,
-    )
+    return SectorRegion(radius=lens.radius, aperture=min(aperture, _TWO_PI))
 
 
 def partition_region(region: Region, q: int) -> list[Region]:
@@ -716,23 +689,20 @@ def iterated_priority_region(region: Region, rounds: int, q: int = 2) -> Region:
 
 @dataclass(frozen=True)
 class Topology:
-    """One sampled deployment: the source and its candidate relays."""
+    """One sampled deployment: the candidate relays of the source at the
+    origin, in their region's frame."""
 
-    source: Point2
     relays: tuple[Point2, ...]
     region: Region
 
     def __post_init__(self):
         r2 = self.region.radius**2 * (1.0 + 1e-9)
         for pos in self.relays:
-            dx = pos.x - self.source.x
-            dy = pos.y - self.source.y
-            if dx * dx + dy * dy > r2:
+            if not pos.x * pos.x + pos.y * pos.y <= r2:  # NaN is outside
                 raise DomainError("relay outside the source's transmission range")
 
     def separations(self) -> np.ndarray:
-        sx, sy = self.source
-        return np.array([math.hypot(p.x - sx, p.y - sy) for p in self.relays])
+        return np.array([math.hypot(p.x, p.y) for p in self.relays])
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -747,7 +717,7 @@ def sample_topology(region: Region, n: int, seed) -> Topology:
         raise DomainError("relay count must be >= 0")
     rng = as_generator(seed)
     pts = region.place(rng.random(n), rng.random(n)).tolist()
-    return Topology(region.source, tuple(Point2(x, y) for x, y in pts), region)
+    return Topology(tuple(Point2(x, y) for x, y in pts), region)
 
 
 def sample_sorted_separations(

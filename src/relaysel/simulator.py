@@ -91,16 +91,16 @@ class CriRecord:
     @classmethod
     def from_line(cls, line: str) -> "CriRecord":
         """Parse the wire form; the winner's identity is not serialized."""
-        parts = line.split()
-        if len(parts) != 5:
-            raise DomainError(f"malformed record line: {line!r}")
-        protocol, n, slots, dist, symbols = parts
-        trace = tuple(SlotFeedback(ch) for ch in symbols)
-        d = float(dist)
+        try:
+            protocol, n, slots, dist, symbols = line.split()
+            trace = tuple(SlotFeedback(ch) for ch in symbols)
+            n, slots, d = int(n), int(slots), float(dist)
+        except ValueError:
+            raise DomainError(f"malformed record line: {line!r}") from None
         return cls(
             protocol=protocol,
-            n=int(n),
-            slots=int(slots),
+            n=n,
+            slots=slots,
             winner=None,
             winner_distance=d,
             winner_rank=None,
@@ -365,8 +365,7 @@ def run_auction(
         "auction_skip" if skip else "auction", len(topology.relays), region, q, p,
         include_request_slot=include_request_slot,
     )
-    ax, ay = region.anchor
-    s = np.array([math.hypot(pos.x - ax, pos.y - ay) for pos in topology.relays])
+    s = np.array([math.hypot(pos.x - region.radius, pos.y) for pos in topology.relays])
     return _episode(config, None, region.anchor_radial_mass(s).tolist(), topology.separations().tolist())
 
 

@@ -534,6 +534,83 @@ def test_simulate_records_match_the_golden_digests(capsys, protocol, n, reps, ex
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the analytic and distance-law outputs (run with --seed 31), as
+# the code wrote them when the regions moved into the source's frame.  A
+# change that moves these bits on purpose re-pins them and says so in
+# CHANGES.md.
+LAWS_GOLDEN = [
+    ("pmf --protocol sta --n 5",
+     "bc824b9f9f3da6f448f4b2072ce6194ced29d9843b92a6390758480ee69e56b2"),
+    ("pmf --protocol sta --n 6 --q 3 --p 0.2,0.5,0.3",
+     "21d8595fb568d66fcf3d6b9df234c032131b3ca2f7ad6ba9e74f1ec1168271b6"),
+    ("pmf --protocol auction --n 5",
+     "9b1e3367641f7e9f817dd5f2c763266ed5777fe4e290182f015e565d4726237f"),
+    ("pmf --protocol auction-skip --n 5 --p 0.3",
+     "9c9c4c6214cfba03a023383274461a47cdd1b3d4663fc41c4f91e42f70d869bf"),
+    ("invert --protocol sta --n 5 --k 7",
+     "6380a96642c78a8fd79990814d6f9bf7c3a89c24b6f198690f8b0adef2831ca1"),
+    ("invert --protocol auction --n 4 --k 6 --radius 0.5",
+     "efbe2bce204b913219dd12db5ecc56c0bf6535fb89678fb685b3b9e099b765fa"),
+    ("invert --protocol auction-skip --n 5 --k 4",
+     "93c2ae145742ba8990ce3c0816420338d25028fce172d6a35264bd0cef8c77b0"),
+    ("distance --region cdr --rank 2 --of 5 --stat ccdf",
+     "134f5261f3081bd6c37bce816955beea7459b59189687ae27f641b491da12e70"),
+    ("distance --region cdr --rho 0.6 --rank 3 --of 4 --stat ccdf",
+     "db95322c220882b7e588d18f485588cec577a4bacc5864b814f3d5065ec15be4"),
+    ("distance --region sdr --rank 2 --of 5 --stat ccdf",
+     "5fbdcce6819873ca021b96ee662a5a3bd7d5a2c1bbce7d34da07eeff19459c3e"),
+    ("distance --region sdr --aperture 1.2 --rank 1 --of 3 --stat ccdf",
+     "a581164d820c25782f7b3ef4d4b1eb5ed85ddd3d6d10a29efdaa1ece04002361"),
+    ("distance --region cdr --rank 2 --of 5 --stat pdf",
+     "957a99a6ad58c2cfc9e70c3bae59666149a6db4a80c4f8b31e0fe47358fc8ec2"),
+    ("distance --region cdr --rho 0.6 --rank 3 --of 4 --stat pdf",
+     "785c85e4ceeb36fcfc476355e7afb42b788b01496f77ce6fa74e1d69898dc096"),
+    ("distance --region sdr --rank 2 --of 5 --stat pdf",
+     "84e0b5f95ca2f229c217668c77ddedff00c646e88e79e0078348a57ce05643f0"),
+    ("distance --region sdr --aperture 1.2 --rank 1 --of 3 --stat pdf",
+     "8b77864d4d2e141ed040d8b8648ad6bfe2a8a5a11755b7f7750f9eee84be9175"),
+    ("distance --region cdr --rank 2 --of 5 --stat mean",
+     "eb8af255d15494a7b209726c546908817bd17eaecfb975feecfaaccbd5a8b80d"),
+    ("distance --region cdr --rho 0.6 --rank 3 --of 4 --stat mean",
+     "7f8ef02f7db55fc2ae336f48fd9776c8d056e61d932cdf3afef93c84a8ca9fc9"),
+    ("distance --region sdr --rank 2 --of 5 --stat mean",
+     "80db6e145f167953a529db75c63299fe9e0e8f00b6b6a580c2e4f3d79d8b08c8"),
+    ("distance --region sdr --aperture 1.2 --rank 1 --of 3 --stat mean",
+     "56a1c9d0e64de6c32058a77895c227098990ec73a9f59eb0d11191de948f6110"),
+    ("distance --region cdr --rank 2 --of 5 --stat median",
+     "92f288ba24683dcef370fc4aa46dce1f63054b14d850e2d9838b60975c732e88"),
+    ("distance --region cdr --rho 0.6 --rank 3 --of 4 --stat median",
+     "4c07ea42c84901e11efa5bb4d453c013e1f96699033a73fd467a9423f32d1de5"),
+    ("distance --region sdr --rank 2 --of 5 --stat median",
+     "154f00ecef43f778546fbb01b7469674b081eaaf52f401561406a498eac287d6"),
+    ("distance --region sdr --aperture 1.2 --rank 1 --of 3 --stat median",
+     "bd2bee94015f2f5a260ea0acac4332afed771a40017cfbc77751a9dcc46894c7"),
+    ("experiment --id dist_pdf_sdr --n 2..4 --reps 2000",
+     "4589078a52d096887feccc65aa507100b177a14025e0544a981a809ee7998b44"),
+    ("experiment --id dist_pdf_cdr --n 2..4 --reps 2000",
+     "bc965e52bd4f3b33ee09ea395db06320dbdd118971d7d326860241946a3352ba"),
+    ("experiment --id iter_gain_nearest --n 2..4 --reps 2000",
+     "3f8fd669c139850200391c503caf37ead0062ddefc1d505368127b02995a6a24"),
+    ("experiment --id iter_gain_furthest --n 2..4 --reps 2000",
+     "b23deddb8881fa0dcd815368d3be83c2f65d663e1f38f6bbf06668d1cf59b7c5"),
+    ("experiment --id exp_dist_nearest --n 2..4 --reps 2000",
+     "3c397aa2e0089e35fc6debb9b2d7f424d983f9404605abe34f3e3a662c47fd7e"),
+    ("experiment --id exp_dist_furthest --n 2..4 --reps 2000",
+     "481ab0ee19d07878cf4119860bf2e0b00b4bf47f82bbf8c504c19beebe27d114"),
+    ("experiment --id dist_pdf_sdr --n 3..5 --reps 1000 --aperture 2.0",
+     "bb35e5309b98cd33f2a4d23a040deb52fcd88db33739d180277c0a5a86b147de"),
+    ("experiment --id dist_pdf_cdr --n 3..5 --reps 1000 --rho 1.4",
+     "5b11ffc1fb56da8039f1eaf16c084055f1440f873990917c7a05deb44644dc2a"),
+    ("experiment --id exp_dist_furthest --n 3..5 --reps 1000 --rho 1.4",
+     "7f171369f6a1870524e151144ee8f7360975bf052fb1c392778dddc3b04147bf"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", LAWS_GOLDEN, ids=[argv for argv, _ in LAWS_GOLDEN])
+def test_laws_match_the_golden_digests(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split(), "--seed", "31")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_records_never_replay_an_episode(capsys, monkeypatch):

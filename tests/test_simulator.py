@@ -48,7 +48,7 @@ SECTOR = SectorRegion(radius=1.0)
 def lens_topology(anchor_distances, region=LENS):
     """Relays placed on the source->anchor axis at given anchor distances."""
     relays = tuple(Point2(region.radius - a, 0.0) for a in anchor_distances)
-    return Topology(source=Point2(0.0, 0.0), relays=relays, region=region)
+    return Topology(relays=relays, region=region)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +501,13 @@ def test_backoff_record_line_round_trip():
 def test_malformed_record_line_rejected():
     with pytest.raises(DomainError):
         CriRecord.from_line("sta 3 5")
+
+
+@pytest.mark.parametrize("line", ["sta 2 x nan C", "sta 2 3 nan CX", "sta two 3 0.5 CSS", "sta 2 3 abc CSS"])
+def test_every_malformed_record_field_is_a_domain_error(line):
+    # a count that is not an integer, an unknown slot symbol, a distance that is not a float
+    with pytest.raises(DomainError, match="malformed record line"):
+        CriRecord.from_line(line)
 
 
 def test_empirical_pmf_and_total_variation_helpers():

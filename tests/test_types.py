@@ -57,10 +57,8 @@ CASES = [
         "experiment": "str", "n_values": "ints", "q": "int", "p": "reals?", "r": "real", "rho": "real?",
         "aperture": "real", "replications": "int", "seed": "int", "skip": "bool",
     }),
-    (SectorRegion, {}, {"center": "reals", "radius": "real", "aperture": "real", "axis": "reals",
-                        "inner_radius": "real"}),
-    (LensRegion, {}, {"source": "reals", "radius": "real", "rho": "real?", "axis": "reals",
-                      "inner_rho": "real"}),
+    (SectorRegion, {}, {"radius": "real", "aperture": "real", "inner_radius": "real"}),
+    (LensRegion, {}, {"radius": "real", "rho": "real?", "inner_rho": "real"}),
 ]
 FIELDS = [
     pytest.param(cls, base, field, kind, id=f"{cls.__name__}.{field}")
@@ -111,4 +109,4 @@ def test_checked_fields_are_normalised():
     assert type(cfg.r) is float
     same = ExperimentConfig("cri_pmf_sta", n_values=(2, 3), r=1.0, p=(1.0, 0.0))
     assert cfg.config_hash() == same.config_hash()
-    assert LensRegion(radius=2, source=(0, 1)).source == (0.0, 1.0)
+    assert type(LensRegion(radius=2).radius) is float
