@@ -39,6 +39,7 @@ from .experiments import (
     DEFAULT_SEED,
     EXPERIMENT_IDS,
     ExperimentConfig,
+    format_rows,
     run_experiment,
     validate_agreement,
 )
@@ -245,8 +246,7 @@ def _simple_table(columns, rows, seed=None) -> str:
     if seed is not None:
         buf.write(f"# seed = {seed}\n")
     buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    buf.write(format_rows(rows))
     return buf.getvalue()
 
 

@@ -131,8 +131,7 @@ class ResultTable:
         for msg in self.failures:
             buf.write(f"# FAIL {msg}\n")
         buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(format_rows(self.rows))
         return buf.getvalue()
 
     def write(self, path) -> None:
@@ -140,10 +139,14 @@ class ResultTable:
             fh.write(self.to_csv())
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def format_rows(rows) -> str:
+    """CSV lines of the rows: a float cell by ``repr``, any other by ``str``."""
+    cell = _cell
+    return "".join([",".join(map(cell, row)) + "\n" for row in rows])
+
+
+def _cell(v) -> str:
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
@@ -248,14 +251,43 @@ def _analytic_pmf(series) -> dict[int, float]:
     return {k: float(series.coeffs[k]) for k in range(cut + 1) if series.coeffs[k] > 0}
 
 
+_KS_STRIDE_DIVISOR = 8  # the KS's first pass evaluates every (sqrt(N) / 8)-th sample
+_KS_SLACK = 1e-9  # the KS skips a gap whose bound is below its best deviation by more than this
+
+
 def _ks_distance(region, rank: int, n_points: int, distances: np.ndarray) -> float:
-    """KS statistic of sampled rank-th neighbour distances against their law."""
+    """KS statistic of sampled rank-th neighbour distances against their law F:
+    the largest max(|(i + 1)/N - F_i|, |i/N - F_i|) over the N sorted samples.
+
+    A bracketed maximum, which evaluates F at a fraction of the samples.
+    First at every m-th sample and the last, m = isqrt(N) //
+    ``_KS_STRIDE_DIVISOR`` (at least 1): their deviations bound the maximum
+    below by ``best``.  Between two of them, a < b, a monotone F keeps each
+    sample's deviation within max(b/N - F_a, F_b - (a + 1)/N); one more call
+    evaluates the samples of every gap whose bound reaches ``best -
+    _KS_SLACK``.  An evaluated sample takes the same elementwise law and
+    expression as in one call on all N samples, so the statistic is that
+    exhaustive maximum bit for bit wherever the computed F is monotone to
+    within ``_KS_SLACK``.  At N = 40,000 about 8% of the samples are
+    evaluated; below N = 256 all are, in the first call.
+    """
     samples = np.sort(distances)
-    cdf_values = 1.0 - nth_neighbor_ccdf(region, rank, n_points, samples)
     n = len(samples)
-    steps_hi = np.arange(1, n + 1) / n
-    steps_lo = np.arange(0, n) / n
-    return float(np.max(np.maximum(np.abs(steps_hi - cdf_values), np.abs(steps_lo - cdf_values))))
+
+    def deviations(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cdf = 1.0 - nth_neighbor_ccdf(region, rank, n_points, samples[index])
+        return cdf, np.maximum(np.abs((index + 1) / n - cdf), np.abs(index / n - cdf))
+
+    probes = np.append(np.arange(0, n - 1, max(1, math.isqrt(n) // _KS_STRIDE_DIVISOR)), n - 1)
+    cdf, dev = deviations(probes)
+    best = dev.max()
+    a, b = probes[:-1], probes[1:]
+    bound = np.maximum(b / n - cdf[:-1], cdf[1:] - (a + 1) / n)
+    inside = np.repeat(bound >= best - _KS_SLACK, b - a)  # samples a .. b - 1 of each gap
+    inside[a] = False  # a gap's left end is a probe
+    if inside.any():
+        best = max(best, deviations(np.flatnonzero(inside))[1].max())
+    return float(best)
 
 
 def _empirical_pdf(distances: np.ndarray, radius: float, grid: np.ndarray) -> np.ndarray:

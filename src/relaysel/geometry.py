@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleRegionError, ResourceLimitError, check_fields
+from .errors import DomainError, InfeasibleRegionError, ResourceLimitError, as_real, check_fields
 
 _TWO_PI = 2.0 * math.pi
 # t - sin t = t^3 (1/3! - t^2/5! + t^4/7! - ...): the coefficients in t^2
@@ -696,9 +696,19 @@ class Topology:
     region: Region
 
     def __post_init__(self):
+        if not isinstance(self.region, Region):
+            raise DomainError(f"region must be a SectorRegion or a LensRegion, got {self.region!r}")
+        try:
+            relays = tuple(self.relays)
+        except TypeError:
+            relays = None
+        if relays is None or not all(isinstance(pos, Point2) for pos in relays):
+            raise DomainError(f"relays must be a sequence of Point2, got {self.relays!r}")
+        object.__setattr__(self, "relays", relays)
         r2 = self.region.radius**2 * (1.0 + 1e-9)
-        for pos in self.relays:
-            if not pos.x * pos.x + pos.y * pos.y <= r2:  # NaN is outside
+        for pos in relays:
+            x, y = as_real(pos.x, "a relay's x"), as_real(pos.y, "a relay's y")
+            if not x * x + y * y <= r2:
                 raise DomainError("relay outside the source's transmission range")
 
     def separations(self) -> np.ndarray:

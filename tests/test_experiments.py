@@ -2,19 +2,25 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relaysel import experiments
 from relaysel.errors import DomainError
 from relaysel.experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
+    format_rows,
     run_experiment,
     validate_agreement,
 )
+from relaysel.geometry import LensRegion, nth_neighbor_ccdf, sample_sorted_separations
 from relaysel.pgf import SplitModel, build_pgf
 
 from oracles import sta_slot_mass
+from test_geometry import regions
 
 
 def small(experiment, **kw):
@@ -224,3 +230,65 @@ def test_validate_hash_covers_every_input():
     assert digest(protocols=("sta", "auction")) != first
     assert digest(distance_n=3) != first
     assert digest(seed=4) != first
+
+
+def test_rows_format_floats_by_repr_and_the_rest_by_str():
+    # a float subclass keeps its own repr, as a numpy scalar does
+    rows = [(1, 0.1, "sdr", True), (np.float64(0.5), -0.0, 1e-300, None)]
+    assert format_rows(rows) == "1,0.1,sdr,True\nnp.float64(0.5),-0.0,1e-300,None\n"
+    assert format_rows([]) == ""
+
+
+# ---------------------------------------------------------------------------
+# the KS statistic: a bracketed maximum equal to the exhaustive one
+
+
+def exhaustive_ks(region, rank, n_points, distances):
+    """The KS statistic with the law evaluated at every sorted sample."""
+    samples = np.sort(distances)
+    cdf_values = 1.0 - nth_neighbor_ccdf(region, rank, n_points, samples)
+    n = len(samples)
+    steps_hi = np.arange(1, n + 1) / n
+    steps_lo = np.arange(0, n) / n
+    return float(np.max(np.maximum(np.abs(steps_hi - cdf_values), np.abs(steps_lo - cdf_values))))
+
+
+THIN_FAR_BAND = LensRegion(rho=2.0, inner_rho=1.99999)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    region=regions(),
+    n_points=st.integers(1, 9),
+    # 1 to 50,000, from each scale alike
+    draws=st.builds(int.__add__, st.sampled_from([1, 100, 1_000, 10_000, 40_000]), st.integers(0, 10_000)),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+)
+@example(region=THIN_FAR_BAND, n_points=5, draws=40_000, seed=7, ties=False)
+@example(region=LensRegion(), n_points=5, draws=40_000, seed=7, ties=False)
+@example(region=LensRegion(), n_points=9, draws=1, seed=0, ties=False)
+def test_ks_equals_the_exhaustive_statistic_bit_for_bit(region, n_points, draws, seed, ties):
+    sorted_d = sample_sorted_separations(region, n_points, draws, np.random.default_rng(seed))
+    if ties:  # a coarse grid of distances: many samples share one
+        sorted_d = np.round(sorted_d * (16 / region.radius)) * (region.radius / 16)
+    for rank in range(1, n_points + 1):
+        distances = sorted_d[:, rank - 1]
+        ks = experiments._ks_distance(region, rank, n_points, distances)
+        assert ks == exhaustive_ks(region, rank, n_points, distances)
+
+
+def test_ks_evaluates_the_law_at_a_fifth_of_the_samples_at_most(monkeypatch):
+    # ~7% on average at this size; the exhaustive statistic evaluates all
+    evaluated = []
+
+    def counted(region, rank, n_points, d):
+        evaluated.append(len(d))
+        return nth_neighbor_ccdf(region, rank, n_points, d)
+
+    monkeypatch.setattr(experiments, "nth_neighbor_ccdf", counted)
+    lens, draws = LensRegion(), 40_000
+    sorted_d = sample_sorted_separations(lens, 5, draws, np.random.default_rng(2025))
+    for rank in range(1, 6):
+        experiments._ks_distance(lens, rank, 5, sorted_d[:, rank - 1])
+    assert sum(evaluated) <= 0.2 * 5 * draws

@@ -829,6 +829,21 @@ def test_topology_rejects_out_of_range_relay():
         assert not region.contains(pos)
 
 
+@pytest.mark.parametrize(
+    "relays, region",
+    [
+        (((0.5, 0.0),), LensRegion()),  # a pair, no Point2
+        ((Point2(0.5, 0.0),), "x"),
+        (3, LensRegion()),
+        ((Point2("0.5", 0.0),), LensRegion()),
+    ],
+    ids=["relay-not-a-point", "region-not-a-region", "relays-not-a-sequence", "coordinate-not-a-real"],
+)
+def test_topology_refuses_wrong_typed_fields(relays, region):
+    with pytest.raises(DomainError):
+        Topology(relays=relays, region=region)
+
+
 def test_sorted_separations_refuse_more_points_than_the_cap_before_drawing():
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
