@@ -36,7 +36,7 @@ from .geometry import (
     partition_region,
     sample_sorted_separations,
 )
-from .pgf import K_CAP, SplitModel, build_pgf, moments
+from .pgf import K_CAP, PROTOCOLS, SplitModel, build_pgf, moments
 from .simulator import EpisodeConfig, run_episode_batch, total_variation
 
 DEFAULT_SEED = 12345
@@ -290,6 +290,15 @@ def _ks_distance(region, rank: int, n_points: int, distances: np.ndarray) -> flo
     return float(best)
 
 
+def _mean_check(checks: _Checks, label: str, distances: np.ndarray, analytic: float) -> tuple[float, float]:
+    """(mean, standard error) of the sampled distances, their z-score
+    against the analytic mean gated as ``label`` (no diagnostic line)."""
+    mean = float(distances.mean())
+    se = float(distances.std(ddof=1) / math.sqrt(len(distances)))
+    checks.z(label, abs(mean - analytic) / se if se > 0 else 0.0, diag=False)
+    return mean, se
+
+
 def _empirical_pdf(distances: np.ndarray, radius: float, grid: np.ndarray) -> np.ndarray:
     """A 50-bin histogram density of the distances over [0, radius], read on the grid."""
     hist, edges = np.histogram(distances, bins=50, range=(0.0, radius), density=True)
@@ -323,8 +332,7 @@ def _cri_pmf(cfg: ExperimentConfig, auction: bool) -> ResultTable:
 
 def _dist_pdf(cfg: ExperimentConfig, region, label: str) -> ResultTable:
     n_points = cfg.n_values[-1]
-    rng = np.random.default_rng(_hash_seed(cfg.seed, f"dist:{label}"))
-    sorted_d = sample_sorted_separations(region, n_points, cfg.replications, rng)
+    sorted_d = sample_sorted_separations(region, n_points, cfg.replications, _hash_seed(cfg.seed, f"dist:{label}"))
     grid = np.linspace(0.0, region.radius, 201)
     rows = []
     checks = _Checks()
@@ -361,8 +369,8 @@ def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     per_round = max(cfg.replications // len(regions), 1000)
     for t, region in enumerate(regions):
         label = "cdr" if t else "sdr"
-        rng = np.random.default_rng(_hash_seed(cfg.seed, f"iter:{label}:{t}"))
-        distances = sample_sorted_separations(region, n_points, per_round, rng)[:, rank - 1]
+        seed = _hash_seed(cfg.seed, f"iter:{label}:{t}")
+        distances = sample_sorted_separations(region, n_points, per_round, seed)[:, rank - 1]
         checks.ks(f"ks_{label}_round{t}", _ks_distance(region, rank, n_points, distances), per_round)
         emp_pdf = _empirical_pdf(distances, cfg.r, grid)
         pdf = nth_neighbor_pdf(region, rank, n_points, grid)
@@ -388,12 +396,9 @@ def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
         for n in cfg.n_values:
             rank = 1 if nearest else n
             analytic = means[label, n] = expected_nth_distance(region, rank, n)
-            rng = np.random.default_rng(_hash_seed(cfg.seed, f"expdist:{label}:{n}"))
-            d = sample_sorted_separations(region, n, per_cell, rng)[:, rank - 1]
-            emp = float(d.mean())
-            se = float(d.std(ddof=1) / math.sqrt(len(d)))
+            d = sample_sorted_separations(region, n, per_cell, _hash_seed(cfg.seed, f"expdist:{label}:{n}"))
+            emp, se = _mean_check(checks, f"z:{label}:n{n}", d[:, rank - 1], analytic)
             rows.append((label, n, analytic, emp, se))
-            checks.z(f"z:{label}:n{n}", abs(emp - analytic) / se if se > 0 else 0.0, diag=False)
     if nearest:
         # nearest-relay progress grows with every extra priority round
         for n in cfg.n_values:
@@ -422,12 +427,12 @@ def _progress_vs_cri(cfg: ExperimentConfig, auction: bool) -> ResultTable:
         cri_mean = moments(series).mean
         episode = EpisodeConfig(protocol=protocol, n=n, region=region, q=cfg.q, p=cfg.p)
         _, summary = run_episode_batch(episode, per_cell, _hash_seed(cfg.seed, f"prog:{n}"))
-        rng = np.random.default_rng(_hash_seed(cfg.seed, f"prog-dist:{n}"))
-        sorted_d = sample_sorted_separations(region, n, per_cell, rng)
+        sorted_d = sample_sorted_separations(region, n, per_cell, _hash_seed(cfg.seed, f"prog-dist:{n}"))
         ranks = {"nearest": 1, "second_furthest": max(n - 1, 1), "furthest": n}
         for label, rank in ranks.items():
             mean_d = expected_nth_distance(region, rank, n)
-            rows.append((n, label, cri_mean, summary.mean_slots, mean_d, float(sorted_d[:, rank - 1].mean())))
+            emp, _ = _mean_check(checks, f"dist_z_n{n}_{label}", sorted_d[:, rank - 1], mean_d)
+            rows.append((n, label, cri_mean, summary.mean_slots, mean_d, emp))
         z_denom = math.sqrt(max(summary.var_slots, 1e-12) / per_cell)
         checks.z(f"cri_z_n{n}", abs(summary.mean_slots - cri_mean) / z_denom if z_denom else 0.0)
     columns = ["n", "rank", "analytic_mean_cri", "empirical_mean_cri"]
@@ -462,7 +467,7 @@ def validate_agreement(
     seed: int = DEFAULT_SEED,
     r: float = 1.0,
     rho: float | None = None,
-    protocols=("sta", "auction", "auction_skip"),
+    protocols=PROTOCOLS,
     distance_n: int = 5,
 ) -> ResultTable:
     """Full analytic-versus-simulation agreement suite.
@@ -493,8 +498,7 @@ def validate_agreement(
             _, summary = run_episode_batch(episode, replications, _hash_seed(seed, label))
             checks.tv(label, total_variation(_analytic_pmf(series), summary.pmf), replications, series)
     for label, region in (("sdr", sector), ("cdr", lens)):
-        rng = np.random.default_rng(_hash_seed(seed, f"ks:{label}"))
-        sorted_d = sample_sorted_separations(region, distance_n, replications, rng)
+        sorted_d = sample_sorted_separations(region, distance_n, replications, _hash_seed(seed, f"ks:{label}"))
         for rank in range(1, distance_n + 1):
             ks = _ks_distance(region, rank, distance_n, sorted_d[:, rank - 1])
             checks.ks(f"ks:{label}:rank{rank}", ks, replications)

@@ -11,9 +11,11 @@ destination lies along +x, so the lens's anchor is (R, 0).  Every law
 depends on distances alone, so no other frame is needed.
 
 Points are placed by a binomial point process (a fixed count, uniform over
-the region).  Everything distance-related reduces to the region's radial
-mass function p(d) = P(uniform point lies within d of the source), which for
-these shapes is available in closed form from two-circle intersection areas.
+the region), at the counter-addressed uniforms of :mod:`relaysel.streams`
+that the simulator's episodes deploy their relays at.  Everything
+distance-related reduces to the region's radial mass function p(d) =
+P(uniform point lies within d of the source), which for these shapes is
+available in closed form from two-circle intersection areas.
 
 Regions carry an inner/outer bound on their defining radial coordinate, so a
 priority band produced by :func:`partition_region` is just another region and
@@ -31,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InfeasibleRegionError, ResourceLimitError, as_real, check_fields
+from .streams import PLACE_U, PLACE_V, episode_seeds, relay_uniforms, stream_keys
 
 _TWO_PI = 2.0 * math.pi
 # t - sin t = t^3 (1/3! - t^2/5! + t^4/7! - ...): the coefficients in t^2
@@ -60,6 +63,9 @@ _PLACE_BLOCK = 8192
 # splitting tree peaks near 120 bytes per relay (1.0 GB at the cap), and a
 # sample holds 24 bytes per point whole.
 MAX_POINTS = 1024 * _PLACE_BLOCK
+# rows of at most this many points sort faster by a vector sorting network
+# over their relay-major block than one row at a time
+_NETWORK_POINTS = 5
 # a region's radius: its square is a normal float, and so is (2 r)^2 finite
 _RADIUS_RANGE = (math.sqrt(sys.float_info.min), 0.5 * math.sqrt(sys.float_info.max))
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -715,42 +721,54 @@ class Topology:
         return np.array([math.hypot(p.x, p.y) for p in self.relays])
 
 
-def as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_topology(region: Region, n: int, seed) -> Topology:
-    """Draw ``n`` uniform relays on the region; deterministic given the seed."""
+    """Episode 0's ``n`` relays under the master ``seed``, placed on the
+    region at their uniforms (see :func:`sample_sorted_separations`)."""
     if n < 0:
         raise DomainError("relay count must be >= 0")
-    rng = as_generator(seed)
-    pts = region.place(rng.random(n), rng.random(n)).tolist()
+    keys = episode_seeds(seed, 1)
+    u, v = (relay_uniforms(stream_keys(keys, stream), n)[:, 0] for stream in (PLACE_U, PLACE_V))
+    pts = region.place(u, v).tolist()
     return Topology(tuple(Point2(x, y) for x, y in pts), region)
 
 
-def sample_sorted_separations(
-    region: Region, n_points: int, draws: int, rng: np.random.Generator
-) -> np.ndarray:
+def sample_sorted_separations(region: Region, n_points: int, draws: int, seed) -> np.ndarray:
     """(draws, n_points) source separations, row-sorted; bulk path for experiments.
 
-    Every ``u`` is drawn and then, on a lens, every ``v``, as
-    :func:`sample_topology` draws its uniforms (a sector's separation is its
-    radius alone, so its ``v`` is never drawn); the rows are then measured
-    by the region's ``separations``, with no point built, and sorted a block of about
-    ``_PLACE_BLOCK`` points at a time, so no whole-size temporary is held.
-    More than ``MAX_POINTS`` points in all are refused before any is drawn.
+    Row i is episode i's deployment under the master ``seed`` (any seed a
+    simulator batch takes), measured by the region's ``separations`` with no
+    point built: a sector's separation is its radius alone, so its second
+    uniform is never drawn.  The rows are drawn, measured and sorted a block
+    of about ``_PLACE_BLOCK`` points at a time, so no whole-size temporary
+    but the keys is held.  More than ``MAX_POINTS`` points or draws in all
+    are refused before any is drawn.
     """
-    if draws * n_points > MAX_POINTS:
+    if draws * max(n_points, 1) > MAX_POINTS:
         raise ResourceLimitError(f"{draws} draws of {n_points} points exceed the limit of {MAX_POINTS}")
-    u = rng.random(draws * n_points).reshape(draws, n_points)
-    lens = isinstance(region, LensRegion)
-    v = rng.random(draws * n_points).reshape(draws, n_points) if lens else None
+    episodes = episode_seeds(seed, draws)
+    streams = (PLACE_U, PLACE_V) if isinstance(region, LensRegion) else (PLACE_U,)
+    keys = [stream_keys(episodes, stream) for stream in streams]
     out = np.empty((draws, n_points))
     rows = max(1, _PLACE_BLOCK // max(n_points, 1))
     for start in range(0, draws, rows):
         block = slice(start, start + rows)
-        out[block] = region.separations(u[block], v[block] if lens else None)
-        out[block].sort(axis=1)
+        _sort_rows(region.separations(*(relay_uniforms(k[block], n_points) for k in keys)), out[block])
     return out
+
+
+def _sort_rows(d: np.ndarray, out: np.ndarray) -> None:
+    """Each column of the relay-major block ``d``, (points, rows), sorted
+    into a row of ``out``.  Up to ``_NETWORK_POINTS`` points an odd-even
+    transposition network sorts them in place first, n rounds of
+    compare-exchanges on whole relay rows: the same floats as a sort, since
+    no separation is NaN or -0.0."""
+    n = len(d)
+    if n <= _NETWORK_POINTS:
+        for r in range(n):
+            a, b = d[r % 2 : n - 1 : 2], d[r % 2 + 1 : n : 2]
+            low = np.minimum(a, b)
+            np.maximum(a, b, out=b)
+            a[...] = low
+    out[...] = d.T
+    if n > _NETWORK_POINTS:
+        out.sort(axis=1)

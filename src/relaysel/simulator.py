@@ -8,14 +8,10 @@ during an election.
 Episode accounting starts at that first reply slot; the source's request
 slot is excluded by default and can be re-added with ``include_request_slot``.
 
-Randomness is addressed by counter, in the manner of Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3" (SC 2011): every uniform is a
-pure function of (master seed, episode, stream, index), a SplitMix64 mix in
-64-bit integers.  A relay's placement is drawn at (relay, 0) and (relay, 1)
-and its splitting-tree coins at (relay, depth), a relay being in exactly one
-group per depth.  An episode's draws thus do
-not depend on which episodes run beside it, in what order or in what block,
-and two engines run the same episodes:
+Every draw is one of :mod:`relaysel.streams`' counter-addressed uniforms, a
+pure function of (master seed, episode, stream, index), so an episode's
+draws do not depend on which episodes run beside it, in what order or in
+what block, and two engines run the same episodes:
 
 * the columnar engine behind :class:`RecordBatch` runs blocks of episodes
   as arrays (the tree as a frontier of groups split depth by depth, the
@@ -49,10 +45,11 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, check_fields
-from .geometry import MAX_POINTS, LensRegion, Region, Topology, as_generator
-from .pgf import SplitModel
-
-PROTOCOLS = ("sta", "auction", "auction_skip")
+from .geometry import MAX_POINTS, LensRegion, Region, Topology
+from .pgf import PROTOCOLS, SplitModel
+from .streams import COIN, PLACE_U, PLACE_V, draw, episode_seeds, master_seed, relay_uniforms, seed_key
+from .streams import stream_key, stream_keys, uniform, weyl_steps
+from .streams import as_generator  # noqa: F401  kept only so that bench/spans.py's traced name resolves
 
 
 class SlotFeedback(enum.Enum):
@@ -111,94 +108,6 @@ class CriRecord:
 
 
 # ---------------------------------------------------------------------------
-# counter-addressed uniforms
-
-# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): a Weyl sequence with step
-# 2^64 / golden ratio, each state passed through this output mix.
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_MASK = (1 << 64) - 1
-_U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
-_UNIT = 2.0**-53
-
-# an episode's streams; the tree's coins at depth d are stream _COIN + d
-# (stream 2 held the relays' awake flags, and stays unused)
-_PLACE_U, _PLACE_V, _COIN = 0, 1, 3
-
-
-def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arrays wrap modulo 2^64, as _mix masks
-    z = (z ^ (z >> 30)) * _U_MIX1
-    z = (z ^ (z >> 27)) * _U_MIX2
-    return z ^ (z >> 31)
-
-
-def _master_seed(seed):
-    """``seed`` itself, or a 64-bit seed drawn from a Generator (from fresh
-    entropy for None)."""
-    if seed is None or isinstance(seed, np.random.Generator):
-        return int(as_generator(seed).integers(0, _MASK, dtype=np.uint64, endpoint=True))
-    return seed
-
-
-def _seed_key(seed) -> int:
-    """64-bit key of a master seed, a non-negative int of any size folded a
-    word at a time."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise DomainError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
-    key = 0
-    while True:
-        key = _mix(((key ^ (seed & _MASK)) + _GAMMA) & _MASK)
-        seed >>= 64
-        if not seed:
-            return key
-
-
-# _stream_key and _uniform draw one at a time, for the scalar replay, what
-# _uniforms draws for a block; modulo 2^64 the two agree bit for bit.
-def _stream_key(key: int, stream: int) -> int:
-    return _mix((key + (stream + 1) * _GAMMA) & _MASK)
-
-
-def _uniform(stream_key: int, index: int) -> float:
-    return (_mix((stream_key + (index + 1) * _GAMMA) & _MASK) >> 11) * _UNIT
-
-
-def _stream_keys(keys: np.ndarray, stream: int) -> np.ndarray:
-    return _mix_array(keys + np.uint64(((stream + 1) * _GAMMA) & _MASK))
-
-
-def _draw(stream_keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) at the stream keys' Weyl ``steps``, (index + 1) * gamma."""
-    z = _mix_array(stream_keys + steps)
-    return (z >> np.uint64(11)).astype(np.float64) * _UNIT
-
-
-def _uniforms(keys: np.ndarray, stream: int, index: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) at (key, stream, index), broadcast over keys and index."""
-    return _draw(_stream_keys(keys, stream), (index + np.uint64(1)) * _U_GAMMA)
-
-
-def episode_seeds(master_seed, replications: int, start: int = 0) -> np.ndarray:
-    """Keys of episodes ``start .. start + replications - 1`` under the master
-    seed: the seed key's SplitMix64 sequence, one output per episode."""
-    key = np.uint64(_seed_key(_master_seed(master_seed)))
-    episodes = np.arange(start, start + replications, dtype=np.uint64)
-    return _mix_array(key + (episodes + np.uint64(1)) * _U_GAMMA)
-
-
-# ---------------------------------------------------------------------------
 # the scalar replay
 
 # feedback of a slot by the number of its transmitters: 0, 1, 2 or more
@@ -244,10 +153,10 @@ def _walk_tree(relays: tuple[int, ...], key: int, q: int, cuts) -> list[tuple[in
             sent.append(group)
             if len(group) < 2:
                 continue
-        coins = _stream_key(key, _COIN + depth)
+        coins = stream_key(key, COIN + depth)
         buckets = [[] for _ in range(q)]
         for rid in group:
-            buckets[bisect_right(inner, _uniform(coins, rid))].append(rid)
+            buckets[bisect_right(inner, uniform(coins, rid))].append(rid)
         for bucket in reversed(buckets):
             stack.append((tuple(bucket), depth + 1))
     return sent
@@ -459,32 +368,33 @@ class _Deployment:
     def __init__(self, config: EpisodeConfig, keys: np.ndarray):
         self.region = config.region
         self.protocol = config.protocol
-        self.relay = np.arange(config.n, dtype=np.uint64)
-        self.column = keys[:, None]
+        self.n = config.n
+        self.keys = keys
 
     @cached_property
     def u(self) -> np.ndarray:
-        return _uniforms(self.column, _PLACE_U, self.relay)
+        return relay_uniforms(stream_keys(self.keys, PLACE_U), self.n).T
 
     @cached_property
     def separations(self) -> np.ndarray:
         # a sector's separation is its radius alone: its second uniform is never drawn
         lens = isinstance(self.region, LensRegion)
-        return self.region.separations(self.u, _uniforms(self.column, _PLACE_V, self.relay) if lens else None)
+        v = relay_uniforms(stream_keys(self.keys, PLACE_V), self.n).T if lens else None
+        return self.region.separations(self.u, v)
 
     @cached_property
     def winner(self) -> np.ndarray:
         """Each episode's winner, -1 for none: the tree's is the farthest
         relay, the auction's the one of least anchor mass, which its descent
         always elects; the lowest id on ties, as argmax and argmin pick."""
-        if not self.relay.size:  # nobody replies in the gating slot: the source backs off
-            return np.full(self.column.shape[0], -1)
+        if not self.n:  # nobody replies in the gating slot: the source backs off
+            return np.full(self.keys.size, -1)
         return self.separations.argmax(axis=1) if self.protocol == "sta" else self.u.argmin(axis=1)
 
     def distance(self) -> np.ndarray:
         """The winners' source separations, NaN where nobody won."""
         seps = self.separations
-        return seps[np.arange(seps.shape[0]), self.winner] if self.relay.size else np.full(seps.shape[0], np.nan)
+        return seps[np.arange(seps.shape[0]), self.winner] if self.n else np.full(seps.shape[0], np.nan)
 
 
 def _tree_slots(keys, n: int, q: int, cuts):
@@ -497,13 +407,13 @@ def _tree_slots(keys, n: int, q: int, cuts):
     cap = _SLOT_CAP_PER_CONTENDER * (n + 1)
     collisions = np.ones(keys.size, dtype=np.int64)
     group = np.repeat(np.arange(keys.size), n)  # one root group per episode
-    step = np.tile((np.arange(n, dtype=np.uint64) + np.uint64(1)) * _U_GAMMA, keys.size)
+    step = np.tile(weyl_steps(n), keys.size)
     group_ep = np.arange(keys.size)
     sizes = []
     depth = 0
     while group.size:
         # a group's relays share its episode's coin stream at this depth: one key per group
-        coins = _draw(_stream_keys(keys[group_ep], _COIN + depth)[group], step)
+        coins = draw(stream_keys(keys[group_ep], COIN + depth)[group], step)
         coin = np.searchsorted(inner, coins, side="right")
         child = group * q + coin
         sizes.append(np.bincount(child, minlength=group_ep.size * q))
@@ -658,8 +568,8 @@ class RecordBatch(Sequence):
         if replications > MAX_POINTS:
             raise ResourceLimitError(f"{replications} replications exceed the limit of {MAX_POINTS} per batch")
         self.config = config
-        self.seed = _master_seed(seed)
-        _seed_key(self.seed)  # a bad seed is refused before any work
+        self.seed = master_seed(seed)
+        seed_key(self.seed)  # a bad seed is refused before any work
         self._replications = replications
 
     def __len__(self) -> int:

@@ -586,23 +586,23 @@ LAWS_GOLDEN = [
     ("distance --region sdr --aperture 1.2 --rank 1 --of 3 --stat median",
      "bd2bee94015f2f5a260ea0acac4332afed771a40017cfbc77751a9dcc46894c7"),
     ("experiment --id dist_pdf_sdr --n 2..4 --reps 2000",
-     "4589078a52d096887feccc65aa507100b177a14025e0544a981a809ee7998b44"),
+     "a7c5254d3b8153068737ae0c04505b55b914779f301c8ab8bfdd1e4b9e1106d3"),
     ("experiment --id dist_pdf_cdr --n 2..4 --reps 2000",
-     "bc965e52bd4f3b33ee09ea395db06320dbdd118971d7d326860241946a3352ba"),
+     "788eb3efd5e394e63d443ea326e143e3272fd68521e940e7b668088e9df7bef3"),
     ("experiment --id iter_gain_nearest --n 2..4 --reps 2000",
-     "3f8fd669c139850200391c503caf37ead0062ddefc1d505368127b02995a6a24"),
+     "a10c2fa9a3faa7701d93d78091ae9aca6001884f2c3b9f646212769d81d89810"),
     ("experiment --id iter_gain_furthest --n 2..4 --reps 2000",
-     "b23deddb8881fa0dcd815368d3be83c2f65d663e1f38f6bbf06668d1cf59b7c5"),
+     "3b4d9df2966b2c8156b63baa268cfd355922d9e995b92d977ea6de3924785b01"),
     ("experiment --id exp_dist_nearest --n 2..4 --reps 2000",
-     "3c397aa2e0089e35fc6debb9b2d7f424d983f9404605abe34f3e3a662c47fd7e"),
+     "a5f6eec55377352d9077aceca82806fe723f6424b394305a9d435c097e23699f"),
     ("experiment --id exp_dist_furthest --n 2..4 --reps 2000",
-     "481ab0ee19d07878cf4119860bf2e0b00b4bf47f82bbf8c504c19beebe27d114"),
+     "d46699257c8e551509b8b1b46291661eaf11299ff84f2d52e740c2f26d5878df"),
     ("experiment --id dist_pdf_sdr --n 3..5 --reps 1000 --aperture 2.0",
-     "bb35e5309b98cd33f2a4d23a040deb52fcd88db33739d180277c0a5a86b147de"),
+     "ed13969a3f5d69dbed0282300c78d23f81b63be844d756a1009d989d7c4eff00"),
     ("experiment --id dist_pdf_cdr --n 3..5 --reps 1000 --rho 1.4",
-     "5b11ffc1fb56da8039f1eaf16c084055f1440f873990917c7a05deb44644dc2a"),
+     "e74de5dec35d54671109bace3ea3a87c1ab3e00fd9676837d5f2c47c3a20b7b3"),
     ("experiment --id exp_dist_furthest --n 3..5 --reps 1000 --rho 1.4",
-     "7f171369f6a1870524e151144ee8f7360975bf052fb1c392778dddc3b04147bf"),
+     "d8f7a8e40618784f2353d790ae9a0b5cd282265c50fe4af765f761f5355a1ff4"),
 ]
 
 

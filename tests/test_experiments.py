@@ -1,5 +1,6 @@
 """Figure-family experiment tables: content, diagnostics, reproducibility."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaysel import experiments
+from relaysel import experiments, pgf, simulator
 from relaysel.errors import DomainError
 from relaysel.experiments import (
     EXPERIMENT_IDS,
@@ -16,7 +17,13 @@ from relaysel.experiments import (
     run_experiment,
     validate_agreement,
 )
-from relaysel.geometry import LensRegion, nth_neighbor_ccdf, sample_sorted_separations
+from relaysel.geometry import (
+    LensRegion,
+    SectorRegion,
+    nth_neighbor_ccdf,
+    sample_sorted_separations,
+    sample_topology,
+)
 from relaysel.pgf import SplitModel, build_pgf
 
 from oracles import sta_slot_mass
@@ -114,6 +121,22 @@ def test_progress_experiment_links_cri_to_distance():
     assert labels == {"nearest", "second_furthest", "furthest"}
 
 
+@pytest.mark.parametrize("experiment", ["progress_vs_cri_sta", "progress_vs_cri_auction"])
+def test_progress_tables_gate_their_sampled_mean_distances(monkeypatch, experiment):
+    cfg = ExperimentConfig(experiment=experiment, n_values=(2, 3, 4), replications=4000, seed=5)
+    table = run_experiment(cfg)
+    assert table.passed, table.failures
+    sample = experiments.sample_sorted_separations
+
+    def nearer(*args):  # every sampled distance 5% short of its law
+        return 0.95 * sample(*args)
+
+    monkeypatch.setattr(experiments, "sample_sorted_separations", nearer)
+    table = run_experiment(cfg)
+    assert not table.passed
+    assert all(f.startswith("dist_z_n") for f in table.failures), table.failures
+
+
 def test_iter_gain_round_means_strictly_increase():
     table = run_experiment(small("iter_gain_nearest", n_values=(5,), replications=30_000))
     means = table.diagnostics["round_means"]
@@ -154,6 +177,31 @@ def test_failing_diagnostic_marks_table(auction_law_on_skip_episodes):
     assert not table.passed
     assert [f.split(":")[0] for f in table.failures] == ["tv_n2", "tv_n3", "tv_n4", "tv_n5"]
     assert "# FAIL tv_n2" in table.to_csv()
+
+
+def test_every_protocol_list_is_the_pgf_one():
+    assert simulator.PROTOCOLS is pgf.PROTOCOLS
+    assert inspect.signature(validate_agreement).parameters["protocols"].default is pgf.PROTOCOLS
+
+
+def test_no_experiment_draws_from_a_numpy_generator(monkeypatch):
+    # with int seeds every relay comes from the counter-addressed streams;
+    # Generator's methods cannot be patched, so building one is refused
+    def refused(*args, **kwargs):
+        raise AssertionError("a numpy Generator was built")
+
+    class NoGenerator:
+        __init__ = refused
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    monkeypatch.setattr(np.random, "Generator", NoGenerator)
+    for experiment in EXPERIMENT_IDS:
+        cfg = ExperimentConfig(experiment=experiment, n_values=(2, 3), replications=500, seed=9)
+        assert run_experiment(cfg).rows
+    assert validate_agreement(n_values=(2,), replications=500, seed=9).rows
+    for region in (LensRegion(), SectorRegion()):
+        assert sample_sorted_separations(region, 3, 50, 9).shape == (50, 3)
+        assert len(sample_topology(region, 3, 9).relays) == 3
 
 
 def test_validate_agreement_reports_every_check():
@@ -269,7 +317,7 @@ THIN_FAR_BAND = LensRegion(rho=2.0, inner_rho=1.99999)
 @example(region=LensRegion(), n_points=5, draws=40_000, seed=7, ties=False)
 @example(region=LensRegion(), n_points=9, draws=1, seed=0, ties=False)
 def test_ks_equals_the_exhaustive_statistic_bit_for_bit(region, n_points, draws, seed, ties):
-    sorted_d = sample_sorted_separations(region, n_points, draws, np.random.default_rng(seed))
+    sorted_d = sample_sorted_separations(region, n_points, draws, seed)
     if ties:  # a coarse grid of distances: many samples share one
         sorted_d = np.round(sorted_d * (16 / region.radius)) * (region.radius / 16)
     for rank in range(1, n_points + 1):
@@ -288,7 +336,7 @@ def test_ks_evaluates_the_law_at_a_fifth_of_the_samples_at_most(monkeypatch):
 
     monkeypatch.setattr(experiments, "nth_neighbor_ccdf", counted)
     lens, draws = LensRegion(), 40_000
-    sorted_d = sample_sorted_separations(lens, 5, draws, np.random.default_rng(2025))
+    sorted_d = sample_sorted_separations(lens, 5, draws, 2025)
     for rank in range(1, 6):
         experiments._ks_distance(lens, rank, 5, sorted_d[:, rank - 1])
     assert sum(evaluated) <= 0.2 * 5 * draws

@@ -29,6 +29,7 @@ from relaysel.geometry import (
     sample_sorted_separations,
     sample_topology,
 )
+from relaysel.streams import PLACE_U, PLACE_V, episode_seeds, relay_uniforms, stream_keys
 
 from oracles import (
     anchor_mass_by_quadrature,
@@ -244,9 +245,8 @@ def test_pdf_integrates_to_one(region, rank):
 
 def test_lens_pdf_against_sampled_distances():
     lens = LensRegion(radius=1.0)
-    rng = np.random.default_rng(5150)
     draws = 200_000
-    sorted_d = sample_sorted_separations(lens, 5, draws, rng)
+    sorted_d = sample_sorted_separations(lens, 5, draws, 5150)
     for rank in (1, 3, 5):
         samples = np.sort(sorted_d[:, rank - 1])
         cdf = 1.0 - nth_neighbor_ccdf(lens, rank, 5, samples)
@@ -454,9 +454,8 @@ def test_median_is_where_the_ccdf_crosses_one_half(name):
 
 def test_expected_furthest_distance_matches_sampling():
     lens = LensRegion(radius=1.0)
-    rng = np.random.default_rng(808)
     draws = 1_000_000
-    d = sample_sorted_separations(lens, 5, draws, rng)[:, 4]
+    d = sample_sorted_separations(lens, 5, draws, 808)[:, 4]
     se = d.std(ddof=1) / math.sqrt(draws)
     assert abs(d.mean() - expected_nth_distance(lens, 5, 5)) <= 3.0 * se
 
@@ -715,10 +714,12 @@ def _whole_array_place(region, u, v) -> np.ndarray:
     return np.stack((region.radius + s * np.cos(phi), s * np.sin(phi)), axis=-1)
 
 
-def _whole_array_separations(region, n_points, draws, rng) -> np.ndarray:
-    """Sorted separations from one whole-array pass over every point: the
-    sector's radius, the lens's half-angle law of cosines."""
-    u, v = rng.random(draws * n_points), rng.random(draws * n_points)
+def _whole_array_separations(region, n_points, draws, seed) -> np.ndarray:
+    """Sorted separations from one whole-array pass over every point of the
+    first ``draws`` episodes' deployments: the sector's radius, the lens's
+    half-angle law of cosines."""
+    keys = episode_seeds(seed, draws)
+    u, v = (relay_uniforms(stream_keys(keys, stream), n_points).T for stream in (PLACE_U, PLACE_V))
     if isinstance(region, SectorRegion):
         lo2 = region.inner_radius**2
         d = np.sqrt(lo2 + u * (region.radius**2 - lo2))
@@ -727,7 +728,6 @@ def _whole_array_separations(region, n_points, draws, rng) -> np.ndarray:
         s = _whole_array_polar(region, u)
         sine = np.sin((v - 0.5) * np.arccos(np.minimum(s / (2.0 * big_r), 1.0)))
         d = np.sqrt((big_r - s) ** 2 + (4.0 * big_r) * s * (sine * sine))
-    d = d.reshape(draws, n_points)
     d.sort(axis=1)
     return d
 
@@ -752,10 +752,11 @@ def test_blocked_placement_equals_the_whole_array_formulas(region, seed):
 @example(region=LensRegion(), seed=0)
 def test_blocked_separations_equal_the_whole_array_pipeline(region, seed):
     # row blocks of _B // n_points rows: no draws at all, no points per
-    # draw, a last block short of the others, and rows wider than a block
-    for draws, n_points in [(0, 5), (5, 0), (1700, 5), (7, 3), (3, _B + 3)]:
-        got = sample_sorted_separations(region, n_points, draws, np.random.default_rng(seed))
-        want = _whole_array_separations(region, n_points, draws, np.random.default_rng(seed))
+    # draw, a last block short of the others, and rows wider than a block;
+    # rows of 2 to 5 points are sorted by the network, wider ones row by row
+    for draws, n_points in [(0, 5), (5, 0), (1700, 5), (7, 3), (9, 2), (9, 6), (3, _B + 3)]:
+        got = sample_sorted_separations(region, n_points, draws, seed)
+        want = _whole_array_separations(region, n_points, draws, seed)
         assert got.shape == (draws, n_points)
         assert got.tobytes() == want.tobytes()
 
@@ -808,17 +809,18 @@ def test_lens_inversion_and_separations_against_a_40_digit_oracle(region, worst)
 
 
 def test_sorted_separations_hold_no_whole_size_temporary():
-    # the uniforms and the output are 3 x 1.6 MB; whole-array placement
-    # peaked at ~21 MB, the blocked one stays within ~1.5 MB of them
+    # the output is 1.6 MB and the episode and stream keys 1 MB; the
+    # uniforms are drawn a block at a time (whole, they would add 3.2 MB),
+    # and a block's temporaries and the lens's placement table stay within
+    # ~2 MB of them
     draws, n_points = 40_000, 5
-    rng = np.random.default_rng(3)
     tracemalloc.start()
     try:
-        sample_sorted_separations(LensRegion(), n_points, draws, rng)
+        sample_sorted_separations(LensRegion(), n_points, draws, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * draws * n_points * 8 + 1.5e6
+    assert peak <= draws * n_points * 8 + 3 * draws * 8 + 2.5e6
 
 
 def test_topology_rejects_out_of_range_relay():
@@ -844,10 +846,17 @@ def test_topology_refuses_wrong_typed_fields(relays, region):
         Topology(relays=relays, region=region)
 
 
-def test_sorted_separations_refuse_more_points_than_the_cap_before_drawing():
-    rng = np.random.default_rng(1)
-    state = rng.bit_generator.state
-    for n_points, draws in [(8, geometry.MAX_POINTS // 8 + 1), (geometry.MAX_POINTS + 1, 1), (10**9, 10**9)]:
+def test_sorted_separations_refuse_more_points_than_the_cap_before_drawing(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a key was drawn before the sample was checked")
+
+    monkeypatch.setattr(geometry, "episode_seeds", drawn)
+    # draws of no points count as episodes, no more of which a batch runs
+    for n_points, draws in [
+        (8, geometry.MAX_POINTS // 8 + 1),
+        (geometry.MAX_POINTS + 1, 1),
+        (10**9, 10**9),
+        (0, geometry.MAX_POINTS + 1),
+    ]:
         with pytest.raises(ResourceLimitError):
-            sample_sorted_separations(LensRegion(), n_points, draws, rng)
-    assert rng.bit_generator.state == state  # not one uniform was drawn
+            sample_sorted_separations(LensRegion(), n_points, draws, 1)

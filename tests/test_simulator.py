@@ -7,10 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaysel import simulator
+from relaysel import geometry, simulator
 from relaysel.errors import DomainError, ResourceLimitError
 from relaysel.geometry import (
     MAX_POINTS,
@@ -31,7 +31,6 @@ from relaysel.simulator import (
     SlotFeedback,
     _block_size,
     empirical_pmf,
-    episode_seeds,
     run_auction,
     run_episode_batch,
     run_single_episode,
@@ -39,7 +38,10 @@ from relaysel.simulator import (
     total_variation,
 )
 
+from relaysel.streams import COIN, PLACE_U, PLACE_V, episode_seeds, relay_uniforms, stream_keys
+
 from oracles import auction_slot_pmf
+from test_geometry import regions
 
 LENS = LensRegion(radius=1.0)
 SECTOR = SectorRegion(radius=1.0)
@@ -582,28 +584,40 @@ def test_a_batch_is_refused_before_any_election(monkeypatch):
 
 def test_a_sector_draws_no_second_uniform(monkeypatch):
     # the sector's separation is its radius alone, so v is never drawn
-    draws, n = 300, 4
-    rng = np.random.default_rng(5)
-    sample_sorted_separations(SECTOR, n, draws, rng)
-    fresh = np.random.default_rng(5)
-    fresh.random(draws * n)
-    assert rng.random() == fresh.random()
-
     streams = []
-    uniforms = simulator._uniforms
 
-    def spy(keys, stream, index):
+    def spy(keys, stream):
         streams.append(stream)
-        return uniforms(keys, stream, index)
+        return stream_keys(keys, stream)
 
-    monkeypatch.setattr(simulator, "_uniforms", spy)
-    records, _ = run_episode_batch(EpisodeConfig(protocol="sta", n=n, region=SECTOR), draws, 5)
-    assert records.winner_distance.size == draws
-    assert streams == [simulator._PLACE_U]
-    streams.clear()
-    records, _ = run_episode_batch(EpisodeConfig(protocol="sta", n=n, region=LENS), draws, 5)
-    assert records.winner_distance.size == draws
-    assert streams == [simulator._PLACE_U, simulator._PLACE_V]
+    monkeypatch.setattr(geometry, "stream_keys", spy)
+    monkeypatch.setattr(simulator, "stream_keys", spy)
+    draws, n = 300, 4
+    for region, drawn in ((SECTOR, [PLACE_U]), (LENS, [PLACE_U, PLACE_V])):
+        streams.clear()
+        sample_sorted_separations(region, n, draws, 5)
+        assert streams == drawn
+        streams.clear()
+        records, _ = run_episode_batch(EpisodeConfig(protocol="sta", n=n, region=region), draws, 5)
+        assert records.winner_distance.size == draws
+        assert sorted(stream for stream in streams if stream < COIN) == drawn  # the rest are the tree's coins
+
+
+@settings(max_examples=20, deadline=None)
+@given(region=regions(), seed=st.integers(0, 2**70))
+@example(region=LensRegion(rho=2.0, inner_rho=1.99999), seed=7)
+def test_samples_and_topologies_are_the_batch_deployments(region, seed):
+    # row i of a sample is episode i's relays sorted by separation, and a
+    # topology is episode 0's relays placed
+    keys = episode_seeds(seed, 1)
+    for n, draws in [(0, 3), (1, 40), (5, 300), (geometry._PLACE_BLOCK + 2, 2)]:
+        config = EpisodeConfig(protocol="sta", n=n, region=region)
+        batch = RecordBatch(config, draws, seed)
+        seps = np.concatenate([simulator._Deployment(config, block).separations for block in batch._blocks()])
+        assert sample_sorted_separations(region, n, draws, seed).tobytes() == np.sort(seps, axis=1).tobytes()
+        u, v = (relay_uniforms(stream_keys(keys, stream), n)[:, 0] for stream in (PLACE_U, PLACE_V))
+        placed = tuple(Point2(x, y) for x, y in region.place(u, v).tolist())
+        assert sample_topology(region, n, seed).relays == placed
 
 
 def test_relay_counts_above_the_cap_are_refused_before_any_allocation():
