@@ -63,9 +63,6 @@ _PLACE_BLOCK = 8192
 # splitting tree peaks near 120 bytes per relay (1.0 GB at the cap), and a
 # sample holds 24 bytes per point whole.
 MAX_POINTS = 1024 * _PLACE_BLOCK
-# rows of at most this many points sort faster by a vector sorting network
-# over their relay-major block than one row at a time
-_NETWORK_POINTS = 5
 # a region's radius: its square is a normal float, and so is (2 r)^2 finite
 _RADIUS_RANGE = (math.sqrt(sys.float_info.min), 0.5 * math.sqrt(sys.float_info.max))
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -752,23 +749,6 @@ def sample_sorted_separations(region: Region, n_points: int, draws: int, seed) -
     rows = max(1, _PLACE_BLOCK // max(n_points, 1))
     for start in range(0, draws, rows):
         block = slice(start, start + rows)
-        _sort_rows(region.separations(*(relay_uniforms(k[block], n_points) for k in keys)), out[block])
+        out[block] = region.separations(*(relay_uniforms(k[block], n_points) for k in keys)).T
+        out[block].sort(axis=1)
     return out
-
-
-def _sort_rows(d: np.ndarray, out: np.ndarray) -> None:
-    """Each column of the relay-major block ``d``, (points, rows), sorted
-    into a row of ``out``.  Up to ``_NETWORK_POINTS`` points an odd-even
-    transposition network sorts them in place first, n rounds of
-    compare-exchanges on whole relay rows: the same floats as a sort, since
-    no separation is NaN or -0.0."""
-    n = len(d)
-    if n <= _NETWORK_POINTS:
-        for r in range(n):
-            a, b = d[r % 2 : n - 1 : 2], d[r % 2 + 1 : n : 2]
-            low = np.minimum(a, b)
-            np.maximum(a, b, out=b)
-            a[...] = low
-    out[...] = d.T
-    if n > _NETWORK_POINTS:
-        out.sort(axis=1)

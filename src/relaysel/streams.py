@@ -24,7 +24,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 _U_GAMMA, _U_MIX1, _U_MIX2 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
-_U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)  # shifts, as uint64s
 _UNIT = 2.0**-53
 
 # an episode's streams; the tree's coins at depth d are stream COIN + d
@@ -39,14 +38,10 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """``_mix`` of a fresh uint64 array, in place: uint64 arrays wrap modulo
-    2^64, as ``_mix`` masks."""
-    z ^= z >> _U30
-    z *= _U_MIX1
-    z ^= z >> _U27
-    z *= _U_MIX2
-    z ^= z >> _U31
-    return z
+    # uint64 arrays wrap modulo 2^64, as _mix masks
+    z = (z ^ (z >> 30)) * _U_MIX1
+    z = (z ^ (z >> 27)) * _U_MIX2
+    return z ^ (z >> 31)
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -111,8 +106,7 @@ def draw(keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) at the stream ``keys``' Weyl ``steps``, broadcast:
     the top 53 bits of each mixed word."""
     z = _mix_array(keys + steps)
-    z >>= _U11
-    return np.multiply(z, _UNIT)
+    return (z >> np.uint64(11)).astype(np.float64) * _UNIT
 
 
 def relay_uniforms(keys: np.ndarray, n: int) -> np.ndarray:

@@ -38,7 +38,7 @@ from relaysel.simulator import (
     total_variation,
 )
 
-from relaysel.streams import COIN, PLACE_U, PLACE_V, episode_seeds, relay_uniforms, stream_keys
+from relaysel.streams import COIN, PLACE_U, PLACE_V, stream_keys
 
 from oracles import auction_slot_pmf
 from test_geometry import regions
@@ -608,16 +608,15 @@ def test_a_sector_draws_no_second_uniform(monkeypatch):
 @example(region=LensRegion(rho=2.0, inner_rho=1.99999), seed=7)
 def test_samples_and_topologies_are_the_batch_deployments(region, seed):
     # row i of a sample is episode i's relays sorted by separation, and a
-    # topology is episode 0's relays placed
-    keys = episode_seeds(seed, 1)
+    # topology is episode 0's relays placed, in relay order: its hypot
+    # distances are the engine's half-angle separations to rounding
     for n, draws in [(0, 3), (1, 40), (5, 300), (geometry._PLACE_BLOCK + 2, 2)]:
         config = EpisodeConfig(protocol="sta", n=n, region=region)
         batch = RecordBatch(config, draws, seed)
         seps = np.concatenate([simulator._Deployment(config, block).separations for block in batch._blocks()])
         assert sample_sorted_separations(region, n, draws, seed).tobytes() == np.sort(seps, axis=1).tobytes()
-        u, v = (relay_uniforms(stream_keys(keys, stream), n)[:, 0] for stream in (PLACE_U, PLACE_V))
-        placed = tuple(Point2(x, y) for x, y in region.place(u, v).tolist())
-        assert sample_topology(region, n, seed).relays == placed
+        topology = sample_topology(region, n, seed)
+        assert np.all(np.abs(topology.separations() - seps[0]) <= 1e-13 * region.radius)
 
 
 def test_relay_counts_above_the_cap_are_refused_before_any_allocation():
