@@ -100,9 +100,9 @@ _text = of_type(str)
 _flag = of_type(bool)  # a flag given on the command line is True
 
 
-def _range(value, name: str) -> tuple[int, ...]:
-    """'2..5' -> (2, 3, 4, 5); '2,4,7' or a JSON list of integers -> those.
-    A range longer than 0..MAX_POINTS is refused before it is built: it
+def _range(value, name: str) -> range | tuple[int, ...]:
+    """'2..5' -> range(2, 6), never built; '2,4,7' or a JSON list of
+    integers -> those.  A range longer than 0..MAX_POINTS is refused: it
     holds a multiplicity below 0 or above ``MAX_POINTS``, which no command
     takes."""
     if isinstance(value, list):
@@ -118,7 +118,7 @@ def _range(value, name: str) -> tuple[int, ...]:
         else:
             if hi - lo > MAX_POINTS:
                 raise ResourceLimitError(f"{name} {value} spans more than {MAX_POINTS + 1} multiplicities")
-            return tuple(range(lo, hi + 1))
+            return range(lo, hi + 1)
     raise DomainError(f"malformed multiplicity range {value!r} for {name}")
 
 
@@ -301,7 +301,7 @@ def _cmd_simulate(opts):
     if opts["format"] == "records":  # the lines need no summary: one election per block
         lines = RecordBatch(config, replications, seed).lines()
         head = f"# toolkit_version = {__version__}\n# seed = {seed}\n"
-        return head + "".join(f"{line}\n" for line in lines), EXIT_OK
+        return head + "\n".join(lines) + "\n", EXIT_OK
     _, summary = run_episode_batch(config, replications, seed)
     rows = [(k, v) for k, v in summary.pmf.items()]
     rows.append(("mean", summary.mean_slots))

@@ -58,6 +58,11 @@ def _each(check):
     return check_all
 
 
+def _ints(values, name: str):
+    """Integers as a tuple; a range, which holds ints alone, as it is, never built."""
+    return values if isinstance(values, range) else _each(as_int)(values, name)
+
+
 def of_type(kind: type):
     """The check that a value is a ``kind``."""
 
@@ -75,7 +80,7 @@ _CHECKS = {
     "float": as_real,
     "bool": of_type(bool),
     "str": of_type(str),
-    "tuple[int, ...]": _each(as_int),
+    "tuple[int, ...]": _ints,
     "tuple[float, ...]": _each(as_real),
 }
 
@@ -84,8 +89,8 @@ def check_fields(obj) -> None:
     """Type-check the fields of a frozen dataclass by their annotations, in place.
 
     ``int`` goes through :func:`as_int`, ``float`` through :func:`as_real`,
-    a tuple element by element, ``bool`` and ``str`` by type; ``X | None``
-    also takes None.  Each field is set to its checked value, so an int in a
+    a tuple element by element (a range of ints as it is), ``bool`` and
+    ``str`` by type; ``X | None`` also takes None.  Each field is set to its checked value, so an int in a
     float field becomes a float.  A field of any other annotation is the
     class's own to check.
     """

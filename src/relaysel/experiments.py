@@ -80,23 +80,24 @@ class ExperimentConfig:
         # every family but the slot-count PMFs draws neighbour distances, at
         # most replications rows of at most the largest multiplicity's points
         if not self.experiment.startswith("cri_pmf"):
-            if min(self.n_values) < 1:
+            least, most = _bounds(self.n_values)
+            if least < 1:
                 raise DomainError(f"{self.experiment} needs at least one relay per multiplicity")
-            if self.replications * max(self.n_values) > MAX_POINTS:
+            if self.replications * most > MAX_POINTS:
                 raise ResourceLimitError(
-                    f"{self.replications} replications of {max(self.n_values)} relays exceed "
+                    f"{self.replications} replications of {most} relays exceed "
                     f"the limit of {MAX_POINTS} points"
                 )
             # the largest binomial of the family's laws, refused before any sampling:
             # the dist_pdf and iter_gain families take the last multiplicity only
-            n = self.n_values[-1] if self.experiment.startswith(("dist_pdf", "iter_gain")) else max(self.n_values)
+            n = self.n_values[-1] if self.experiment.startswith(("dist_pdf", "iter_gain")) else most
             check_binomials(1 if self.experiment.endswith("nearest") else n, n)
             if self.experiment == "dist_pdf_sdr":  # every rank's sector density
                 check_binomials(min(n, n // 2 + 1), n, density=True)
 
     def config_hash(self) -> str:
         blob = json.dumps(
-            {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()},
+            {k: (list(v) if isinstance(v, (tuple, range)) else v) for k, v in self.__dict__.items()},
             sort_keys=True,
         )
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -147,6 +148,27 @@ def format_rows(rows) -> str:
 
 def _cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
+
+
+def _bounds(n_values) -> tuple[int, int]:
+    """(least, largest) multiplicity; a range's from its ends, since a
+    command-line range stays lazy and may hold millions of them."""
+    if isinstance(n_values, range):
+        return min(n_values[0], n_values[-1]), max(n_values[0], n_values[-1])
+    return min(n_values), max(n_values)
+
+
+def _laws(protocol: str, n_values, q: int = 2, p=None) -> dict:
+    """Each multiplicity's slot-count series, the largest built first: a
+    refusal there comes before any other build or batch, and the held
+    family, built up to the largest n, serves every smaller n by slicing,
+    bit for bit."""
+    top = _bounds(n_values)[1]
+    laws = {top: build_pgf(protocol, SplitModel(n=top, q=q, p=p))}
+    for n in n_values:
+        if n not in laws:
+            laws[n] = build_pgf(protocol, SplitModel(n=n, q=q, p=p))
+    return laws
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
@@ -315,8 +337,9 @@ def _cri_pmf(cfg: ExperimentConfig, auction: bool) -> ResultTable:
     region = cfg.lens() if auction else cfg.sector()
     rows = []
     checks = _Checks()
+    laws = _laws(protocol, cfg.n_values, cfg.q, cfg.p)
     for n in cfg.n_values:
-        series = build_pgf(protocol, SplitModel(n=n, q=cfg.q, p=cfg.p))
+        series = laws[n]
         analytic = _analytic_pmf(series)
         episode = EpisodeConfig(protocol=protocol, n=n, region=region, q=cfg.q, p=cfg.p)
         _, summary = run_episode_batch(episode, cfg.replications, _hash_seed(cfg.seed, f"pmf:{n}"))
@@ -422,9 +445,9 @@ def _progress_vs_cri(cfg: ExperimentConfig, auction: bool) -> ResultTable:
     rows = []
     checks = _Checks()
     per_cell = max(cfg.replications // len(cfg.n_values), 1000)
+    laws = _laws(protocol, cfg.n_values, cfg.q, cfg.p)
     for n in cfg.n_values:
-        series = build_pgf(protocol, SplitModel(n=n, q=cfg.q, p=cfg.p))
-        cri_mean = moments(series).mean
+        cri_mean = moments(laws[n]).mean
         episode = EpisodeConfig(protocol=protocol, n=n, region=region, q=cfg.q, p=cfg.p)
         _, summary = run_episode_batch(episode, per_cell, _hash_seed(cfg.seed, f"prog:{n}"))
         sorted_d = sample_sorted_separations(region, n, per_cell, _hash_seed(cfg.seed, f"prog-dist:{n}"))
@@ -489,10 +512,11 @@ def validate_agreement(
     lens = LensRegion(radius=r, rho=rho)
     sector = calibrate_sdr(lens)
     checks = _Checks()
+    laws = {protocol: _laws(protocol, n_values) for protocol in protocols}
     for protocol in protocols:
         region = sector if protocol == "sta" else lens
         for n in n_values:
-            series = build_pgf(protocol, SplitModel(n))
+            series = laws[protocol][n]
             episode = EpisodeConfig(protocol=protocol, n=n, region=region)
             label = f"tv:{protocol}:{n}"
             _, summary = run_episode_batch(episode, replications, _hash_seed(seed, label))

@@ -566,6 +566,13 @@ def build_pgf(protocol: str, model: SplitModel, tail_tol: float = 1e-9) -> Trunc
     if model.n >= 2 and max(model.p) == 1.0:
         raise DomainError("a coin with some p_j = 1 never splits a collision")
     k = 128
+    if protocol == "sta" and model.n >= 2 and tail_tol <= 1.0:
+        # every collision adds at most q - 1 groups, so a tree of n contenders
+        # spends at least 1 + q * ceil((n - 1) / (q - 1)) slots: a shorter
+        # series holds no mass and would fail the tail check, so none is built
+        least = 1 + model.q * -(-(model.n - 1) // (model.q - 1))
+        while k < min(least, K_CAP):
+            k *= 2
     while True:
         series = builder(model, k)
         if series.tail_mass < tail_tol:

@@ -47,8 +47,8 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, check_fields
 from .geometry import MAX_POINTS, LensRegion, Region, Topology
 from .pgf import PROTOCOLS, SplitModel
-from .streams import COIN, PLACE_U, PLACE_V, draw, episode_seeds, master_seed, relay_uniforms, seed_key
-from .streams import stream_key, stream_keys, uniform, weyl_steps
+from .streams import COIN, PLACE_U, PLACE_V, episode_seeds, master_seed, relay_uniforms, seed_key
+from .streams import stream_key, stream_keys, uniform, weyl_steps, word_thresholds, words
 from .streams import as_generator  # noqa: F401  kept only so that bench/spans.py's traced name resolves
 
 
@@ -119,14 +119,19 @@ _SYMBOLS = np.frombuffer(b"ISC", dtype=np.uint8)
 # abandoned.  A fair election of n contenders takes ~2.89 n slots on average
 # and its length has a geometric tail; the cap is at least 20,000 slots, past
 # build_pgf's longest series (16,384 slots), so it stops only coins too close
-# to degenerate for the analytic side to resolve either.
+# to degenerate for the analytic side to resolve either.  The tree counts its
+# collisions against (cap - 1) // 2, the binary tree's collisions within the
+# cap, since a collision costs 1 + q slots: at large q one more collision
+# would otherwise overrun it.
 _SLOT_CAP_PER_CONTENDER = 10_000
 
 
-def _unresolved(cap: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"episode unresolved after {cap} slots; is a group probability near 0 or 1?"
-    )
+def _slot_cap(n: int) -> int:
+    return _SLOT_CAP_PER_CONTENDER * (n + 1)
+
+
+def _unresolved(spent: str) -> ResourceLimitError:
+    return ResourceLimitError(f"episode unresolved after {spent}; is a group probability near 0 or 1?")
 
 
 def _cuts(q: int, p) -> list[float]:
@@ -141,18 +146,20 @@ def _walk_tree(relays: tuple[int, ...], key: int, q: int, cuts) -> list[tuple[in
     colliding group by each member's coin at the group's depth, and the
     sub-groups reply in order, each one's subtree before the next.
     """
-    cap = _SLOT_CAP_PER_CONTENDER * (len(relays) + 1)
+    limit = (_slot_cap(len(relays)) - 1) // 2
     sent = [relays]
     inner = cuts[1:]
     stack = [(relays, 0)] if len(relays) > 1 else []
+    collisions = 0
     while stack:
         group, depth = stack.pop()
         if depth:  # the root's slot is the gating one
-            if len(sent) >= cap:
-                raise _unresolved(cap)
             sent.append(group)
             if len(group) < 2:
                 continue
+        collisions += 1
+        if collisions > limit:
+            raise _unresolved(f"{limit} collisions ({1 + q} slots each)")
         coins = stream_key(key, COIN + depth)
         buckets = [[] for _ in range(q)]
         for rid in group:
@@ -168,12 +175,12 @@ def _walk_auction(relays: tuple[int, ...], u, q: int, cuts, skip: bool):
     sent = [relays]  # the gating slot that fixes the contender set
     if len(relays) < 2:
         return sent, (relays[0] if relays else None)
-    cap = _SLOT_CAP_PER_CONTENDER * (len(relays) + 1)
+    cap = _slot_cap(len(relays))
     active = relays
     lo, hi, j = 0.0, 1.0, 0
     while True:
         if len(sent) >= cap:
-            raise _unresolved(cap)
+            raise _unresolved(f"{cap} slots")
         width = hi - lo
         top = hi if j == q - 1 else lo + cuts[j + 1] * width
         # no active u lies at or below band j's lower edge, so u <= top is band j
@@ -341,14 +348,14 @@ _BLOCK_RELAYS = 1 << 16
 
 def _block_size(n: int, q: int) -> int:
     """Episodes per block.  A splitting tree's frontier counts the q
-    sub-groups of up to n / 2 crowded groups per episode, so a block holds
-    episodes * n * q / 2 <= _BLOCK_RELAYS: at q = 2, n relays per episode."""
+    sub-groups of up to n / 2 crowded groups per episode, and an auction's
+    noted descent a step per band probed, so a block holds episodes * n * q
+    / 2 <= _BLOCK_RELAYS: at q = 2, n relays per episode."""
     return max(1, 2 * _BLOCK_RELAYS // max(n * q, 2))
 
 
-def _block_keys(seed, replications: int, config: EpisodeConfig):
-    """The keys of episodes 0 .. replications - 1, a block at a time."""
-    size = _block_size(config.n, config.q)
+def _block_keys(seed, replications: int, size: int):
+    """The keys of episodes 0 .. replications - 1, ``size`` at a time."""
     for start in range(0, replications, size):
         yield episode_seeds(seed, min(size, replications - start), start)
 
@@ -397,83 +404,100 @@ class _Deployment:
         return seps[np.arange(seps.shape[0]), self.winner] if self.n else np.full(seps.shape[0], np.nan)
 
 
-def _tree_slots(keys, n: int, q: int, cuts):
-    """(slots, sizes) of the splitting tree over n >= 2 relays: 1 + q slots
-    per collision, the collisions counted over a frontier of crowded groups
-    split one depth at a time.  ``sizes[d]`` holds the sizes of the q
-    sub-groups of each crowded group at depth d, in frontier order; the
-    crowded ones, in that order, are the groups at depth d + 1."""
-    inner = np.array(cuts[1:])
-    cap = _SLOT_CAP_PER_CONTENDER * (n + 1)
+def _tree_slots(keys, n: int, q: int, cuts, sizes: list | None):
+    """Slots of the splitting tree over n >= 2 relays: 1 + q slots per
+    collision, the collisions counted over a frontier of crowded groups
+    split one depth at a time.  Unless ``sizes`` is None, ``sizes[d]`` gets
+    the sizes of the q sub-groups of each crowded group at depth d, in
+    frontier order; the crowded ones, in that order, are the groups at
+    depth d + 1.  Coins are compared as 53-bit words (``word_thresholds``)."""
+    thresholds = word_thresholds(cuts[1:])
+    limit = (_slot_cap(n) - 1) // 2
     collisions = np.ones(keys.size, dtype=np.int64)
     group = np.repeat(np.arange(keys.size), n)  # one root group per episode
     step = np.tile(weyl_steps(n), keys.size)
     group_ep = np.arange(keys.size)
-    sizes = []
     depth = 0
     while group.size:
         # a group's relays share its episode's coin stream at this depth: one key per group
-        coins = draw(stream_keys(keys[group_ep], COIN + depth)[group], step)
-        coin = np.searchsorted(inner, coins, side="right")
+        coins = words(stream_keys(keys[group_ep], COIN + depth)[group], step)
+        coin = coins >= thresholds[0] if q == 2 else np.searchsorted(thresholds, coins, side="right")
         child = group * q + coin
-        sizes.append(np.bincount(child, minlength=group_ep.size * q))
-        crowd = sizes[-1] >= 2
+        size = np.bincount(child, minlength=group_ep.size * q)
+        if sizes is not None:
+            sizes.append(size)
+        crowd = size >= 2
         kids = np.flatnonzero(crowd)
         group_ep = group_ep[kids // q]
         collisions += np.bincount(group_ep, minlength=collisions.size)
-        if 1 + q * int(collisions.max()) > cap:
-            raise _unresolved(cap)
-        keep = crowd[child]
-        group = (np.cumsum(crowd) - 1)[child[keep]]
-        step = step[keep]
+        if int(collisions.max()) > limit:
+            raise _unresolved(f"{limit} collisions ({1 + q} slots each)")
+        # the crowded sub-groups, numbered in frontier order, are the next depth's groups
+        rank = np.empty(size.size, dtype=np.int64)
+        rank[kids] = np.arange(kids.size)
+        live = np.flatnonzero(crowd[child])
+        group = rank[child[live]]
+        step = step[live]
         depth += 1
-    return 1 + q * collisions, sizes
+    return 1 + q * collisions
+
+
+# numpy sums or scans a (groups, q) array's rows one at a time: up to this
+# q, q strided column operations are several times faster
+_COLUMN_OPS_MAX_Q = 16
 
 
 def _tree_marks(sizes, q: int, roots: np.ndarray):
     """(positions, sizes) of the sub-groups' slots depth by depth, the
     roots' slots being at ``roots`` and each subtree replying before the next."""
+    columns = q <= _COLUMN_OPS_MAX_Q
     # bottom up: a sub-group spans its own slot, plus its sub-groups' spans if crowded
     spans = [np.zeros(0, dtype=np.int64)]
     for size in reversed(sizes):
-        span = np.ones(size.size, dtype=np.int64)
-        span[size >= 2] += spans[-1].reshape(-1, q).sum(axis=1)
+        span, below = np.ones(size.size, dtype=np.int64), spans[-1]
+        span[size >= 2] += sum(below[j::q] for j in range(q)) if columns else below.reshape(-1, q).sum(axis=1)
         spans.append(span)
     # top down: a sub-group follows its parent's slot and its elder siblings' spans
     at = roots
     for size, span in zip(sizes, reversed(spans)):
-        span = span.reshape(-1, q)
-        at = (at[:, None] + 1 + np.cumsum(span, axis=1) - span).ravel()
-        yield at, size
-        at = at[size >= 2]
+        if columns:
+            pos, run = np.empty(span.size, dtype=np.int64), at + 1
+            for j in range(q):
+                pos[j::q], run = run, run + span[j::q]
+        else:
+            rows = span.reshape(-1, q)
+            pos = (at[:, None] + 1 + np.cumsum(rows, axis=1) - rows).ravel()
+        yield pos, size
+        at = pos[size >= 2]
 
 
-def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool):
-    """(slots, steps) of the auction over n >= 2 relays' anchor masses
-    ``u``, every unresolved episode descending its interval one slot per
-    step; a step is noted as (its rows, their slots' position, their reply
-    counts, 2 for a collision).  The unresolved episodes are all at the
-    same slot.  A band's repliers are the contenders at or below its top,
-    and every collision keeps the two least masses in contention, so a slot
-    is idle, single or a collision as none, one or both of them lie at or
-    below the top: only they are read, and the least of them wins."""
+def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool, steps: list | None):
+    """Slots of the auction over n >= 2 relays' anchor masses ``u``, every
+    unresolved episode descending its interval one slot per step; unless
+    ``steps`` is None, each step is noted there as (its rows, their slots'
+    position, their reply counts, 2 for a collision).  The unresolved
+    episodes are all at the same slot.  A band's repliers are the
+    contenders at or below its top, and every collision keeps the two least
+    masses in contention, so a slot is idle, single or a collision as none,
+    one or both of them lie at or below the top: only they are read, and
+    the least of them wins."""
     episodes, n = u.shape
-    cap = _SLOT_CAP_PER_CONTENDER * (n + 1)
+    cap = _slot_cap(n)
     slots = np.ones(episodes, dtype=np.int64)
     rows = np.arange(episodes)
     least = np.partition(u, 1, axis=1)[:, :2].T.copy()  # each episode's two least masses, a column
     lo, hi = np.zeros(episodes), np.ones(episodes)
     j = np.zeros(episodes, dtype=np.int64)
     edge = np.array(list(cuts) + [1.0])  # the last entry stands in for hi
-    steps = []
     slot = 1
     while rows.size:
         if slot >= cap:
-            raise _unresolved(cap)
+            raise _unresolved(f"{cap} slots")
         width = hi - lo
         top = np.where(j == q - 1, hi, lo + edge[j + 1] * width)
         count = (least <= top).sum(axis=0)
-        steps.append((rows, slot, count))
+        if steps is not None:
+            steps.append((rows, slot, count))
         slot += 1
         won = count == 1
         slots[rows[won]] = slot
@@ -488,30 +512,32 @@ def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool):
         j = np.where(crowd, 0, j)
         go = ~won
         rows, lo, hi, j, least = rows[go], lo[go], hi[go], j[go], np.compress(go, least, axis=1)
-    return slots, steps
+    return slots
 
 
-def _elect(config: EpisodeConfig, keys: np.ndarray):
+def _elect(config: EpisodeConfig, keys: np.ndarray, marked: bool):
     """(deployment, slots, marks) of a block of elections, the request slot
     counted if the config counts it; ``marks(at)`` yields the (positions,
     sizes) of every slot after the gating one, the episodes' gating slots
-    being at positions ``at``.  The winners are the deployment's."""
+    being at positions ``at``.  Unless ``marked``, the elections note
+    nothing and yield no marks.  The winners are the deployment's."""
     dep = _Deployment(config, keys)
     q, cuts, request = config.q, _cuts(config.q, config.p), config.include_request_slot
     if config.n < 2:
         return dep, np.full(keys.size, 1 + request), lambda at: ()
+    notes = [] if marked else None
     if config.protocol == "sta":
-        slots, sizes = _tree_slots(keys, config.n, q, cuts)
-        return dep, slots + request, lambda at: _tree_marks(sizes, q, at)
-    slots, steps = _auction_descent(dep.u, q, cuts, config.protocol == "auction_skip")
-    return dep, slots + request, lambda at: ((at[rows] + pos, count) for rows, pos, count in steps)
+        slots = _tree_slots(keys, config.n, q, cuts, notes)
+        return dep, slots + request, lambda at: _tree_marks(notes, q, at)
+    slots = _auction_descent(dep.u, q, cuts, config.protocol == "auction_skip", notes)
+    return dep, slots + request, lambda at: ((at[rows] + pos, count) for rows, pos, count in notes)
 
 
 def _lines(config: EpisodeConfig, keys: np.ndarray) -> list[str]:
     """Each episode's record line from one election of the block: the
     slots and the marks, whose symbols are scattered into one byte buffer
     of traces, and the winners' distances on the same deployment."""
-    dep, slots, marks = _elect(config, keys)
+    dep, slots, marks = _elect(config, keys, True)
     distance = dep.distance()
     length = slots - config.include_request_slot
     at = np.cumsum(length) - length
@@ -575,12 +601,16 @@ class RecordBatch(Sequence):
     def __len__(self) -> int:
         return self._replications
 
-    def _blocks(self):
-        return _block_keys(self.seed, len(self), self.config)
+    def _blocks(self, marked: bool = True):
+        config = self.config
+        # an auction that notes no step holds n anchor masses per episode, whatever q
+        q = config.q if marked or config.protocol == "sta" else 2
+        return _block_keys(self.seed, len(self), _block_size(config.n, q))
 
     @cached_property
     def slots(self) -> np.ndarray:
-        return np.concatenate([_elect(self.config, keys)[1] for keys in self._blocks()])
+        blocks = self._blocks(marked=False)
+        return np.concatenate([_elect(self.config, keys, False)[1] for keys in blocks])
 
     @cached_property
     def _outcomes(self) -> tuple[np.ndarray, ...]:

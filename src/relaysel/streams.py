@@ -102,11 +102,19 @@ def weyl_steps(n: int) -> np.ndarray:
     return (np.arange(n, dtype=np.uint64) + np.uint64(1)) * _U_GAMMA
 
 
+def words(keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The uniforms' 53-bit words m (each uniform is m * 2^-53), broadcast."""
+    return _mix_array(keys + steps) >> np.uint64(11)
+
+
 def draw(keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) at the stream ``keys``' Weyl ``steps``, broadcast:
-    the top 53 bits of each mixed word."""
-    z = _mix_array(keys + steps)
-    return (z >> np.uint64(11)).astype(np.float64) * _UNIT
+    """Uniforms in [0, 1) at the stream ``keys``' Weyl ``steps``, broadcast."""
+    return words(keys, steps).astype(np.float64) * _UNIT
+
+
+def word_thresholds(cuts) -> np.ndarray:
+    """ceil(c * 2^53) of each float cut c >= 0, exactly: the least word m with m * 2^-53 >= c."""
+    return np.ceil(np.asarray(cuts, dtype=np.float64) * 2.0**53).astype(np.uint64)
 
 
 def relay_uniforms(keys: np.ndarray, n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import relaysel
-from relaysel import cli, simulator
+from relaysel import cli, experiments, simulator
 from relaysel.cli import (
     COMMANDS,
     CONFIG_KEYS,
@@ -37,6 +37,7 @@ from relaysel.cli import (
 )
 from relaysel.experiments import EXPERIMENT_IDS, ExperimentConfig
 from relaysel.geometry import LensRegion, SectorRegion
+from relaysel.pgf import K_CAP
 
 
 def run_cli(capsys, *argv):
@@ -863,6 +864,9 @@ def test_relay_count_above_the_cap_is_refused_at_once(capsys):
         # a range's length is checked before its tuple is built
         ["validate", "--n", "1..1000000000"],
         ["experiment", "--id", "cri_pmf_sta", "--n", "0..1000000000"],
+        # a range stays lazy, and the law at its largest n is refused first
+        ["experiment", "--id", "cri_pmf_sta", "--n", "0..8388608", "--reps", "10"],
+        ["validate", "--n", "2..400", "--reps", "10"],
         ["simulate", "--protocol", "sta", "--n", "2", "--reps", "1000000000000"],
         ["simulate", "--protocol", "sta", "--n", "2", "--reps", "1000000000000", "--format", "records"],
     ],
@@ -904,6 +908,38 @@ def test_episodes_outside_the_model_are_refused_before_any_work(capsys, argv, ex
     assert err.startswith("error:") and out == ""
     assert elapsed < 1.0
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--n", "2..400", "--reps", "10"],
+        ["validate", "--n", "2..700", "--reps", "10", "--protocols", "auction,sta"],
+        ["experiment", "--id", "cri_pmf_sta", "--n", "250..300", "--reps", "10"],
+        ["experiment", "--id", "cri_pmf_auction", "--n", "600..700", "--reps", "10"],
+        ["experiment", "--id", "progress_vs_cri_sta", "--n", "250..300", "--reps", "10"],
+        ["experiment", "--id", "progress_vs_cri_auction", "--n", "630..633", "--reps", "10"],
+    ],
+)
+def test_a_range_past_the_work_limit_is_refused_before_any_batch(capsys, monkeypatch, argv):
+    # every protocol's law at the range's largest n is built before any batch runs
+    def no_batch(*args):
+        raise AssertionError("a batch ran before the refusal")
+
+    monkeypatch.setattr(experiments, "run_episode_batch", no_batch)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_RESOURCE
+    assert err.startswith("error:") and "over the limit" in err and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_tree_at_the_largest_q_counts_collisions_not_slots(capsys):
+    # one collision spends 1 + q = 16,385 slots; the cap of 30,000 slots
+    # would refuse the pair's second one, the cap of 14,999 collisions does not
+    code, out, err = run_cli(capsys, "simulate", "--protocol", "sta", "--n", "2", "--q", "16384", "--reps", "1000")
+    assert code == EXIT_OK, err
+    assert "k_slots,value\n16385," in out
 
 
 def test_every_episode_field_is_set_by_a_simulate_option():
@@ -951,7 +987,11 @@ def test_readme_lists_every_config_key_with_its_flag():
 # documented exit with no traceback.  Half the examples are clean, each value
 # of its option's type and range; in the others a value is junk one time in
 # three.  Multiplicities stay at most 8 and replications at most 200; only k,
-# q and a simulated n take huge values, whose refusals allocate nothing.
+# q and a simulated n take huge values, whose refusals allocate nothing.  Near
+# the caps, a simulation may split into K_CAP or K_CAP - 1 groups, with at most
+# 10 replications, and a range may end just past the tree's work limit (it
+# builds up to n = 279): the law-building commands refuse such a range before
+# any batch, and the distance families, which build no law, sample it.
 _NON_NUMERIC = st.text(alphabet="abxyz_-. ,", max_size=6)
 _FRACTIONAL = st.one_of(
     st.integers(-10**6, 10**6).map(lambda i: i + 0.5), st.sampled_from([nan, inf, -inf, 1e-300])
@@ -968,6 +1008,12 @@ _EDGES = st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308, -0.0, -1.0])
 _REAL = st.one_of(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(0.1, 3.0), _EDGES)
 _HUGE = st.integers(simulator.MAX_POINTS + 1, 10**30)
 _PROTOCOL = st.sampled_from(["sta", "auction", "auction-skip", "auction_skip"])
+_CAP_Q = st.sampled_from([K_CAP - 1, K_CAP])
+_CAP_REPS = 10
+# at most 8 multiplicities, the largest past the tree's limit
+_PAST_THE_WORK_LIMIT = st.integers(280, 320).flatmap(
+    lambda hi: st.integers(hi - 7, hi).map(lambda lo: f"{lo}..{hi}")
+)
 
 _VALUES = {
     "protocol": _PROTOCOL,
@@ -1008,6 +1054,10 @@ def _value(draw, key, command, dirty):
         return draw(_JUNK)
     if key == "n" and command in ("simulate", "pmf", "invert"):
         return draw(st.one_of(_VALUES["n"], _HUGE))
+    if key == "q" and command == "simulate":
+        return draw(st.one_of(_VALUES["q"], _CAP_Q))
+    if key == "n_values":
+        return draw(st.one_of(_VALUES["n_values"], _PAST_THE_WORK_LIMIT))
     return draw(_VALUES[key])
 
 
@@ -1033,6 +1083,8 @@ def _invocations(draw):
                 config["replication"] = 200
         elif opt.convert is cli._flag:
             argv.append(opt.flag)
+        elif opt.key == "replications" and {f"--q={K_CAP - 1}", f"--q={K_CAP}"} & set(argv):
+            argv.append(f"{opt.flag}={draw(st.integers(1, _CAP_REPS))}")
         else:
             argv.append(f"{opt.flag}={_as_text(_value(draw, opt.key, command, dirty))}")
     if dirty and draw(st.sampled_from([False] * 9 + [True])):

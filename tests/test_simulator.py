@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 from unittest import mock
 
@@ -38,7 +39,7 @@ from relaysel.simulator import (
     total_variation,
 )
 
-from relaysel.streams import COIN, PLACE_U, PLACE_V, stream_keys
+from relaysel.streams import COIN, PLACE_U, PLACE_V, episode_seeds, stream_keys, word_thresholds
 
 from oracles import auction_slot_pmf
 from test_geometry import regions
@@ -320,6 +321,9 @@ def test_single_replication_equals_direct_call():
 
 
 BIASED = {2: (0.3, 0.7), 3: (0.3, 0.35, 0.35)}
+# cuts on binary fractions, which a coin word meets exactly at its threshold,
+# and at q = 3 a repeated cut: an empty middle group
+DYADIC = {2: (0.25, 0.75), 3: (0.5, 0.0, 0.5)}
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -331,10 +335,27 @@ def test_replay_equals_the_columnar_engine_exactly(protocol, n, q):
         with pytest.raises(DomainError, match="binary"):
             EpisodeConfig(protocol=protocol, n=n, region=region, q=q, p=BIASED[q])
         return
-    for p in (None, BIASED[q]):
+    for p in (None, BIASED[q], DYADIC[q]):
         cfg = EpisodeConfig(protocol=protocol, n=n, region=region, q=q, p=p)
         records, _ = run_episode_batch(cfg, 150, 97)
         assert [_outcome(r) for r in records] == _column_outcomes(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+@example(cuts=[0.25, 0.5, 1 / 3, 1 - 2.0**-53, 0.5])
+@example(cuts=[0.0, 5e-324, 2.0**-53, 1.0])
+def test_a_coin_word_meets_a_cut_exactly_when_its_uniform_does(cuts):
+    # the engine's integer coin against the replay's float one: word m is the
+    # uniform m * 2^-53, at and on either side of each cut's threshold
+    cuts = sorted(cuts)
+    thresholds = word_thresholds(cuts)
+    for c, t in zip(cuts, thresholds.tolist()):
+        for m in (t - 1, t, t + 1):
+            if 0 <= m < 2**53:
+                assert (m >= t) == (m * 2.0**-53 >= c)
+                word = np.array([m], dtype=np.uint64)
+                assert np.searchsorted(thresholds, word, side="right")[0] == bisect_right(cuts, m * 2.0**-53)
 
 
 @pytest.mark.parametrize("protocol", ["sta", "auction", "auction_skip"])
@@ -633,6 +654,50 @@ def test_relay_counts_above_the_cap_are_refused_before_any_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("q,per_contender", [(2, 2), (3, 1), (16, 1)])
+def test_both_engines_cap_the_tree_at_the_same_collisions(monkeypatch, q, per_contender):
+    # a collision spends 1 + q slots, so the tree counts its collisions
+    # against (cap - 1) // 2: at q = 2, the slots within the cap
+    monkeypatch.setattr(simulator, "_SLOT_CAP_PER_CONTENDER", per_contender)
+    cfg = EpisodeConfig(protocol="sta", n=5, region=SECTOR, q=q)
+    cap = per_contender * (cfg.n + 1)
+    limit = (cap - 1) // 2
+    refused = 0
+    for i in range(200):
+        try:
+            slots = simulator._tree_slots(episode_seeds(11, 1, i), cfg.n, q, simulator._cuts(q, None), None)[0]
+        except ResourceLimitError as exc:
+            assert f"{limit} collisions" in str(exc)
+            refused += 1
+            with pytest.raises(ResourceLimitError, match=f"{limit} collisions"):
+                run_single_episode(cfg, 11, i)
+        else:
+            assert run_single_episode(cfg, 11, i).slots == slots <= 1 + q * limit
+            assert q > 2 or slots <= cap
+    assert 0 < refused < 200
+
+
+def test_slot_counts_run_an_auction_in_blocks_of_n_alone(monkeypatch):
+    # the slots note no descent step, so an auction's block holds
+    # _BLOCK_RELAYS / n episodes at any q; the record lines, which read the
+    # noted steps, keep the frontier's blocks of episodes * n * q / 2 relays
+    cfg = EpisodeConfig(protocol="auction", n=2, region=LENS, q=16384)
+    descents = []
+    descend = simulator._auction_descent
+
+    def noted(u, q, cuts, skip, steps):
+        descents.append((u.shape[0], steps is None))
+        return descend(u, q, cuts, skip, steps)
+
+    monkeypatch.setattr(simulator, "_auction_descent", noted)
+    slots = RecordBatch(cfg, 1000, 5).slots
+    assert descents == [(1000, True)]
+    descents.clear()
+    lines = list(RecordBatch(cfg, 12, 5).lines())
+    assert descents == [(4, False)] * 3
+    assert [CriRecord.from_line(line).slots for line in lines] == slots[:12].tolist()
 
 
 def test_many_splitting_groups_keep_the_tree_frontier_small():
