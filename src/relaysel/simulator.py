@@ -119,15 +119,20 @@ _SYMBOLS = np.frombuffer(b"ISC", dtype=np.uint8)
 # abandoned.  A fair election of n contenders takes ~2.89 n slots on average
 # and its length has a geometric tail; the cap is at least 20,000 slots, past
 # build_pgf's longest series (16,384 slots), so it stops only coins too close
-# to degenerate for the analytic side to resolve either.  The tree counts its
-# collisions against (cap - 1) // 2, the binary tree's collisions within the
-# cap, since a collision costs 1 + q slots: at large q one more collision
-# would otherwise overrun it.
+# to degenerate for the analytic side to resolve either.
 _SLOT_CAP_PER_CONTENDER = 10_000
 
 
 def _slot_cap(n: int) -> int:
     return _SLOT_CAP_PER_CONTENDER * (n + 1)
+
+
+def _collision_limit(n: int, q: int) -> int:
+    """The tree's collisions within the slot cap, 1 + q slots each, but at
+    least n + 1: past q ~ 10,000 the cap alone would leave n relays fewer,
+    and a pair at q = 16,384 one.  An episode's slots, and so its noted
+    frontier, stay within max(cap, 1 + q (n + 1))."""
+    return max((_slot_cap(n) - 1) // q, n + 1)
 
 
 def _unresolved(spent: str) -> ResourceLimitError:
@@ -146,7 +151,7 @@ def _walk_tree(relays: tuple[int, ...], key: int, q: int, cuts) -> list[tuple[in
     colliding group by each member's coin at the group's depth, and the
     sub-groups reply in order, each one's subtree before the next.
     """
-    limit = (_slot_cap(len(relays)) - 1) // 2
+    limit = _collision_limit(len(relays), q)
     sent = [relays]
     inner = cuts[1:]
     stack = [(relays, 0)] if len(relays) > 1 else []
@@ -412,7 +417,7 @@ def _tree_slots(keys, n: int, q: int, cuts, sizes: list | None):
     frontier order; the crowded ones, in that order, are the groups at
     depth d + 1.  Coins are compared as 53-bit words (``word_thresholds``)."""
     thresholds = word_thresholds(cuts[1:])
-    limit = (_slot_cap(n) - 1) // 2
+    limit = _collision_limit(n, q)
     collisions = np.ones(keys.size, dtype=np.int64)
     group = np.repeat(np.arange(keys.size), n)  # one root group per episode
     step = np.tile(weyl_steps(n), keys.size)
@@ -442,31 +447,24 @@ def _tree_slots(keys, n: int, q: int, cuts, sizes: list | None):
     return 1 + q * collisions
 
 
-# numpy sums or scans a (groups, q) array's rows one at a time: up to this
-# q, q strided column operations are several times faster
-_COLUMN_OPS_MAX_Q = 16
-
-
 def _tree_marks(sizes, q: int, roots: np.ndarray):
     """(positions, sizes) of the sub-groups' slots depth by depth, the
-    roots' slots being at ``roots`` and each subtree replying before the next."""
-    columns = q <= _COLUMN_OPS_MAX_Q
+    roots' slots being at ``roots`` and each subtree replying before the
+    next.  A group's q sub-groups are adjacent: their rows are summed by
+    einsum and scanned as differences of the depth's one running sum, both
+    vectorised at any q."""
     # bottom up: a sub-group spans its own slot, plus its sub-groups' spans if crowded
     spans = [np.zeros(0, dtype=np.int64)]
     for size in reversed(sizes):
-        span, below = np.ones(size.size, dtype=np.int64), spans[-1]
-        span[size >= 2] += sum(below[j::q] for j in range(q)) if columns else below.reshape(-1, q).sum(axis=1)
+        span = np.ones(size.size, dtype=np.int64)
+        span[size >= 2] += np.einsum("ij->i", spans[-1].reshape(-1, q))
         spans.append(span)
     # top down: a sub-group follows its parent's slot and its elder siblings' spans
     at = roots
     for size, span in zip(sizes, reversed(spans)):
-        if columns:
-            pos, run = np.empty(span.size, dtype=np.int64), at + 1
-            for j in range(q):
-                pos[j::q], run = run, run + span[j::q]
-        else:
-            rows = span.reshape(-1, q)
-            pos = (at[:, None] + 1 + np.cumsum(rows, axis=1) - rows).ravel()
+        pos = np.cumsum(span)
+        pos -= span
+        pos += np.repeat(at + 1 - pos[::q], q)
         yield pos, size
         at = pos[size >= 2]
 

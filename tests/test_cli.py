@@ -915,6 +915,7 @@ def test_episodes_outside_the_model_are_refused_before_any_work(capsys, argv, ex
     [
         ["validate", "--n", "2..400", "--reps", "10"],
         ["validate", "--n", "2..700", "--reps", "10", "--protocols", "auction,sta"],
+        ["validate", "--n", "2..400", "--reps", "10", "--protocols", "auction,sta"],
         ["experiment", "--id", "cri_pmf_sta", "--n", "250..300", "--reps", "10"],
         ["experiment", "--id", "cri_pmf_auction", "--n", "600..700", "--reps", "10"],
         ["experiment", "--id", "progress_vs_cri_sta", "--n", "250..300", "--reps", "10"],
@@ -922,7 +923,8 @@ def test_episodes_outside_the_model_are_refused_before_any_work(capsys, argv, ex
     ],
 )
 def test_a_range_past_the_work_limit_is_refused_before_any_batch(capsys, monkeypatch, argv):
-    # every protocol's law at the range's largest n is built before any batch runs
+    # each protocol's law at the range's largest n is built before its
+    # smaller n, which are slices, and every law before any batch runs
     def no_batch(*args):
         raise AssertionError("a batch ran before the refusal")
 
@@ -936,10 +938,27 @@ def test_a_range_past_the_work_limit_is_refused_before_any_batch(capsys, monkeyp
 
 def test_a_tree_at_the_largest_q_counts_collisions_not_slots(capsys):
     # one collision spends 1 + q = 16,385 slots; the cap of 30,000 slots
-    # would refuse the pair's second one, the cap of 14,999 collisions does not
+    # would refuse the pair's second one, the floor of n + 1 = 3 collisions does not
     code, out, err = run_cli(capsys, "simulate", "--protocol", "sta", "--n", "2", "--q", "16384", "--reps", "1000")
     assert code == EXIT_OK, err
     assert "k_slots,value\n16385," in out
+
+
+def test_a_near_degenerate_coin_at_the_largest_q_notes_a_few_depths(capsys):
+    # the pair stays crowded at nearly every depth: its 3 collisions are
+    # refused after a block of 4 episodes notes 3 depths of 4 x 16,384
+    # sub-groups, not the 14,999 depths (7.7 GB) of the binary tree's limit
+    p = ",".join(["0.999999", "0.000001"] + ["0"] * (K_CAP - 2))
+    argv = ["--protocol", "sta", "--n", "2", "--q", str(K_CAP), "--p", p, "--reps", "10", "--format", "records"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_RESOURCE
+    assert err.startswith("error: episode unresolved after 3 collisions") and out == ""
+    assert peak < 10_000_000
 
 
 def test_every_episode_field_is_set_by_a_simulate_option():
@@ -988,8 +1007,8 @@ def test_readme_lists_every_config_key_with_its_flag():
 # of its option's type and range; in the others a value is junk one time in
 # three.  Multiplicities stay at most 8 and replications at most 200; only k,
 # q and a simulated n take huge values, whose refusals allocate nothing.  Near
-# the caps, a simulation may split into K_CAP or K_CAP - 1 groups, with at most
-# 10 replications, and a range may end just past the tree's work limit (it
+# the caps, a simulation's command line may split it into K_CAP or K_CAP - 1
+# groups, with at most 10 replications, and a range may end just past the tree's work limit (it
 # builds up to n = 279): the law-building commands refuse such a range before
 # any batch, and the distance families, which build no law, sample it.
 _NON_NUMERIC = st.text(alphabet="abxyz_-. ,", max_size=6)
@@ -1054,8 +1073,6 @@ def _value(draw, key, command, dirty):
         return draw(_JUNK)
     if key == "n" and command in ("simulate", "pmf", "invert"):
         return draw(st.one_of(_VALUES["n"], _HUGE))
-    if key == "q" and command == "simulate":
-        return draw(st.one_of(_VALUES["q"], _CAP_Q))
     if key == "n_values":
         return draw(st.one_of(_VALUES["n_values"], _PAST_THE_WORK_LIMIT))
     return draw(_VALUES[key])
@@ -1083,6 +1100,8 @@ def _invocations(draw):
                 config["replication"] = 200
         elif opt.convert is cli._flag:
             argv.append(opt.flag)
+        elif opt.key == "q" and command == "simulate" and draw(st.booleans()):
+            argv.append(f"{opt.flag}={draw(_CAP_Q)}")  # never from a config file, whose reps reach 200
         elif opt.key == "replications" and {f"--q={K_CAP - 1}", f"--q={K_CAP}"} & set(argv):
             argv.append(f"{opt.flag}={draw(st.integers(1, _CAP_REPS))}")
         else:

@@ -656,14 +656,15 @@ def test_relay_counts_above_the_cap_are_refused_before_any_allocation():
     assert peak < 100_000
 
 
-@pytest.mark.parametrize("q,per_contender", [(2, 2), (3, 1), (16, 1)])
-def test_both_engines_cap_the_tree_at_the_same_collisions(monkeypatch, q, per_contender):
+@pytest.mark.parametrize("q,per_contender,limit", [(2, 3, 8), (3, 4, 7), (3, 1, 6)])
+def test_both_engines_cap_the_tree_at_the_same_collisions(monkeypatch, q, per_contender, limit):
     # a collision spends 1 + q slots, so the tree counts its collisions
-    # against (cap - 1) // 2: at q = 2, the slots within the cap
+    # against (cap - 1) // q, the collisions within the cap, but allows at
+    # least n + 1 of them (the last case)
     monkeypatch.setattr(simulator, "_SLOT_CAP_PER_CONTENDER", per_contender)
     cfg = EpisodeConfig(protocol="sta", n=5, region=SECTOR, q=q)
     cap = per_contender * (cfg.n + 1)
-    limit = (cap - 1) // 2
+    assert limit == max((cap - 1) // q, cfg.n + 1)
     refused = 0
     for i in range(200):
         try:
@@ -675,7 +676,7 @@ def test_both_engines_cap_the_tree_at_the_same_collisions(monkeypatch, q, per_co
                 run_single_episode(cfg, 11, i)
         else:
             assert run_single_episode(cfg, 11, i).slots == slots <= 1 + q * limit
-            assert q > 2 or slots <= cap
+            assert slots <= max(cap, 1 + q * (cfg.n + 1))
     assert 0 < refused < 200
 
 
