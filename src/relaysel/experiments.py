@@ -88,12 +88,27 @@ class ExperimentConfig:
                     f"{self.replications} replications of {most} relays exceed "
                     f"the limit of {MAX_POINTS} points"
                 )
-            # the largest binomial of the family's laws, refused before any sampling:
-            # the dist_pdf and iter_gain families take the last multiplicity only
+            # the largest cell and binomial of the family's laws, refused before
+            # any sampling: the dist_pdf and iter_gain families take the last
+            # multiplicity only
             n = self.n_values[-1] if self.experiment.startswith(("dist_pdf", "iter_gain")) else most
+            rows = self.rows_per_cell()
+            if rows * n > MAX_POINTS:
+                raise ResourceLimitError(f"{rows} draws of {n} relays exceed the limit of {MAX_POINTS} points")
             check_binomials(1 if self.experiment.endswith("nearest") else n, n)
             if self.experiment == "dist_pdf_sdr":  # every rank's sector density
                 check_binomials(min(n, n // 2 + 1), n, density=True)
+
+    def rows_per_cell(self) -> int:
+        """Draws of relays in each cell of a distance family: its share of
+        the replications, and at least the family's floor."""
+        if self.experiment.startswith("dist_pdf"):
+            return self.replications
+        if self.experiment.startswith("iter_gain"):  # one cell per priority round
+            return max(self.replications // (PRIORITY_ROUNDS + 1), 1000)
+        if self.experiment.startswith("exp_dist"):  # one per round and multiplicity
+            return max(self.replications // ((PRIORITY_ROUNDS + 1) * len(self.n_values)), 500)
+        return max(self.replications // len(self.n_values), 1000)
 
     def config_hash(self) -> str:
         blob = json.dumps(
@@ -389,7 +404,7 @@ def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     rows = []
     checks = _Checks()
     regions = _priority_rounds(cfg)
-    per_round = max(cfg.replications // len(regions), 1000)
+    per_round = cfg.rows_per_cell()
     for t, region in enumerate(regions):
         label = "cdr" if t else "sdr"
         seed = _hash_seed(cfg.seed, f"iter:{label}:{t}")
@@ -414,7 +429,7 @@ def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     rows = []
     checks = _Checks()
     means = {}
-    per_cell = max(cfg.replications // (len(regions) * len(cfg.n_values)), 500)
+    per_cell = cfg.rows_per_cell()
     for label, region in zip(labels, regions):
         for n in cfg.n_values:
             rank = 1 if nearest else n
@@ -444,7 +459,7 @@ def _progress_vs_cri(cfg: ExperimentConfig, auction: bool) -> ResultTable:
     region = cfg.lens() if auction else calibrate_sdr(cfg.lens())
     rows = []
     checks = _Checks()
-    per_cell = max(cfg.replications // len(cfg.n_values), 1000)
+    per_cell = cfg.rows_per_cell()
     laws = _laws(protocol, cfg.n_values, cfg.q, cfg.p)
     for n in cfg.n_values:
         cri_mean = moments(laws[n]).mean

@@ -26,14 +26,20 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, TruncationError, check_fields
 
 COEFF_SLACK = 1e-12
-# One builder call, the tree's or an auction's, may spend WORK_LIMIT
-# multiply-adds on its series products, about a second on one core.  Each
-# product also costs a fixed call overhead worth PRODUCT_OVERHEAD of them,
-# which dominates short products: build_pgf's first auction series holds 129
-# coefficients, so each of its sums is charged as 30,129 and n = 632 is the
-# largest auction built.
+# One builder call, the tree's or an auction's, may spend WORK_LIMIT units of
+# work, about a second on one core, where a unit is one multiply-add of the
+# tree's np.convolve.  Each tree product also costs a fixed call overhead
+# worth PRODUCT_OVERHEAD units, which dominates short products.
 WORK_LIMIT = 6_000_000_000
 PRODUCT_OVERHEAD = 30_000
+# An auction level m costs one stacked product of (m - 2) * width
+# multiply-adds, the m + 1 terms of its binomial row, the width steps of
+# _divide and PRODUCT_OVERHEAD, charged at these units each (measured at up
+# to ~5 ns, ~0.5 us and ~0.17 us): the fair auction at 129 coefficients, the
+# width build_pgf starts from, is built up to n = 1,298 in about a second.
+STACKED_STEP = 30
+BINOMIAL_TERM = 3_000
+DIVIDE_STEP = 1_000
 # build_pgf's longest series: no law resolves, and no inversion recovers a
 # mass, beyond this many slots.  One collision among q groups spends 1 + q
 # slots, so no series of this length holds a split into more groups.
@@ -102,11 +108,14 @@ class TruncatedSeries:
     """PMF of a non-negative integer variable, stored as power-series coefficients.
 
     ``coeffs[k]`` is the mass at ``k``; ``tail_mass`` is the mass attributed
-    beyond the truncation index ``k_max = len(coeffs) - 1``.
+    beyond the truncation index ``k_max = len(coeffs) - 1``.  ``slot_error``
+    bounds the build's rounding: ``coeffs[k]`` lies within a relative
+    ``k * slot_error`` of the exact law's mass at ``k``.
     """
 
     coeffs: np.ndarray
     tail_mass: float
+    slot_error: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
@@ -122,10 +131,10 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", arr)
 
     @classmethod
-    def from_coeffs(cls, coeffs: np.ndarray) -> "TruncatedSeries":
+    def from_coeffs(cls, coeffs: np.ndarray, slot_error: float = 0.0) -> "TruncatedSeries":
         arr = np.asarray(coeffs, dtype=float)
         tail = max(0.0, 1.0 - float(arr.sum()))
-        return cls(arr, tail)
+        return cls(arr, tail, slot_error)
 
     @property
     def k_max(self) -> int:
@@ -174,6 +183,24 @@ def _binomial_row(n: int, p0: float) -> np.ndarray:
     return out
 
 
+# the unit roundoff of a float
+_EPS = 2.0**-53
+
+
+def _row_error(n: int, p0: float) -> float:
+    """A bound on the relative error of every mass of ``_binomial_row(n, p0)``
+    of at least 1e-300.  At n <= 50 a mass is a product of a few rounded
+    powers; above, the rounding of its log-space exponent, whose terms reach
+    lgamma(n + 1) + n (|log p0| + |log(1 - p0)|), scales it.  The factors
+    hold at least four times the largest error of a 40-digit comparison at
+    n <= 1,298 and six coins from 1e-5 to 0.999."""
+    if p0 in (0.0, 1.0):
+        return 0.0
+    if n <= 50:
+        return 4 * (n + 2) * _EPS
+    return 16 * _EPS * (math.lgamma(n + 1) - n * (math.log(p0) + math.log1p(-p0)))
+
+
 def _base_coeffs(size: int) -> np.ndarray:
     # an empty or singleton group costs exactly the one slot it replies in
     arr = np.zeros(size)
@@ -217,13 +244,18 @@ def _work(products: int, product_size: int) -> int:
     return products * (product_size + PRODUCT_OVERHEAD)
 
 
-def _check_work(what: str, products: int, product_size: int) -> None:
-    """Refuse a build whose :func:`_work` exceeds WORK_LIMIT."""
-    if _work(products, product_size) > WORK_LIMIT:
-        raise ResourceLimitError(
-            f"{what} needs {products} series products of {product_size} multiply-adds, "
-            f"over the limit of {WORK_LIMIT}"
+def _auction_cost(n: int, width: int) -> tuple[int, str]:
+    """Work of the auction's levels 2..n at ``width`` coefficients, and a
+    phrase naming it."""
+    levels = max(n - 1, 0)
+    work = 0
+    if levels:
+        work = (
+            STACKED_STEP * width * ((n - 1) * (n - 2) // 2)
+            + BINOMIAL_TERM * ((n + 1) * (n + 2) // 2 - 3)
+            + levels * (DIVIDE_STEP * width + PRODUCT_OVERHEAD)
         )
+    return work, f"work worth {work} multiply-adds in {levels} levels of {width} coefficients"
 
 
 def _check_k_max(k_max: int) -> None:
@@ -275,26 +307,27 @@ def _held_level(
     n: int,
     size: int,
     what: str,
-    products: int,
-    per_product: Callable[[int], int],
+    cost: Callable[[int], tuple[int, str]],
     levels: Callable[[int], Iterator[np.ndarray]],
 ) -> np.ndarray:
     """Level f_n of family ``key`` at ``size`` coefficients.
 
-    Refused as a direct build of n at ``size`` is: when its ``products``
-    series products of ``per_product(size)`` multiply-adds exceed the limit.
-    Otherwise sliced from the held family when that serves it, extended first
-    when n is past its last level and its own width allows that build too,
-    and else built in its place by a fresh ``levels(size)``.
+    Refused as a direct build of n at ``size`` is: when its ``cost(size)``,
+    the work and a phrase naming it, exceeds the limit.  Otherwise sliced
+    from the held family when that serves it, extended first when n is past
+    its last level and its own width allows that build too, and else built
+    in its place by a fresh ``levels(size)``.
     """
     global _held
-    _check_work(what, products, per_product(size))
+    work, needs = cost(size)
+    if work > WORK_LIMIT:
+        raise ResourceLimitError(f"{what} needs {needs}, over the limit of {WORK_LIMIT}")
     with _held_lock:
         family = _held
         serves = family is not None and family.key == key and (
             size == family.size or _SLICE_MIN <= size < family.size
         )
-        if not serves or (n >= len(family.levels) and _work(products, per_product(family.size)) > WORK_LIMIT):
+        if not serves or (n >= len(family.levels) and cost(family.size)[0] > WORK_LIMIT):
             # the old family is let go here, before the new one builds a level
             family = _held = _Family(key, size, levels(size))
         try:
@@ -328,18 +361,48 @@ def sta_pgf_qary(model: SplitModel, k_max: int) -> TruncatedSeries:
     n, q = model.n, model.q
     size = -(-k_max // q)  # the w coefficients that land at z^1, z^(1+q), ... <= z^k_max
     out = np.zeros(k_max + 1)
+    # m // 2 + (q - 2) * (m - 1) products at each level m = 2..n, each a
+    # full np.convolve of size * size multiply-adds
+    products = n * n // 4 + (q - 2) * n * (n - 1) // 2
     out[1::q] = _held_level(
         ("sta", model.p),
         n,
         size,
         f"the splitting tree for n={n}, q={q}",
-        # m // 2 + (q - 2) * (m - 1) products at each level m = 2..n, each a
-        # full np.convolve of size * size multiply-adds
-        n * n // 4 + (q - 2) * n * (n - 1) // 2,
-        lambda width: width * width,
+        lambda width: (
+            _work(products, width * width),
+            f"{products} series products of {width * width} multiply-adds",
+        ),
         lambda width: _tree_levels(model.p, width),
     )
-    return TruncatedSeries.from_coeffs(out)
+    return TruncatedSeries.from_coeffs(out, _tree_slot_error(model, size))
+
+
+def _tree_slot_error(model: SplitModel, size: int) -> float:
+    """A bound on the tree's rounding per slot, at ``size`` coefficients in w.
+
+    Each collision spends q slots.  Per group it weighs its products by a
+    binomial row of a rounded share s, whose masses move by up to
+    n (q + 1) eps / (1 - s) beyond the row's own error, and sums products of
+    up to ``size`` terms, up to n of them.  Every term is non-negative, so
+    each rounding adds its relative error along every path of collisions.
+    """
+    n, q = model.n, model.q
+    if n < 2:
+        return 0.0
+    shares = [s for s in _tree_shares(model.p) if 0.0 < s < 1.0]
+    rows = max((_row_error(n, s) + n * (q + 1) * _EPS / (1.0 - s) for s in shares), default=0.0)
+    return rows + (size + n + 8) * _EPS
+
+
+def _tree_shares(p: tuple[float, ...]) -> list[float]:
+    """Share j of the tree's coin: p_j / (p_j + ... + p_{q-1}), j < q - 1."""
+    q = len(p)
+    shares, left = [0.0] * (q - 1), p[q - 1]
+    for j in range(q - 2, -1, -1):
+        left += p[j]
+        shares[j] = p[j] / left if left > 0.0 else 0.0
+    return shares
 
 
 def _tree_levels(p: tuple[float, ...], size: int) -> Iterator[np.ndarray]:
@@ -353,10 +416,7 @@ def _tree_levels(p: tuple[float, ...], size: int) -> Iterator[np.ndarray]:
     in w.
     """
     q = len(p)
-    shares, left = [0.0] * (q - 1), p[q - 1]
-    for j in range(q - 2, -1, -1):
-        left += p[j]
-        shares[j] = p[j] / left if left > 0.0 else 0.0
+    shares = _tree_shares(p)
     one = np.zeros(size)
     one[0] = 1.0
     f = [one, one]
@@ -398,31 +458,38 @@ def _auction_series(model: SplitModel, k_max: int, skip: bool) -> TruncatedSerie
         n,
         k_max + 1,
         f"the auction for n={n}",
-        # m - 2 scaled sums of size coefficients at each level m = 2..n
-        (n - 1) * (n - 2) // 2,
-        lambda width: width,
+        lambda width: _auction_cost(n, width),
         lambda width: _auction_levels(model.p[0], skip, width),
     )
-    return TruncatedSeries.from_coeffs(level)
+    # each slot of a level's series passes one binomial mass and at most
+    # n + 8 roundings of non-negative terms: its product, its sum of up to
+    # n - 2 of them and the steps of _divide
+    slot_error = _row_error(n, model.p[0]) + (n + 8) * _EPS if n >= 2 else 0.0
+    return TruncatedSeries.from_coeffs(level, slot_error)
 
 
 def _auction_levels(p0: float, skip: bool, size: int) -> Iterator[np.ndarray]:
-    """The coefficients of f_0, f_1, ... for either auction with first-group share ``p0``."""
-    fam = [_base_coeffs(size), _base_coeffs(size)]
-    yield from fam
+    """The coefficients of f_0, f_1, ... for either auction with first-group share ``p0``.
+
+    The levels are the rows of one C-contiguous buffer, grown by doubling, so
+    that each level's right-hand side is one reduction over the rows below it.
+    Over C-order rows ``np.add.reduce(..., axis=0)`` adds them one by one, in
+    the order i = 2, 3, ..., m - 1 of a running sum, so each level keeps the
+    bits of that sum.
+    """
+    fam = np.zeros((8, size))
+    fam[0] = fam[1] = _base_coeffs(size)
+    yield fam[0]
+    yield fam[1]
     for m in itertools.count(2):
         row = _binomial_row(m, p0)
-        rhs = np.zeros(size)
-        for i in range(2, m):
-            # pruned sibling groups never add a second recursive factor
-            rhs += row[i] * fam[i]
-        rhs = _shift(rhs, 1)
+        # pruned sibling groups never add a second recursive factor
+        rhs = _shift(np.add.reduce(row[2:m, None] * fam[2:m], axis=0), 1)
         if size > 2:
             rhs[2] += row[1]
-        if skip:
-            fam.append(_divide(rhs, {1: row[0] + row[m]}))
-        else:
-            fam.append(_divide(rhs, {1: row[m], 2: row[0]}))
+        if m == len(fam):
+            fam = np.concatenate([fam, np.zeros_like(fam)])
+        fam[m] = _divide(rhs, {1: row[0] + row[m]} if skip else {1: row[m], 2: row[0]})
         yield fam[m]
 
 
@@ -519,7 +586,8 @@ def moments(series: TruncatedSeries) -> MomentEstimate:
     block at the ratio R of the last two blocks of ``_TAIL_BLOCK``
     coefficients.  Block i beyond ``k_max`` then lies at k <= k_max + i*w,
     so the missing part of the mean is at most tail * (k_max + w / (1 - R)).
-    The rounding of the coefficients and of the sum adds len * eps * mean.
+    The build's rounding, a relative k * slot_error at each k, adds
+    slot_error * E[K^2], and the rounding of the sum len * eps * mean.
     """
     if series.tail_mass >= 1e-6:
         raise TruncationError(
@@ -528,14 +596,15 @@ def moments(series: TruncatedSeries) -> MomentEstimate:
     c = series.coeffs
     k = np.arange(len(c), dtype=float)
     mean = float(k @ c)
-    variance = float((k * k) @ c - mean * mean)
+    second = (k * k) @ c
+    variance = float(second - mean * mean)
     w = _TAIL_BLOCK
     before, last = float(c[-2 * w : -w].sum()), float(c[-w:].sum())
     ratio = min(last / before, 1.0 - 1e-9) if before > 0.0 else 0.0
     geom_tail = last * ratio / (1.0 - ratio)
     tail = max(series.tail_mass, geom_tail)
     rounding = len(c) * np.finfo(float).eps * mean
-    mean_error = tail * (series.k_max + w / (1.0 - ratio)) + rounding
+    mean_error = tail * (series.k_max + w / (1.0 - ratio)) + rounding + series.slot_error * float(second)
     return MomentEstimate(mean=mean, variance=variance, mean_error=mean_error)
 
 

@@ -3,7 +3,8 @@
 Nothing here calls the package's series builders or radial-mass code, so a
 check against these helpers is a second derivation, not a rerun of the
 program: the slot-count masses come from exact ``Fraction`` propagation over
-each protocol's states, the lens radial and anchor masses from polar
+each protocol's states, the auction's mean at large n from a 40-digit
+recursion, the lens radial and anchor masses from polar
 quadrature, and two-circle areas from the textbook closed form in 60-digit
 arithmetic.
 """
@@ -151,6 +152,27 @@ def auction_mean(n: int, p0: Fraction = HALF, skip: bool = False) -> Fraction:
         rhs = 1 + (0 if skip else row[0]) + sum(row[i] * probe[i] for i in range(2, m))
         probe[m] = rhs / (1 - row[0] - row[m])
     return 1 + probe[n]
+
+
+def auction_mean_40(n: int, p0: Fraction = HALF, skip: bool = False):
+    """:func:`auction_mean` as an mpf of 40 significant digits, fast enough
+    for n = 1,000 (~2 s, where the ``Fraction`` recursion takes minutes).
+
+    The binomial rows come by Pascal's recurrence on exact integers: with
+    p0 = a / b, row m holds b^m P[Bin(m, p0) = i] = C(m, i) a^i (b - a)^(m - i).
+    """
+    if n <= 1:
+        return mpmath.mpf(1)
+    a, b = p0.numerator, p0.denominator
+    with mpmath.workdps(40):
+        row = [b - a, a]
+        probe = [None, None]
+        for m in range(2, n + 1):
+            row = [(b - a) * row[0]] + [a * x + (b - a) * y for x, y in zip(row, row[1:])] + [a * row[-1]]
+            scale = mpmath.mpf(b) ** m
+            rhs = scale + (0 if skip else row[0]) + mpmath.fdot(row[2:m], probe[2:m])
+            probe.append(rhs / (scale - row[0] - row[m]))
+        return 1 + probe[n]
 
 
 def lens_mass_by_quadrature(lens, d: float) -> float:

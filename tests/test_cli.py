@@ -56,6 +56,31 @@ def test_pmf_golden_rows(capsys):
     assert lines[3] == "7,0.125"
 
 
+# tests/oracles.auction_mean_40(1000) and auction_mean_40(1000, skip=True),
+# 40 digits each, computed once (~1.5 s apiece): the fair auctions' mean slot
+# counts at n = 1,000
+_AUCTION_MEANS_AT_1000 = {
+    "auction": "11.87585656911026029090136702535544104307",
+    "auction-skip": "11.46648873142815741900862504623280094122",
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(_AUCTION_MEANS_AT_1000))
+def test_pmf_builds_the_auctions_at_n_1000(capsys, protocol):
+    from fractions import Fraction
+
+    from relaysel import pgf
+
+    pgf._held = None
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pmf", "--protocol", protocol, "--n", "1000")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK, err
+    # the held family serves the series pmf printed
+    est = pgf.moments(pgf.build_pgf(protocol.replace("-", "_"), pgf.SplitModel(1000)))
+    assert abs(Fraction(est.mean) - Fraction(_AUCTION_MEANS_AT_1000[protocol])) <= est.mean_error
+
+
 def test_pmf_auction_skip_alias(capsys):
     code, out, _ = run_cli(capsys, "pmf", "--protocol", "auction-skip", "--n", "2")
     assert code == EXIT_OK
@@ -869,6 +894,10 @@ def test_relay_count_above_the_cap_is_refused_at_once(capsys):
         ["validate", "--n", "2..400", "--reps", "10"],
         ["simulate", "--protocol", "sta", "--n", "2", "--reps", "1000000000000"],
         ["simulate", "--protocol", "sta", "--n", "2", "--reps", "1000000000000", "--format", "records"],
+        # one rep, but every cell draws at least 500 rows, 500 x 8,388,608 relays at the top
+        ["experiment", "--id", "exp_dist_nearest", "--n", "1..8388608", "--reps", "1"],
+        # past the auction's work limit, the furthest relay's distance law is refused first
+        ["experiment", "--id", "progress_vs_cri_auction", "--n", "1295..1299", "--reps", "10"],
     ],
 )
 def test_oversize_work_is_refused_before_any_of_it(capsys, argv):
@@ -917,9 +946,12 @@ def test_episodes_outside_the_model_are_refused_before_any_work(capsys, argv, ex
         ["validate", "--n", "2..700", "--reps", "10", "--protocols", "auction,sta"],
         ["validate", "--n", "2..400", "--reps", "10", "--protocols", "auction,sta"],
         ["experiment", "--id", "cri_pmf_sta", "--n", "250..300", "--reps", "10"],
-        ["experiment", "--id", "cri_pmf_auction", "--n", "600..700", "--reps", "10"],
+        ["experiment", "--id", "cri_pmf_auction", "--n", "1250..1350", "--reps", "10"],
         ["experiment", "--id", "progress_vs_cri_sta", "--n", "250..300", "--reps", "10"],
-        ["experiment", "--id", "progress_vs_cri_auction", "--n", "630..633", "--reps", "10"],
+        # progress_vs_cri_auction's distance laws refuse n >= 1,030 first (see
+        # test_oversize_work_is_refused_before_any_of_it), so the skip auction's
+        # cap is met here
+        ["experiment", "--id", "cri_pmf_auction", "--skip", "--n", "1295..1299", "--reps", "10"],
     ],
 )
 def test_a_range_past_the_work_limit_is_refused_before_any_batch(capsys, monkeypatch, argv):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaysel import experiments, pgf, simulator
-from relaysel.errors import DomainError
+from relaysel.errors import DomainError, ResourceLimitError
 from relaysel.experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
@@ -251,6 +251,41 @@ def test_distance_families_reject_zero_relays_before_any_work(experiment):
         ExperimentConfig(experiment=experiment, n_values=(0,))
     with pytest.raises(DomainError):
         ExperimentConfig(experiment=experiment, n_values=(0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "experiment, fits, refused",
+    [
+        # at least 500 rows per cell, 1,000 per round, 1,000 per multiplicity
+        ("exp_dist_nearest", (16777,), (16778,)),
+        ("exp_dist_nearest", range(1, 16778), range(1, 8388609)),
+        ("iter_gain_nearest", (9000, 8388), (2, 8389)),
+        # the furthest relay's distance law refuses n = 8,388 itself
+        ("progress_vs_cri_sta", None, (8389,)),
+    ],
+)
+def test_distance_families_refuse_their_largest_cell_before_any_sampling(experiment, fits, refused):
+    if fits is not None:
+        ExperimentConfig(experiment=experiment, n_values=fits, replications=1)
+    with pytest.raises(ResourceLimitError, match="draws of"):
+        ExperimentConfig(experiment=experiment, n_values=refused, replications=1)
+
+
+@pytest.mark.parametrize("experiment", [ex for ex in EXPERIMENT_IDS if not ex.startswith("cri_pmf")])
+def test_distance_families_draw_the_rows_they_are_checked_for(monkeypatch, experiment):
+    cfg = ExperimentConfig(experiment=experiment, n_values=(2, 3), replications=20_000)
+
+    class Drawn(Exception):
+        pass
+
+    def record(*args):
+        raise Drawn(args[2] if len(args) == 4 else args[1])
+
+    monkeypatch.setattr(experiments, "sample_sorted_separations", record)
+    monkeypatch.setattr(experiments, "run_episode_batch", record)
+    with pytest.raises(Drawn) as drawn:
+        run_experiment(cfg)
+    assert drawn.value.args[0] == cfg.rows_per_cell()
 
 
 def test_slot_count_families_and_validate_accept_zero_contenders(monkeypatch):

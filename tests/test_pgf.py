@@ -1,6 +1,7 @@
 """Series construction, inversion and moments of the election slot counts."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from relaysel.pgf import (
     TruncatedSeries,
     _binomial_row,
     _divide,
+    _shift,
     auction_pgf,
     auction_skip_pgf,
     build_pgf,
@@ -31,7 +33,7 @@ from relaysel.pgf import (
 )
 from relaysel.simulator import EpisodeConfig, run_episode_batch
 
-from oracles import auction_mean, auction_slot_pmf, sta_mean, tree_slot_pmf
+from oracles import auction_mean, auction_mean_40, auction_slot_pmf, sta_mean, tree_slot_pmf
 
 PROTOCOL_BUILDERS = {
     "sta": sta_pgf_binary,
@@ -224,8 +226,9 @@ def test_binary_tree_work_limit(monkeypatch):
 
 @pytest.mark.parametrize("builder", [auction_pgf, auction_skip_pgf])
 def test_auction_work_limit(builder, monkeypatch):
-    # the auction's n^2 / 2 scaled sums are bounded by the tree's own limit:
-    # n = 600 builds, n = 100000 is refused before any work
+    # the auction's levels, their stacked sums, binomial rows and divisions,
+    # are bounded by the tree's own limit: n = 600 builds, n = 100000 is
+    # refused before any work
     assert builder(SplitModel(600), 128).tail_mass < 1e-9
 
     def no_work(*args):
@@ -374,12 +377,12 @@ def test_builders_share_the_held_family_across_threads():
 
 
 def test_held_family_keeps_every_work_limit_refusal(monkeypatch):
-    # an auction of n at 129 coefficients is charged (n-1)(n-2)/2 sums of
-    # 129 + 30,000: n = 20 fits a limit of 5.5e6 and n = 21 does not; a
-    # family held at 4,096 coefficients would charge n = 20 5.83e6
+    # an auction of n at 129 coefficients is charged pgf._auction_cost(n, 129):
+    # 4,366,770 at n = 20 fits a limit of 4.5e6 and 4,665,300 at n = 21 does
+    # not; a family held at 4,096 coefficients would charge n = 20 1.0e8
     wide = 4095
     fresh(auction_pgf, SplitModel(10), wide)
-    monkeypatch.setattr(pgf, "WORK_LIMIT", 5_500_000)
+    monkeypatch.setattr(pgf, "WORK_LIMIT", 4_500_000)
     series = build_pgf("auction", SplitModel(20))
     assert pgf._held.size == 129  # not extended at the held width, whose build is over the limit
     assert same_series(series, fresh(build_pgf, "auction", SplitModel(20)))
@@ -388,18 +391,61 @@ def test_held_family_keeps_every_work_limit_refusal(monkeypatch):
     # a level already held is refused as its direct build is
     monkeypatch.undo()
     fresh(auction_pgf, SplitModel(30), wide)
-    monkeypatch.setattr(pgf, "WORK_LIMIT", 5_500_000)
+    monkeypatch.setattr(pgf, "WORK_LIMIT", 4_500_000)
     with pytest.raises(ResourceLimitError):
         build_pgf("auction", SplitModel(25))
 
 
-def test_held_family_at_the_real_work_limit(capsys):
+def test_held_family_at_the_real_work_limit(capsys, monkeypatch):
     from relaysel.cli import EXIT_RESOURCE, cli_main
 
     fresh(auction_pgf, SplitModel(8), 4095)
-    assert build_pgf("auction", SplitModel(632)).tail_mass < 1e-9
-    assert cli_main(["pmf", "--protocol", "auction", "--n", "633"]) == EXIT_RESOURCE
+    assert build_pgf("auction", SplitModel(1298)).tail_mass < 1e-9
+
+    def no_level(*args):
+        raise AssertionError("a level was built past the work limit")
+
+    monkeypatch.setattr(pgf, "_binomial_row", no_level)
+    assert cli_main(["pmf", "--protocol", "auction", "--n", "1299"]) == EXIT_RESOURCE
     assert "over the limit" in capsys.readouterr().err
+
+
+def _auction_levels_by_sums(p0: float, skip: bool, size: int):
+    """The auction's levels built one scaled sum at a time, as before the
+    stacked reduction: the reference that reduction must match bit for bit."""
+    fam = [pgf._base_coeffs(size), pgf._base_coeffs(size)]
+    yield from fam
+    for m in itertools.count(2):
+        row = _binomial_row(m, p0)
+        rhs = np.zeros(size)
+        for i in range(2, m):
+            rhs += row[i] * fam[i]
+        rhs = _shift(rhs, 1)
+        if size > 2:
+            rhs[2] += row[1]
+        if skip:
+            fam.append(_divide(rhs, {1: row[0] + row[m]}))
+        else:
+            fam.append(_divide(rhs, {1: row[m], 2: row[0]}))
+        yield fam[m]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    skip=st.booleans(),
+    size=st.one_of(
+        st.integers(pgf._SLICE_MIN - 3, pgf._SLICE_MIN + 3),
+        st.integers(129, 700),
+        st.sampled_from([2, 3, 129, 257]),
+    ),
+    n=st.integers(0, 80),
+)
+def test_stacked_levels_equal_the_sums_one_at_a_time(p0, skip, size, n):
+    stacked = pgf._auction_levels(p0, skip, size)
+    by_sums = _auction_levels_by_sums(p0, skip, size)
+    for m in range(n + 1):
+        assert next(stacked).tobytes() == next(by_sums).tobytes(), f"level {m}"
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +683,45 @@ def test_moment_error_bound_brackets_truth():
         ("auction_skip", lambda n: auction_mean(n, skip=True)),
     ],
 )
-@pytest.mark.parametrize("n", [8, 16, 24])
+@pytest.mark.parametrize("n", [8, 16, 24, 60, 73, 91, 118])
 def test_mean_error_bounds_the_exact_mean(protocol, exact, n):
-    # the tree's odd-only support once hid part of its truncation error
+    # the tree's odd-only support once hid part of its truncation error, and
+    # from n = 60 the rounding of the auctions' log-space binomial rows
     est = moments(build_pgf(protocol, SplitModel(n)))
     assert est.mean_error >= abs(Fraction(est.mean) - exact(n))
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_mean_error_bounds_the_40_digit_mean_at_n_400(skip):
+    # 1.03e-12 off at n = 400, where the bound once read 3.02e-13
+    est = moments(build_pgf("auction_skip" if skip else "auction", SplitModel(400)))
+    assert est.mean_error >= abs(est.mean - auction_mean_40(400, skip=skip))
+
+
+@pytest.mark.parametrize("p0", [Fraction(1, 2), Fraction(3, 10)])
+@pytest.mark.parametrize("skip", [False, True])
+def test_the_40_digit_auction_mean_matches_the_exact_one(p0, skip):
+    import mpmath
+
+    for n in (0, 1, 2, 5, 40):
+        exact = auction_mean(n, p0, skip)
+        with mpmath.workdps(60):
+            exact = mpmath.mpf(exact.numerator) / exact.denominator
+            assert abs(auction_mean_40(n, p0, skip) - exact) <= exact * 1e-38
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.3, 0.7, 0.01, 0.999, 1e-5])
+def test_row_error_bounds_each_binomial_mass(p0):
+    import mpmath
+
+    with mpmath.workdps(40):
+        for n in (10, 50, 51, 91, 400, 1298):
+            bound = pgf._row_error(n, p0)
+            p = mpmath.mpf(p0)
+            for i, mass in enumerate(_binomial_row(n, p0)):
+                exact = mpmath.binomial(n, i) * p**i * (1 - p) ** (n - i)
+                if exact >= mpmath.mpf("1e-300"):
+                    assert abs(mass - exact) <= bound * exact, (n, i)
 
 
 # ---------------------------------------------------------------------------
