@@ -44,6 +44,9 @@ DEFAULT_REPLICATIONS = 100_000
 ALPHA = 1e-3  # family-wise false-alarm probability of one table's statistical rows
 CUT_LEVEL = 0.999  # analytic slot-count masses are kept up to this quantile
 PRIORITY_ROUNDS = 3  # the iterated-priority families' lens rounds
+# A distance family's draws in all: what exp_dist's PRIORITY_ROUNDS + 1
+# cells draw at its largest admitted multiplicity, about 4 s of sampling
+MAX_DRAWS = (PRIORITY_ROUNDS + 1) * MAX_POINTS
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,13 @@ class ExperimentConfig:
             rows = self.rows_per_cell()
             if rows * n > MAX_POINTS:
                 raise ResourceLimitError(f"{rows} draws of {n} relays exceed the limit of {MAX_POINTS} points")
+            # and its cells together, where it draws at every multiplicity
+            cells = self.cells_per_n()
+            if cells and (total := rows * cells * _total(self.n_values)) > MAX_DRAWS:
+                raise ResourceLimitError(
+                    f"{rows} draws of {cells} cells at each multiplicity, {total} relays in all, "
+                    f"exceed the limit of {MAX_DRAWS} points"
+                )
             check_binomials(1 if self.experiment.endswith("nearest") else n, n)
             if self.experiment == "dist_pdf_sdr":  # every rank's sector density
                 check_binomials(min(n, n // 2 + 1), n, density=True)
@@ -109,6 +119,14 @@ class ExperimentConfig:
         if self.experiment.startswith("exp_dist"):  # one per round and multiplicity
             return max(self.replications // ((PRIORITY_ROUNDS + 1) * len(self.n_values)), 500)
         return max(self.replications // len(self.n_values), 1000)
+
+    def cells_per_n(self) -> int:
+        """Cells a distance family draws at every multiplicity: one per
+        round of exp_dist, and progress_vs_cri's separations and episode
+        batch; 0 for the families that draw the last multiplicity alone."""
+        if self.experiment.startswith("exp_dist"):
+            return PRIORITY_ROUNDS + 1
+        return 2 if self.experiment.startswith("progress_vs_cri") else 0
 
     def config_hash(self) -> str:
         blob = json.dumps(
@@ -171,6 +189,13 @@ def _bounds(n_values) -> tuple[int, int]:
     if isinstance(n_values, range):
         return min(n_values[0], n_values[-1]), max(n_values[0], n_values[-1])
     return min(n_values), max(n_values)
+
+
+def _total(n_values) -> int:
+    """The sum of the multiplicities; a range's from its ends and length."""
+    if isinstance(n_values, range):
+        return len(n_values) * (n_values[0] + n_values[-1]) // 2
+    return sum(n_values)
 
 
 def _laws(protocol: str, n_values, q: int = 2, p=None) -> dict:

@@ -18,7 +18,7 @@ import cmath
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -116,6 +116,8 @@ class TruncatedSeries:
     coeffs: np.ndarray
     tail_mass: float
     slot_error: float = 0.0
+    # the coefficients from the highest down as 0-d arrays, by dtype (see _terms_of)
+    _terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=float)
@@ -156,6 +158,15 @@ class TruncatedSeries:
 
     def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
         return evaluate(self, z)
+
+    def _terms_of(self, dtype: np.dtype) -> list[np.ndarray]:
+        """Horner's terms, the coefficients from the highest down as 0-d
+        arrays of ``dtype``, made once per dtype: numpy adds such an operand
+        as it is, where it converts a Python scalar on every call."""
+        terms = self._terms.get(dtype)
+        if terms is None:
+            terms = self._terms[dtype] = [np.array(c, dtype) for c in self.coeffs[::-1].tolist()]
+        return terms
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +373,8 @@ def sta_pgf_qary(model: SplitModel, k_max: int) -> TruncatedSeries:
     size = -(-k_max // q)  # the w coefficients that land at z^1, z^(1+q), ... <= z^k_max
     out = np.zeros(k_max + 1)
     # m // 2 + (q - 2) * (m - 1) products at each level m = 2..n, each a
-    # full np.convolve of size * size multiply-adds
+    # full np.convolve of size * size multiply-adds; those with f_1 cost
+    # nothing, so this overcounts by about (2q - 3) products a level
     products = n * n // 4 + (q - 2) * n * (n - 1) // 2
     out[1::q] = _held_level(
         ("sta", model.p),
@@ -419,6 +431,16 @@ def _tree_levels(p: tuple[float, ...], size: int) -> Iterator[np.ndarray]:
     shares = _tree_shares(p)
     one = np.zeros(size)
     one[0] = 1.0
+
+    def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # f_1 = 1: every other term of its product is an exact zero, so the
+        # product is the other factor bit for bit
+        if a is one:
+            return b
+        if b is one:
+            return a
+        return np.convolve(a, b)[:size]
+
     f = [one, one]
     # g[j][t] = G_j(t) for j = 1..q-2: G_{q-1} is f itself, and G_0 is needed at t = m only
     g = [None] + [[one, one] for _ in range(q - 2)]
@@ -433,14 +455,14 @@ def _tree_levels(p: tuple[float, ...], size: int) -> Iterator[np.ndarray]:
             # c and m - c contenders share one product f_c f_{m-c}
             weight = row[c] + row[m - c] if 2 * c < m else row[c]
             if weight:
-                part += weight * np.convolve(f[c], f[m - c])[:size]
+                part += weight * times(f[c], f[m - c])
         rest[q - 2], stay[q - 2] = part, row[0] + row[m]
         for j in range(q - 3, -1, -1):
             row = _binomial_row(m, shares[j])
             part = row[0] * part
             for c in range(1, m):
                 if row[c]:
-                    part += row[c] * np.convolve(f[c], g[j + 1][m - c])[:size]
+                    part += row[c] * times(f[c], g[j + 1][m - c])
             rest[j], stay[j] = part, row[m] + row[0] * stay[j + 1]
         f.append(_divide(_shift(part, 1), {1: sum(pj**m for pj in p)}))
         for j in range(1, q - 1):
@@ -526,8 +548,20 @@ def evaluate(series: TruncatedSeries, z: complex | np.ndarray) -> complex | np.n
     peak = float(np.abs(zs).max(initial=0.0))
     if peak > 1.0 + 1e-9:
         raise DomainError(f"|z| must be <= 1, got {peak}")
-    values = np.polyval(series.coeffs[::-1], zs)
+    # np.polyval's recurrence y = y * z + c, with no array allocated and no
+    # scalar converted per step: numpy's complex multiply is one FMA loop at
+    # every length, so this matches np.polyval bit for bit.  The product has
+    # a buffer of its own, because an in-place multiply of one element runs
+    # numpy's reduction loop, which rounds without FMA.
+    values = np.zeros(zs.shape, np.result_type(zs, np.float64))
+    product = np.empty_like(values)
+    for c in series._terms_of(values.dtype):
+        np.multiply(values, zs, product)
+        np.add(product, c, values)
     return complex(values) if values.ndim == 0 else values
+
+
+_DEFAULT_INVERSION = InversionParams()
 
 
 class InversionResult(NamedTuple):
@@ -554,8 +588,7 @@ def invert_fourier(
         raise DomainError("k must be positive")
     if k > K_CAP:
         raise ResourceLimitError(f"k = {k} is beyond the longest series, {K_CAP} slots")
-    params = params or InversionParams()
-    r = params.radius_for(k)
+    r = (params or _DEFAULT_INVERSION).radius_for(k)
     # cmath.exp, not np.exp: the two differ in the last bit on some points
     zs = np.array([r * cmath.exp(1j * math.pi * j / k) for j in range(1, 2 * k + 1)])
     total = 0.0
@@ -605,7 +638,7 @@ def moments(series: TruncatedSeries) -> MomentEstimate:
     tail = max(series.tail_mass, geom_tail)
     rounding = len(c) * np.finfo(float).eps * mean
     mean_error = tail * (series.k_max + w / (1.0 - ratio)) + rounding + series.slot_error * float(second)
-    return MomentEstimate(mean=mean, variance=variance, mean_error=mean_error)
+    return MomentEstimate(mean=mean, variance=variance, mean_error=float(mean_error))
 
 
 # ---------------------------------------------------------------------------

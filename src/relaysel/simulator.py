@@ -135,8 +135,24 @@ def _collision_limit(n: int, q: int) -> int:
     return max((_slot_cap(n) - 1) // q, n + 1)
 
 
+# A block's record notes, the tree's frontier sizes or the auction's
+# descent steps, may hold this many bytes: a coin of 0.99 notes ~27 MB in a
+# block of pairs, and a coin near 0 or 1 would note gigabytes before its
+# episodes reach the slot cap.
+_NOTE_BYTES = 1 << 26
+
+
 def _unresolved(spent: str) -> ResourceLimitError:
     return ResourceLimitError(f"episode unresolved after {spent}; is a group probability near 0 or 1?")
+
+
+def _noted(noted: int) -> int:
+    """``noted`` bytes of a block's notes, refused past ``_NOTE_BYTES``."""
+    if noted > _NOTE_BYTES:
+        raise ResourceLimitError(
+            f"a block's record notes passed {_NOTE_BYTES} bytes; is a group probability near 0 or 1?"
+        )
+    return noted
 
 
 def _cuts(q: int, p) -> list[float]:
@@ -415,14 +431,15 @@ def _tree_slots(keys, n: int, q: int, cuts, sizes: list | None):
     split one depth at a time.  Unless ``sizes`` is None, ``sizes[d]`` gets
     the sizes of the q sub-groups of each crowded group at depth d, in
     frontier order; the crowded ones, in that order, are the groups at
-    depth d + 1.  Coins are compared as 53-bit words (``word_thresholds``)."""
+    depth d + 1, up to ``_NOTE_BYTES`` of them.  Coins are compared as
+    53-bit words (``word_thresholds``)."""
     thresholds = word_thresholds(cuts[1:])
     limit = _collision_limit(n, q)
     collisions = np.ones(keys.size, dtype=np.int64)
     group = np.repeat(np.arange(keys.size), n)  # one root group per episode
     step = np.tile(weyl_steps(n), keys.size)
     group_ep = np.arange(keys.size)
-    depth = 0
+    depth = noted = 0
     while group.size:
         # a group's relays share its episode's coin stream at this depth: one key per group
         coins = words(stream_keys(keys[group_ep], COIN + depth)[group], step)
@@ -431,6 +448,7 @@ def _tree_slots(keys, n: int, q: int, cuts, sizes: list | None):
         size = np.bincount(child, minlength=group_ep.size * q)
         if sizes is not None:
             sizes.append(size)
+            noted = _noted(noted + size.nbytes)
         crowd = size >= 2
         kids = np.flatnonzero(crowd)
         group_ep = group_ep[kids // q]
@@ -473,8 +491,8 @@ def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool, steps: list | None
     """Slots of the auction over n >= 2 relays' anchor masses ``u``, every
     unresolved episode descending its interval one slot per step; unless
     ``steps`` is None, each step is noted there as (its rows, their slots'
-    position, their reply counts, 2 for a collision).  The unresolved
-    episodes are all at the same slot.  A band's repliers are the
+    position, their reply counts, 2 for a collision), up to ``_NOTE_BYTES``.
+    The unresolved episodes are all at the same slot.  A band's repliers are the
     contenders at or below its top, and every collision keeps the two least
     masses in contention, so a slot is idle, single or a collision as none,
     one or both of them lie at or below the top: only they are read, and
@@ -487,7 +505,7 @@ def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool, steps: list | None
     lo, hi = np.zeros(episodes), np.ones(episodes)
     j = np.zeros(episodes, dtype=np.int64)
     edge = np.array(list(cuts) + [1.0])  # the last entry stands in for hi
-    slot = 1
+    slot, noted = 1, 0
     while rows.size:
         if slot >= cap:
             raise _unresolved(f"{cap} slots")
@@ -496,6 +514,7 @@ def _auction_descent(u: np.ndarray, q: int, cuts, skip: bool, steps: list | None
         count = (least <= top).sum(axis=0)
         if steps is not None:
             steps.append((rows, slot, count))
+            noted = _noted(noted + rows.nbytes + count.nbytes)
         slot += 1
         won = count == 1
         slots[rows[won]] = slot

@@ -579,6 +579,24 @@ LAWS_GOLDEN = [
      "efbe2bce204b913219dd12db5ecc56c0bf6535fb89678fb685b3b9e099b765fa"),
     ("invert --protocol auction-skip --n 5 --k 4",
      "93c2ae145742ba8990ce3c0816420338d25028fce172d6a35264bd0cef8c77b0"),
+    # pinned before evaluate left np.polyval for its own Horner loop: the
+    # first and last k of a fair coin, a biased one, a q = 3 tree and a radius
+    ("invert --protocol sta --n 5 --k 1",
+     "b14c8fdbda1559ba335e131bd7c6640cf954451f00b64b36067de422edc7edb9"),
+    ("invert --protocol sta --n 5 --k 30",
+     "65adae88ef8e99f5eaab55d539ee4382debbaecfcdb99ffdc899d031a55879a2"),
+    ("invert --protocol auction --n 5 --p 0.3 --k 1",
+     "7f0fd398f67362dc6bc23b928f080a8d5c36ecdc14bee9b21a71bb2ae0f581f8"),
+    ("invert --protocol auction --n 5 --p 0.3 --k 30",
+     "e19171a764d4235e7faa6f66ebd12f5306efb8c3020087fda08c0eeff5d572d4"),
+    ("invert --protocol sta --n 6 --q 3 --k 1",
+     "85808e19db46dd33e6c6a7d83a22a7d4a31a2fe83ab9573622874267d8395822"),
+    ("invert --protocol sta --n 6 --q 3 --k 30",
+     "c2b2f727b6180d8105be018163a04a9981ceef9a1db6d060ec17f199e01d610b"),
+    ("invert --protocol auction-skip --n 5 --k 1 --radius 0.3",
+     "afbcd6c68dd6d2f633c0f92c8ac00162bd799625a15d81fdb5b687dbb3429a28"),
+    ("invert --protocol auction-skip --n 5 --k 30 --radius 0.3",
+     "9aaf622cd31755f3fbdbfeca3ea1ba16bb9d74b9bf6bce39e195dd9953136db1"),
     ("distance --region cdr --rank 2 --of 5 --stat ccdf",
      "134f5261f3081bd6c37bce816955beea7459b59189687ae27f641b491da12e70"),
     ("distance --region cdr --rho 0.6 --rank 3 --of 4 --stat ccdf",
@@ -896,6 +914,8 @@ def test_relay_count_above_the_cap_is_refused_at_once(capsys):
         ["simulate", "--protocol", "sta", "--n", "2", "--reps", "1000000000000", "--format", "records"],
         # one rep, but every cell draws at least 500 rows, 500 x 8,388,608 relays at the top
         ["experiment", "--id", "exp_dist_nearest", "--n", "1..8388608", "--reps", "1"],
+        # every cell fits, but 4 x 16,777 cells of 500 rows draw ~7e10 relays in all
+        ["experiment", "--id", "exp_dist_nearest", "--n", "1..16777", "--reps", "1"],
         # past the auction's work limit, the furthest relay's distance law is refused first
         ["experiment", "--id", "progress_vs_cri_auction", "--n", "1295..1299", "--reps", "10"],
     ],
@@ -991,6 +1011,22 @@ def test_a_near_degenerate_coin_at_the_largest_q_notes_a_few_depths(capsys):
     assert code == EXIT_RESOURCE
     assert err.startswith("error: episode unresolved after 3 collisions") and out == ""
     assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("protocol", ["sta", "auction"])
+def test_record_notes_past_their_budget_are_refused(capsys, protocol):
+    # a pair at q = 2 stays crowded at nearly every depth or step: a block of
+    # 32,768 episodes notes 0.5 MB a depth, 7.7 GB before the slot cap
+    argv = ["--protocol", protocol, "--n", "2", "--p", "0.999999", "--reps", "40000", "--format", "records"]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_RESOURCE
+    assert err.startswith(f"error: a block's record notes passed {simulator._NOTE_BYTES} bytes") and out == ""
+    assert peak < 1.25 * simulator._NOTE_BYTES
 
 
 def test_every_episode_field_is_set_by_a_simulate_option():

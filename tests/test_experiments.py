@@ -258,7 +258,8 @@ def test_distance_families_reject_zero_relays_before_any_work(experiment):
     [
         # at least 500 rows per cell, 1,000 per round, 1,000 per multiplicity
         ("exp_dist_nearest", (16777,), (16778,)),
-        ("exp_dist_nearest", range(1, 16778), range(1, 8388609)),
+        # a range's largest cell alone: 1..16777 fits it, but not the total draws
+        ("exp_dist_nearest", range(1, 183), range(1, 8388609)),
         ("iter_gain_nearest", (9000, 8388), (2, 8389)),
         # the furthest relay's distance law refuses n = 8,388 itself
         ("progress_vs_cri_sta", None, (8389,)),
@@ -269,6 +270,31 @@ def test_distance_families_refuse_their_largest_cell_before_any_sampling(experim
         ExperimentConfig(experiment=experiment, n_values=fits, replications=1)
     with pytest.raises(ResourceLimitError, match="draws of"):
         ExperimentConfig(experiment=experiment, n_values=refused, replications=1)
+
+
+@pytest.mark.parametrize(
+    "experiment, fits, refused",
+    [
+        # 500 rows of 4 cells at each n: 500 x 4 x (1 + ... + 182) <= 4 x MAX_POINTS < ... + 183
+        ("exp_dist_nearest", (16777,), range(1, 184)),
+        ("exp_dist_furthest", range(1, 183), range(1, 16778)),
+        ("exp_dist_nearest", range(1, 183), range(16777, 0, -100)),
+        # 1,000 rows of a separation draw and an episode batch at each n
+        ("progress_vs_cri_sta", range(1, 183), range(1, 184)),
+        ("progress_vs_cri_auction", (2, 3, 4), (8000, 8000, 8000)),
+    ],
+)
+def test_distance_families_refuse_their_total_draws_before_any_sampling(experiment, fits, refused):
+    ExperimentConfig(experiment=experiment, n_values=fits, replications=1)
+    with pytest.raises(ResourceLimitError, match="relays in all"):
+        ExperimentConfig(experiment=experiment, n_values=refused, replications=1)
+
+
+def test_a_range_is_summed_from_its_ends():
+    for values in (range(1, 184), range(16777, 0, -100), range(5, 6), range(3, 50, 7)):
+        assert experiments._total(values) == sum(values)
+    # a range far too long to walk
+    assert experiments._total(range(1, 10**15 + 1)) == 10**15 * (10**15 + 1) // 2
 
 
 @pytest.mark.parametrize("experiment", [ex for ex in EXPERIMENT_IDS if not ex.startswith("cri_pmf")])

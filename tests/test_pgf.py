@@ -430,6 +430,52 @@ def _auction_levels_by_sums(p0: float, skip: bool, size: int):
         yield fam[m]
 
 
+def _tree_levels_by_convolution(p: tuple[float, ...], size: int):
+    """The tree's levels with every product an np.convolve, f_1's among
+    them: the reference that taking f_1's products as their other factor
+    must match bit for bit."""
+    q = len(p)
+    shares = pgf._tree_shares(p)
+    one = np.zeros(size)
+    one[0] = 1.0
+    f = [one, one]
+    g = [None] + [[one, one] for _ in range(q - 2)]
+    yield from f
+    for m in itertools.count(2):
+        rest, stay = [None] * (q - 1), [0.0] * (q - 1)
+        row = _binomial_row(m, shares[q - 2])
+        part = np.zeros(size)
+        for c in range(1, m // 2 + 1):
+            weight = row[c] + row[m - c] if 2 * c < m else row[c]
+            if weight:
+                part += weight * np.convolve(f[c], f[m - c])[:size]
+        rest[q - 2], stay[q - 2] = part, row[0] + row[m]
+        for j in range(q - 3, -1, -1):
+            row = _binomial_row(m, shares[j])
+            part = row[0] * part
+            for c in range(1, m):
+                if row[c]:
+                    part += row[c] * np.convolve(f[c], g[j + 1][m - c])[:size]
+            rest[j], stay[j] = part, row[m] + row[0] * stay[j + 1]
+        f.append(_divide(_shift(part, 1), {1: sum(pj**m for pj in p)}))
+        for j in range(1, q - 1):
+            g[j].append(rest[j] + stay[j] * f[m])
+        yield f[m]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [(0.5, 0.5), (0.3, 0.7), (1 / 3,) * 3, (0.2, 0.5, 0.3), (0.25,) * 4, (0.1, 0.2, 0.3, 0.4)],
+    ids=str,
+)
+@pytest.mark.parametrize("size", [3, pgf._SLICE_MIN - 1, 43, 129])
+def test_tree_levels_equal_the_ones_that_convolve_with_f1(p, size):
+    levels = pgf._tree_levels(p, size)
+    reference = _tree_levels_by_convolution(p, size)
+    for m in range(16):
+        assert next(levels).tobytes() == next(reference).tobytes(), f"level {m}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p0=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -552,6 +598,37 @@ def test_evaluate_on_an_array_equals_the_scalar_calls(protocol, n, radii, angles
     assert type(evaluate(series, complex(zs[0]))) is complex
 
 
+_UNIT_REALS = st.floats(-1.0, 1.0)
+_UNIT_POINTS = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    protocol=st.sampled_from(PROTOCOLS),
+    n=st.integers(0, 8),
+    p0=st.one_of(st.just(0.5), st.floats(0.1, 0.9)),
+    form=st.sampled_from(["scalar", "0-d", "1-d", "2-d"]),
+    points=st.one_of(st.lists(_UNIT_REALS, min_size=6, max_size=6), st.lists(_UNIT_POINTS, min_size=6, max_size=6)),
+)
+def test_evaluate_equals_np_polyval_bit_for_bit(protocol, n, p0, form, points):
+    series = build_pgf(protocol, SplitModel(n, p=(p0, 1.0 - p0)))
+    z = {
+        "scalar": points[0],
+        "0-d": np.array(points[0]),
+        "1-d": np.array(points),
+        "2-d": np.array(points).reshape(2, 3),
+    }[form]
+    expected = np.polyval(series.coeffs[::-1], z)
+    got = evaluate(series, z)
+    if form in ("scalar", "0-d"):
+        assert type(got) is complex
+        assert np.array(got).tobytes() == np.array(complex(expected)).tobytes()
+    else:
+        assert type(got) is np.ndarray
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     inside=st.lists(st.floats(0.0, 1.0), max_size=20),
@@ -606,9 +683,9 @@ def test_inversion_with_explicit_radius():
     assert result.prob == pytest.approx(series.coefficient(4), abs=1e-4)
 
 
-def _invert_point_by_point(series, k):
+def _invert_point_by_point(series, k, params):
     # one scalar evaluation per contour point, summed in order
-    r = InversionParams().radius_for(k)
+    r = params.radius_for(k)
     total = 0.0
     sign = -1.0
     for j in range(1, 2 * k + 1):
@@ -620,10 +697,16 @@ def _invert_point_by_point(series, k):
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_inversion_equals_the_point_by_point_loop(protocol):
-    for n in range(0, 9):
-        series = build_pgf(protocol, SplitModel(n))
-        for k in range(1, 31):
-            assert invert_fourier(series, k).raw == _invert_point_by_point(series, k), (n, k)
+    # the fair coin at the default radius, then a biased coin and an explicit radius
+    few = (1, 2, 3, 7, 16, 29, 30)
+    cases = [(0.5, None, range(0, 9), range(1, 31)), (0.3, None, (3, 8), few), (0.5, 0.3, (3, 8), few)]
+    for p0, r, ns, ks in cases:
+        params = InversionParams(r=r)
+        for n in ns:
+            series = build_pgf(protocol, SplitModel(n, p=(p0, 1.0 - p0)))
+            for k in ks:
+                raw = invert_fourier(series, k, params).raw
+                assert raw == _invert_point_by_point(series, k, params), (p0, r, n, k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -689,6 +772,12 @@ def test_mean_error_bounds_the_exact_mean(protocol, exact, n):
     # from n = 60 the rounding of the auctions' log-space binomial rows
     est = moments(build_pgf(protocol, SplitModel(n)))
     assert est.mean_error >= abs(Fraction(est.mean) - exact(n))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_moments_are_plain_floats(protocol):
+    est = moments(build_pgf(protocol, SplitModel(4)))
+    assert [type(x) for x in est] == [float, float, float]
 
 
 @pytest.mark.parametrize("skip", [False, True])
