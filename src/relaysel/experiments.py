@@ -44,7 +44,7 @@ DEFAULT_REPLICATIONS = 100_000
 ALPHA = 1e-3  # family-wise false-alarm probability of one table's statistical rows
 CUT_LEVEL = 0.999  # analytic slot-count masses are kept up to this quantile
 PRIORITY_ROUNDS = 3  # the iterated-priority families' lens rounds
-# A distance family's draws in all: what exp_dist's PRIORITY_ROUNDS + 1
+# A table's draws of relays in all: what exp_dist's PRIORITY_ROUNDS + 1
 # cells draw at its largest admitted multiplicity, about 4 s of sampling
 MAX_DRAWS = (PRIORITY_ROUNDS + 1) * MAX_POINTS
 
@@ -80,31 +80,11 @@ class ExperimentConfig:
             raise ResourceLimitError(f"{self.q} splitting groups exceed the limit of {K_CAP}")
         if not self.n_values:
             raise DomainError("empty multiplicity range")
-        # every family but the slot-count PMFs draws neighbour distances, at
-        # most replications rows of at most the largest multiplicity's points
+        # every family but the slot-count PMFs draws neighbour distances
         if not self.experiment.startswith("cri_pmf"):
-            least, most = _bounds(self.n_values)
-            if least < 1:
+            if _bounds(self.n_values)[0] < 1:
                 raise DomainError(f"{self.experiment} needs at least one relay per multiplicity")
-            if self.replications * most > MAX_POINTS:
-                raise ResourceLimitError(
-                    f"{self.replications} replications of {most} relays exceed "
-                    f"the limit of {MAX_POINTS} points"
-                )
-            # the largest cell and binomial of the family's laws, refused before
-            # any sampling: the dist_pdf and iter_gain families take the last
-            # multiplicity only
-            n = self.n_values[-1] if self.experiment.startswith(("dist_pdf", "iter_gain")) else most
-            rows = self.rows_per_cell()
-            if rows * n > MAX_POINTS:
-                raise ResourceLimitError(f"{rows} draws of {n} relays exceed the limit of {MAX_POINTS} points")
-            # and its cells together, where it draws at every multiplicity
-            cells = self.cells_per_n()
-            if cells and (total := rows * cells * _total(self.n_values)) > MAX_DRAWS:
-                raise ResourceLimitError(
-                    f"{rows} draws of {cells} cells at each multiplicity, {total} relays in all, "
-                    f"exceed the limit of {MAX_DRAWS} points"
-                )
+            n = _check_draws(self.rows_per_cell(), self.cells_per_n(), self.drawn_n_values())
             check_binomials(1 if self.experiment.endswith("nearest") else n, n)
             if self.experiment == "dist_pdf_sdr":  # every rank's sector density
                 check_binomials(min(n, n // 2 + 1), n, density=True)
@@ -121,19 +101,24 @@ class ExperimentConfig:
         return max(self.replications // len(self.n_values), 1000)
 
     def cells_per_n(self) -> int:
-        """Cells a distance family draws at every multiplicity: one per
-        round of exp_dist, and progress_vs_cri's separations and episode
-        batch; 0 for the families that draw the last multiplicity alone."""
-        if self.experiment.startswith("exp_dist"):
+        """Cells a distance family draws at each multiplicity it draws: one
+        per round, dist_pdf's one, and progress_vs_cri's separations and its
+        episode batch, weighed as two: a tree episode costs ~185 ns a relay,
+        a lens separation ~60 ns."""
+        if self.experiment.startswith(("exp_dist", "iter_gain")):
             return PRIORITY_ROUNDS + 1
-        return 2 if self.experiment.startswith("progress_vs_cri") else 0
+        return 3 if self.experiment.startswith("progress_vs_cri") else 1
+
+    def drawn_n_values(self):
+        """The multiplicities drawn: dist_pdf and iter_gain draw the last alone."""
+        return self.n_values[-1:] if self.experiment.startswith(("dist_pdf", "iter_gain")) else self.n_values
+
+    def provenance(self) -> dict:
+        inputs = {k: (list(v) if isinstance(v, (tuple, range)) else v) for k, v in self.__dict__.items()}
+        return _provenance(self.experiment, inputs, self.seed)
 
     def config_hash(self) -> str:
-        blob = json.dumps(
-            {k: (list(v) if isinstance(v, (tuple, range)) else v) for k, v in self.__dict__.items()},
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return self.provenance()["config_hash"]
 
     def lens(self) -> LensRegion:
         return LensRegion(radius=self.r, rho=self.rho)
@@ -198,6 +183,22 @@ def _total(n_values) -> int:
     return sum(n_values)
 
 
+def _check_draws(rows: int, cells: int, n_values) -> int:
+    """Refuse, before any law or sample, a table that draws ``rows`` rows of
+    relays in each of ``cells`` cells at every multiplicity of ``n_values``:
+    its largest cell past MAX_POINTS relays, or all of them past MAX_DRAWS.
+    Returns the largest multiplicity."""
+    most = _bounds(n_values)[1]
+    if rows * most > MAX_POINTS:
+        raise ResourceLimitError(f"{rows} draws of {most} relays exceed the limit of {MAX_POINTS} points")
+    if (total := rows * cells * _total(n_values)) > MAX_DRAWS:
+        raise ResourceLimitError(
+            f"{rows} draws of {cells} cells at each multiplicity, {total} relays in all, "
+            f"exceed the limit of {MAX_DRAWS} points"
+        )
+    return most
+
+
 def _laws(protocol: str, n_values, q: int = 2, p=None) -> dict:
     """Each multiplicity's slot-count series, the largest built first: a
     refusal there comes before any other build or batch, and the held
@@ -211,13 +212,11 @@ def _laws(protocol: str, n_values, q: int = 2, p=None) -> dict:
     return laws
 
 
-def _provenance(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "toolkit_version": __version__,
-    }
+def _provenance(experiment: str, inputs, seed: int) -> dict:
+    """A table's provenance block; its config hash is the first 16 hex digits
+    of the sha256 of its inputs' JSON."""
+    config_hash = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()[:16]
+    return {"experiment": experiment, "config_hash": config_hash, "seed": seed, "toolkit_version": __version__}
 
 
 def _protocol(cfg: ExperimentConfig, auction: bool) -> str:
@@ -313,6 +312,15 @@ def _analytic_pmf(series) -> dict[int, float]:
     return {k: float(series.coeffs[k]) for k in range(cut + 1) if series.coeffs[k] > 0}
 
 
+def _tv_cell(checks: _Checks, label: str, series, episode: EpisodeConfig, replications: int, seed: int):
+    """(analytic masses, empirical pmf) of the series and of a batch of
+    ``replications`` episodes, their total variation gated as ``label``."""
+    analytic = _analytic_pmf(series)
+    _, summary = run_episode_batch(episode, replications, seed)
+    checks.tv(label, total_variation(analytic, summary.pmf), replications, series)
+    return analytic, summary.pmf
+
+
 _KS_STRIDE_DIVISOR = 8  # the KS's first pass evaluates every (sqrt(N) / 8)-th sample
 _KS_SLACK = 1e-9  # the KS skips a gap whose bound is below its best deviation by more than this
 
@@ -352,6 +360,15 @@ def _ks_distance(region, rank: int, n_points: int, distances: np.ndarray) -> flo
     return float(best)
 
 
+def _ks_cells(checks: _Checks, labels: dict, region, n_points: int, rows: int, seed: int) -> np.ndarray:
+    """``rows`` draws of the sorted separations of ``n_points`` relays in the
+    region, each rank's KS against its law gated as ``labels[rank]``."""
+    sorted_d = sample_sorted_separations(region, n_points, rows, seed)
+    for rank, label in labels.items():
+        checks.ks(label, _ks_distance(region, rank, n_points, sorted_d[:, rank - 1]), rows)
+    return sorted_d
+
+
 def _mean_check(checks: _Checks, label: str, distances: np.ndarray, analytic: float) -> tuple[float, float]:
     """(mean, standard error) of the sampled distances, their z-score
     against the analytic mean gated as ``label`` (no diagnostic line)."""
@@ -379,14 +396,12 @@ def _cri_pmf(cfg: ExperimentConfig, auction: bool) -> ResultTable:
     checks = _Checks()
     laws = _laws(protocol, cfg.n_values, cfg.q, cfg.p)
     for n in cfg.n_values:
-        series = laws[n]
-        analytic = _analytic_pmf(series)
         episode = EpisodeConfig(protocol=protocol, n=n, region=region, q=cfg.q, p=cfg.p)
-        _, summary = run_episode_batch(episode, cfg.replications, _hash_seed(cfg.seed, f"pmf:{n}"))
-        checks.tv(f"tv_n{n}", total_variation(analytic, summary.pmf), cfg.replications, series)
-        for k in sorted(set(analytic) | set(summary.pmf)):
-            rows.append((n, k, analytic.get(k, 0.0), summary.pmf.get(k, 0.0)))
-    return checks.table(["n", "k_slots", "analytic_pmf", "empirical_pmf"], rows, _provenance(cfg))
+        seed = _hash_seed(cfg.seed, f"pmf:{n}")
+        analytic, empirical = _tv_cell(checks, f"tv_n{n}", laws[n], episode, cfg.replications, seed)
+        for k in sorted(set(analytic) | set(empirical)):
+            rows.append((n, k, analytic.get(k, 0.0), empirical.get(k, 0.0)))
+    return checks.table(["n", "k_slots", "analytic_pmf", "empirical_pmf"], rows, cfg.provenance())
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +410,19 @@ def _cri_pmf(cfg: ExperimentConfig, auction: bool) -> ResultTable:
 
 def _dist_pdf(cfg: ExperimentConfig, region, label: str) -> ResultTable:
     n_points = cfg.n_values[-1]
-    sorted_d = sample_sorted_separations(region, n_points, cfg.replications, _hash_seed(cfg.seed, f"dist:{label}"))
+    checks = _Checks()
+    labels = {rank: f"ks_rank{rank}" for rank in range(1, n_points + 1)}
+    sorted_d = _ks_cells(checks, labels, region, n_points, cfg.replications, _hash_seed(cfg.seed, f"dist:{label}"))
     grid = np.linspace(0.0, region.radius, 201)
     rows = []
-    checks = _Checks()
-    for rank in range(1, n_points + 1):
-        distances = sorted_d[:, rank - 1]
-        checks.ks(f"ks_rank{rank}", _ks_distance(region, rank, n_points, distances), cfg.replications)
-        emp_pdf = _empirical_pdf(distances, region.radius, grid)
+    for rank in labels:
+        emp_pdf = _empirical_pdf(sorted_d[:, rank - 1], region.radius, grid)
         pdf = nth_neighbor_pdf(region, rank, n_points, grid)
         ccdf = nth_neighbor_ccdf(region, rank, n_points, grid)
         for d, an, ep, cc in zip(grid.tolist(), pdf.tolist(), emp_pdf.tolist(), ccdf.tolist()):
             rows.append((rank, d, an, ep, cc))
     columns = ["rank", "d", "analytic_pdf", "empirical_pdf", "analytic_ccdf"]
-    return checks.table(columns, rows, _provenance(cfg))
+    return checks.table(columns, rows, cfg.provenance())
 
 
 def _priority_rounds(cfg: ExperimentConfig) -> list:
@@ -433,9 +447,8 @@ def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
     for t, region in enumerate(regions):
         label = "cdr" if t else "sdr"
         seed = _hash_seed(cfg.seed, f"iter:{label}:{t}")
-        distances = sample_sorted_separations(region, n_points, per_round, seed)[:, rank - 1]
-        checks.ks(f"ks_{label}_round{t}", _ks_distance(region, rank, n_points, distances), per_round)
-        emp_pdf = _empirical_pdf(distances, cfg.r, grid)
+        sorted_d = _ks_cells(checks, {rank: f"ks_{label}_round{t}"}, region, n_points, per_round, seed)
+        emp_pdf = _empirical_pdf(sorted_d[:, rank - 1], cfg.r, grid)
         pdf = nth_neighbor_pdf(region, rank, n_points, grid)
         for d, an, ep in zip(grid.tolist(), pdf.tolist(), emp_pdf.tolist()):
             rows.append((label, t, d, an, ep))
@@ -445,7 +458,7 @@ def _iter_gain(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
         checks.require(
             all(b > a for a, b in zip(means, means[1:])), f"round means not strictly increasing: {means}"
         )
-    return checks.table(["region", "round", "d", "analytic_pdf", "empirical_pdf"], rows, _provenance(cfg))
+    return checks.table(["region", "round", "d", "analytic_pdf", "empirical_pdf"], rows, cfg.provenance())
 
 
 def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
@@ -476,7 +489,7 @@ def _exp_dist(cfg: ExperimentConfig, nearest: bool) -> ResultTable:
             )
         checks.diagnostics["monotone_rounds"] = True
     columns = ["series", "n", "analytic_mean_distance", "empirical_mean_distance", "empirical_se"]
-    return checks.table(columns, rows, _provenance(cfg))
+    return checks.table(columns, rows, cfg.provenance())
 
 
 def _progress_vs_cri(cfg: ExperimentConfig, auction: bool) -> ResultTable:
@@ -499,7 +512,7 @@ def _progress_vs_cri(cfg: ExperimentConfig, auction: bool) -> ResultTable:
         z_denom = math.sqrt(max(summary.var_slots, 1e-12) / per_cell)
         checks.z(f"cri_z_n{n}", abs(summary.mean_slots - cri_mean) / z_denom if z_denom else 0.0)
     columns = ["n", "rank", "analytic_mean_cri", "empirical_mean_cri"]
-    return checks.table(columns + ["analytic_mean_distance", "empirical_mean_distance"], rows, _provenance(cfg))
+    return checks.table(columns + ["analytic_mean_distance", "empirical_mean_distance"], rows, cfg.provenance())
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +557,7 @@ def validate_agreement(
         raise DomainError("empty multiplicity range")
     if distance_n < 1:
         raise DomainError("the distance checks need at least one relay (distance_n >= 1)")
-    if replications * distance_n > MAX_POINTS:
-        raise ResourceLimitError(
-            f"{replications} replications of {distance_n} relays exceed the limit of {MAX_POINTS} points"
-        )
+    _check_draws(replications, 2, (distance_n,))  # the KS samples of the sector and the lens
     check_binomials(distance_n, distance_n)
     lens = LensRegion(radius=r, rho=rho)
     sector = calibrate_sdr(lens)
@@ -556,21 +566,12 @@ def validate_agreement(
     for protocol in protocols:
         region = sector if protocol == "sta" else lens
         for n in n_values:
-            series = laws[protocol][n]
             episode = EpisodeConfig(protocol=protocol, n=n, region=region)
             label = f"tv:{protocol}:{n}"
-            _, summary = run_episode_batch(episode, replications, _hash_seed(seed, label))
-            checks.tv(label, total_variation(_analytic_pmf(series), summary.pmf), replications, series)
+            _tv_cell(checks, label, laws[protocol][n], episode, replications, _hash_seed(seed, label))
     for label, region in (("sdr", sector), ("cdr", lens)):
-        sorted_d = sample_sorted_separations(region, distance_n, replications, _hash_seed(seed, f"ks:{label}"))
-        for rank in range(1, distance_n + 1):
-            ks = _ks_distance(region, rank, distance_n, sorted_d[:, rank - 1])
-            checks.ks(f"ks:{label}:rank{rank}", ks, replications)
+        labels = {rank: f"ks:{label}:rank{rank}" for rank in range(1, distance_n + 1)}
+        _ks_cells(checks, labels, region, distance_n, replications, _hash_seed(seed, f"ks:{label}"))
     inputs = [list(n_values), replications, seed, r, rho, list(protocols), distance_n]
-    provenance = {
-        "experiment": "validate",
-        "config_hash": hashlib.sha256(json.dumps(inputs).encode()).hexdigest()[:16],
-        "seed": seed,
-        "toolkit_version": __version__,
-    }
+    provenance = _provenance("validate", inputs, seed)
     return checks.table(["check", "statistic", "threshold", "passed"], checks.verdicts(), provenance)

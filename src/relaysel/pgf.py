@@ -51,7 +51,9 @@ class SplitModel:
     """Contention parameters: multiplicity, group count, group probabilities.
 
     ``p[j]`` is the probability that a contender joins splitting group ``j``;
-    the default is the fair ``q``-sided coin.
+    the default is the fair ``q``-sided coin.  A coin with some p_j = 1 never
+    splits a collision, so it is refused for two or more contenders; a lone
+    contender flips no coin.
     """
 
     n: int
@@ -74,6 +76,8 @@ class SplitModel:
             raise DomainError("group probabilities must lie in [0, 1]")
         if abs(sum(self.p) - 1.0) > 1e-12:
             raise DomainError("group probabilities must sum to 1 within 1e-12")
+        if self.n >= 2 and max(self.p) == 1.0:
+            raise DomainError("a coin with some p_j = 1 never splits a collision")
 
 
 @dataclass(frozen=True)
@@ -659,14 +663,8 @@ def _builder_for(protocol: str):
 
 def build_pgf(protocol: str, model: SplitModel, tail_tol: float = 1e-9) -> TruncatedSeries:
     """Build a protocol PGF, doubling k_max from 128 until the tail mass
-    clears ``tail_tol``, and giving up past ``K_CAP``.
-
-    A coin with some p_j = 1 never splits a collision of two or more, so no
-    series exists there; a lone contender still takes its one slot.
-    """
+    clears ``tail_tol``, and giving up past ``K_CAP``."""
     builder = _builder_for(protocol)
-    if model.n >= 2 and max(model.p) == 1.0:
-        raise DomainError("a coin with some p_j = 1 never splits a collision")
     k = 128
     if protocol == "sta" and model.n >= 2 and tail_tol <= 1.0:
         # every collision adds at most q - 1 groups, so a tree of n contenders

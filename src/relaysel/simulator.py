@@ -338,8 +338,6 @@ class EpisodeConfig:
         # check q and p once per batch rather than once per episode, and turn
         # away the coins under which no election can ever end
         model = SplitModel(n=self.n, q=self.q, p=self.p)
-        if max(model.p) == 1.0:
-            raise DomainError("a coin with some p_j = 1 never splits a collision")
         if self.protocol == "auction_skip" and model.p[0] == 0.0:
             raise DomainError("auction_skip re-probes an empty top band forever when p_0 = 0")
         if self.protocol == "auction_skip" and self.q > 2:

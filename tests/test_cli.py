@@ -238,8 +238,8 @@ def test_auction_beyond_the_work_limit_is_resource_exit(capsys, protocol):
     "protocol,n,coin",
     [
         ("sta", 3, ["--p", "1.0"]),
-        ("auction", 1, ["--p", "1.0"]),
-        ("auction-skip", 1, ["--p", "1.0"]),
+        ("auction", 2, ["--p", "1.0"]),
+        ("auction-skip", 2, ["--p", "1.0"]),
         ("auction-skip", 1, ["--q", "3", "--p", "0,0.5,0.5"]),
     ],
 )
@@ -249,6 +249,26 @@ def test_coin_that_never_resolves_is_usage_error(capsys, protocol, n, coin):
     )
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+@pytest.mark.parametrize("protocol", ["sta", "auction", "auction-skip"])
+def test_a_sure_coin_is_refused_only_where_it_is_flipped(capsys, protocol):
+    # fewer than two relays never collide, so the simulator, like the law,
+    # takes one slot whatever the coin; two never split
+    flags = ["simulate", "--protocol", protocol, "--p", "1,0", "--reps", "50"]
+    for n in ("0", "1"):
+        code, out, _ = run_cli(capsys, *flags, "--n", n)
+        assert code == EXIT_OK
+        assert out.splitlines()[-4:] == ["k_slots,value", "1,1.0", "mean,1.0", "variance,0.0"]
+        code, out, _ = run_cli(capsys, *flags, "--n", n, "--format", "records")
+        assert code == EXIT_OK
+        slots = [line.split()[2] for line in out.splitlines() if not line.startswith("#")]
+        assert slots == ["1"] * 50
+        code, out, _ = run_cli(capsys, "pmf", "--protocol", protocol, "--p", "1,0", "--n", n)
+        assert code == EXIT_OK and out.splitlines()[-1] == "1,1.0"
+    code, out, err = run_cli(capsys, *flags, "--n", "2")
+    assert code == EXIT_USAGE
+    assert "never splits" in err and out == ""
 
 
 @pytest.mark.parametrize("command", [["pmf"], ["invert", "--k", "3"]])
@@ -647,6 +667,22 @@ LAWS_GOLDEN = [
      "e74de5dec35d54671109bace3ea3a87c1ab3e00fd9676837d5f2c47c3a20b7b3"),
     ("experiment --id exp_dist_furthest --n 3..5 --reps 1000 --rho 1.4",
      "d8f7a8e40618784f2353d790ae9a0b5cd282265c50fe4af765f761f5355a1ff4"),
+    # pinned before validate and the families came to share one sizing rule
+    # and one TV and KS cell: the simulated tables that no digest held
+    ("validate --n 1..4 --reps 2000",
+     "02c34c988067b0aaee333f91df01040dc555fe052aaa08267f4aa267c6a4fbd4"),
+    ("experiment --id cri_pmf_sta --n 0..4 --reps 2000",
+     "4442698b7b58dbb2c48abd498c2cf83d6469430ee382db6463bc31ac8c3eb8d4"),
+    ("experiment --id cri_pmf_auction --n 2..4 --p 0.3 --reps 2000",
+     "8c6c434cd0437c839c9dace7891ba30db9c67abc6fafbb47d88b4f8a84e509f2"),
+    ("experiment --id iter_gain_nearest --n 3,5 --q 3 --reps 2000",
+     "8a89364220f55c6e1b845cd7631c1c311002a65ddc5e5099df292fb6ae85a601"),
+    ("experiment --id iter_gain_furthest --n 4 --rho 0.7 --reps 2000",
+     "53756762a114ed179dd317043f4beaea393f34c8c8bda6f6e93033a970f136bd"),
+    ("experiment --id progress_vs_cri_sta --n 2..4 --reps 2000",
+     "2256d369430d3d375b469b6e29881b92d8274334d37a98b4959ae6fb8fc92641"),
+    ("experiment --id progress_vs_cri_auction --n 2..4 --reps 2000",
+     "6e3d61e5ac6e1a394f8e4a3087249abfa2ebc29e43d7afacf6cd2daaf2465fa6"),
 ]
 
 
@@ -936,6 +972,23 @@ def test_oversize_work_is_refused_before_any_of_it(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # 187,500 rows in each of 4 cells at n = 2..5: 10.5M relays in all,
+        # within the total bound, and no cell past the cap on points
+        ["experiment", "--id", "exp_dist_nearest", "--n", "2..5", "--reps", "3000000"],
+        ["experiment", "--id", "iter_gain_nearest", "--n", "5", "--reps", "2000000"],
+        # dist_pdf draws the last multiplicity alone
+        ["experiment", "--id", "dist_pdf_cdr", "--n", "10000,5", "--reps", "1000"],
+    ],
+)
+def test_draws_within_both_limits_are_admitted(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert "# FAIL" not in out
+
+
+@pytest.mark.parametrize(
     "argv,exit_code",
     [
         # the skip auction's idle recut reads only p_0, so q > 2 has no model
@@ -967,7 +1020,8 @@ def test_episodes_outside_the_model_are_refused_before_any_work(capsys, argv, ex
         ["validate", "--n", "2..400", "--reps", "10", "--protocols", "auction,sta"],
         ["experiment", "--id", "cri_pmf_sta", "--n", "250..300", "--reps", "10"],
         ["experiment", "--id", "cri_pmf_auction", "--n", "1250..1350", "--reps", "10"],
-        ["experiment", "--id", "progress_vs_cri_sta", "--n", "250..300", "--reps", "10"],
+        # (a wider range meets the family's total draws first)
+        ["experiment", "--id", "progress_vs_cri_sta", "--n", "290..300", "--reps", "10"],
         # progress_vs_cri_auction's distance laws refuse n >= 1,030 first (see
         # test_oversize_work_is_refused_before_any_of_it), so the skip auction's
         # cap is met here

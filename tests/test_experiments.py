@@ -279,8 +279,9 @@ def test_distance_families_refuse_their_largest_cell_before_any_sampling(experim
         ("exp_dist_nearest", (16777,), range(1, 184)),
         ("exp_dist_furthest", range(1, 183), range(1, 16778)),
         ("exp_dist_nearest", range(1, 183), range(16777, 0, -100)),
-        # 1,000 rows of a separation draw and an episode batch at each n
-        ("progress_vs_cri_sta", range(1, 183), range(1, 184)),
+        # 1,000 rows of a separation draw and an episode batch, weighed as
+        # three cells: 1,000 x 3 x (1 + ... + 149) <= 4 x MAX_POINTS < ... + 150
+        ("progress_vs_cri_sta", range(1, 150), range(1, 151)),
         ("progress_vs_cri_auction", (2, 3, 4), (8000, 8000, 8000)),
     ],
 )
@@ -288,6 +289,32 @@ def test_distance_families_refuse_their_total_draws_before_any_sampling(experime
     ExperimentConfig(experiment=experiment, n_values=fits, replications=1)
     with pytest.raises(ResourceLimitError, match="relays in all"):
         ExperimentConfig(experiment=experiment, n_values=refused, replications=1)
+
+
+@pytest.mark.parametrize(
+    "experiment, rows, cells, drawn",
+    [
+        ("dist_pdf_cdr", 20_000, 1, (5,)),
+        ("iter_gain_nearest", 5_000, 4, (5,)),
+        ("exp_dist_furthest", 2_500, 4, (2, 5)),
+        ("progress_vs_cri_auction", 10_000, 3, (2, 5)),
+        ("validate", 20_000, 2, (3,)),
+    ],
+)
+def test_validate_and_the_families_size_their_draws_by_one_rule(monkeypatch, experiment, rows, cells, drawn):
+    class Sized(Exception):
+        pass
+
+    def sized(*args):
+        raise Sized(*args)
+
+    monkeypatch.setattr(experiments, "_check_draws", sized)
+    with pytest.raises(Sized) as got:
+        if experiment == "validate":
+            validate_agreement(n_values=(2, 5), replications=20_000, distance_n=3)
+        else:
+            ExperimentConfig(experiment=experiment, n_values=(2, 5), replications=20_000)
+    assert got.value.args == (rows, cells, drawn)
 
 
 def test_a_range_is_summed_from_its_ends():
